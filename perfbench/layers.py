@@ -3,8 +3,8 @@
 Nothing inside ``src/`` is instrumented: each layer is timed around the
 public call that enters it.  Three sources feed the breakdown:
 
-* the traced HTTP window: client-side spans of every request plus the
-  server's own ``/statz`` before and after it;
+* the HTTP traffic: client-side spans of every request plus the
+  server's own ``/statz`` before and after the traced window;
 * a replay of the recorded request bodies, grouped into ticks of the
   size ``/statz`` reported, through each serving step in process:
   JSON decode, int64 coercion, admission validation, routing, answer,
@@ -30,7 +30,7 @@ from repro.engine.server import percentile
 from repro.experiments.figures import PAPER_EPSILONS
 from repro.methods.registry import PAPER_METHODS
 
-from .loadgen import Window
+from .loadgen import Sample, Window
 from .trace import Tracer
 from .traffic import Request
 
@@ -49,9 +49,21 @@ POOL_SHARDS = 2
 FAIL_STATUSES = (400, 413, 500, 503, 504)
 
 
-def http_layers(window: Window, before: Mapping, after: Mapping) -> Dict[str, float]:
-    """HTTP stages of one traced window, from client spans and ``/statz``."""
-    ok = [s for s in window.samples if s.status == 200]
+def http_layers(
+    samples: Sequence[Sample], window: Window, before: Mapping, after: Mapping
+) -> Dict[str, float]:
+    """HTTP stages, from client spans and ``/statz``.
+
+    ``/statz`` keeps latencies and loop lag only since the server started,
+    so ``http.server_us`` and ``loop.max_lag_ms`` cover every request the
+    server answered: warm-up and both windows (``samples``).  The client
+    medians subtracted from or compared with them are taken over those
+    same requests.  Tick counts (counter differences) and the generator's
+    lateness cover the traced ``window`` only.
+    """
+    answered = int(after["latency_ms"]["count"])
+    ok = sorted((s for s in samples if s.status == 200), key=lambda s: s.done)
+    ok = ok[-answered:] if answered else ok
     round_trip_us = 1e6 * statistics.median(s.round_trip for s in ok)
     server_us = 1e3 * float(after["latency_ms"]["p50"])
     engine_us = 1e6 * statistics.median(s.engine_s for s in ok)

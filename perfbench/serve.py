@@ -43,6 +43,10 @@ WARMUP_SECONDS = 0.5
 #: Distinct request bodies a closed loop cycles through.
 BATCH_POOL = 512
 
+#: ``mre_pct`` is scored on at least this many queries of the workload's
+#: mix: the served ones and, off the clock, more from the same seed.
+ACCURACY_QUERIES = 100_000
+
 LAUNCHER = Path(__file__).resolve().parent / "launcher.py"
 BOOT_TIMEOUT = 120.0
 
@@ -152,11 +156,16 @@ def set_up_repeatedly() -> Setup:
 
 @dataclass
 class Traffic:
-    """A workload's seeded requests and how they are sent."""
+    """A workload's seeded requests and how they are sent.
+
+    ``scored`` starts with ``requests`` and is the pool ``mre_pct`` is
+    scored on; its requests beyond ``requests`` are never sent.
+    """
 
     requests: List[traffic.Request]
     warmup: List[traffic.Request]
     offsets: np.ndarray | None  # open loop send times; None = closed loop
+    scored: List[traffic.Request]
 
 
 def make_traffic(workload: str, shape, seed: int, seconds: float) -> Traffic:
@@ -164,8 +173,11 @@ def make_traffic(workload: str, shape, seed: int, seconds: float) -> Traffic:
     warmup = traffic.batch_requests(shape, 2 * CONNECTIONS, rng)
     if workload == "serve_point":
         offsets = traffic.poisson_schedule(traffic.POINT_RATE, seconds, seed)
-        return Traffic(traffic.point_requests(shape, len(offsets), rng), warmup, offsets)
-    return Traffic(traffic.batch_requests(shape, BATCH_POOL, rng), warmup, None)
+        n = max(len(offsets), -(-ACCURACY_QUERIES // traffic.POINT_QUERIES))
+        pool = traffic.point_requests(shape, n, rng)
+        return Traffic(pool[: len(offsets)], warmup, offsets, pool)
+    pool = traffic.batch_requests(shape, BATCH_POOL, rng)
+    return Traffic(pool, warmup, None, pool)
 
 
 async def _drive(port: int, plan: Traffic, seconds: float, windows: int, statz: bool):
@@ -212,57 +224,59 @@ def latency_metrics(window: Window) -> Dict[str, float]:
 
 
 @dataclass
+class Expected:
+    """The dense reference's answers and the true counts of a request pool."""
+
+    answers: np.ndarray
+    true: np.ndarray
+    starts: np.ndarray
+
+    def answer(self, index: int) -> np.ndarray:
+        return self.answers[self.starts[index] : self.starts[index + 1]]
+
+    @property
+    def mre_pct(self) -> float:
+        return float(relative_errors(self.true, self.answers).mean())
+
+
+def expected(
+    requests: Sequence[traffic.Request], reference: Engine, truth: PrefixSumTable
+) -> Expected:
+    """Answer every request of a pool with ``reference`` (the dense plan on
+    the served release) and with the true matrix."""
+    lows = np.concatenate([r.lows for r in requests])
+    highs = np.concatenate([r.highs for r in requests])
+    starts = np.cumsum([0] + [r.n_queries for r in requests])
+    return Expected(
+        reference.answer_arrays(lows, highs), truth.query_arrays(lows, highs), starts
+    )
+
+
+@dataclass
 class Check:
     """Outcome of checking one window's responses."""
 
     statuses: Counter = field(default_factory=Counter)
     mismatched: int = 0
-    errors: List[np.ndarray] = field(default_factory=list)
 
     @property
     def failed(self) -> int:
         refused = sum(n for status, n in self.statuses.items() if status != 200)
         return refused + self.mismatched
 
-    @property
-    def mre_pct(self) -> float:
-        if not self.errors:
-            return float("nan")
-        return float(np.concatenate(self.errors).mean())
-
     def merge(self, other: "Check") -> "Check":
         return Check(
-            self.statuses + other.statuses,
-            self.mismatched + other.mismatched,
-            self.errors + other.errors,
+            self.statuses + other.statuses, self.mismatched + other.mismatched
         )
 
 
-def check(
-    samples: Sequence[Sample],
-    requests: Sequence[traffic.Request],
-    reference: Engine,
-    truth: PrefixSumTable,
-) -> Check:
-    """Compare every answered request with ``reference`` (the dense plan
-    on the same release), count refusals and mismatches, and score the
-    accepted answers' relative error against the true matrix."""
+def check(samples: Sequence[Sample], reference: Expected) -> Check:
+    """Compare every answered request with the reference answers of its
+    pool, and count refusals and mismatches."""
     out = Check(Counter(s.status for s in samples))
-    ok = [s for s in samples if s.status == 200]
-    used = sorted({s.index for s in ok})
-    if not used:
-        return out
-    lows = np.concatenate([requests[i].lows for i in used])
-    highs = np.concatenate([requests[i].highs for i in used])
-    expected = reference.answer_arrays(lows, highs)
-    true = truth.query_arrays(lows, highs)
-    starts = dict(zip(used, np.cumsum([0] + [requests[i].n_queries for i in used])))
-    for sample in ok:
-        span = slice(starts[sample.index], starts[sample.index] + requests[sample.index].n_queries)
-        if mismatches(expected[span], sample.answers):
+    for sample in samples:
+        if sample.status == 200 and mismatches(reference.answer(sample.index), sample.answers):
             out.mismatched += 1
-        else:
-            out.errors.append(relative_errors(true[span], np.asarray(sample.answers)))
     return out
 
 
@@ -272,10 +286,12 @@ class Served:
 
     setup: Setup
     traffic: Traffic
+    warmup: Window
     windows: List[Window]
     snapshots: List[dict]
     checks: List[Check]
     peak_rss_mb: float
+    mre_pct: float
 
     @property
     def attempted(self) -> int:
@@ -292,7 +308,12 @@ class Served:
 def serve(
     setup: Setup, plan: Traffic, seconds: float, windows: int, statz: bool
 ) -> Served:
-    """Drive ``plan`` at the set-up server, stop it, check every answer."""
+    """Drive ``plan`` at the set-up server, stop it, check every answer,
+    and score the release's accuracy on the whole ``plan.scored`` pool.
+
+    ``mre_pct`` is taken from the reference answers, which every served
+    answer must match, so it depends only on the seed and the release.
+    """
     try:
         warm, measured, snapshots = asyncio.run(
             _drive(setup.server.port, plan, seconds, windows, statz)
@@ -302,6 +323,7 @@ def serve(
         setup.server.stop()
     reference = Engine(setup.private, EngineConfig(plan="dense"))
     truth = PrefixSumTable(setup.matrix.data)
-    checks = [check(warm.samples, plan.warmup, reference, truth)]
-    checks += [check(w.samples, plan.requests, reference, truth) for w in measured]
-    return Served(setup, plan, measured, snapshots, checks, rss)
+    scored = expected(plan.scored, reference, truth)
+    checks = [check(warm.samples, expected(plan.warmup, reference, truth))]
+    checks += [check(w.samples, scored) for w in measured]
+    return Served(setup, plan, warm, measured, snapshots, checks, rss, scored.mre_pct)

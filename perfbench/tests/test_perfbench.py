@@ -43,6 +43,7 @@ def tiny(monkeypatch):
     monkeypatch.setattr(traffic, "POINT_RATE", 100.0)
     monkeypatch.setattr(traffic, "BATCH_QUERIES", (8, 16))
     monkeypatch.setattr(serve, "BATCH_POOL", 16)
+    monkeypatch.setattr(serve, "ACCURACY_QUERIES", 400)
     monkeypatch.setattr(serve, "WARMUP_SECONDS", 0.1)
 
 
@@ -84,20 +85,21 @@ def test_check_rejects_a_perturbed_answer(tiny):
     matrix = inputs.builder.build(inputs.dataset)
     private = release.sanitize(matrix, "daf_entropy", 0.5, np.random.default_rng(0))
     requests = traffic.batch_requests(matrix.shape, 3, np.random.default_rng(1))
-    reference = Engine(private, EngineConfig(plan="dense"))
-    truth = PrefixSumTable(matrix.data)
+    reference = serve.expected(
+        requests, Engine(private, EngineConfig(plan="dense")), PrefixSumTable(matrix.data)
+    )
     samples = [
         Sample(i, 0.0, 0.0, 0.0, 200, Engine(private).answer_arrays(r.lows, r.highs).tolist())
         for i, r in enumerate(requests)
     ]
-    clean = serve.check(samples, requests, reference, truth)
+    clean = serve.check(samples, reference)
     assert clean.failed == 0 and clean.mismatched == 0
 
     perturbed = list(samples[1].answers)
     perturbed[0] += 1e-6 * max(1.0, abs(perturbed[0]))
     samples[1] = Sample(1, 0.0, 0.0, 0.0, 200, perturbed)
     samples.append(Sample(2, 0.0, 0.0, 0.0, 503))
-    bad = serve.check(samples, requests, reference, truth)
+    bad = serve.check(samples, reference)
     assert bad.mismatched == 1
     assert bad.statuses == Counter({200: 3, 503: 1})
     assert bad.failed == 2

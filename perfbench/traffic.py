@@ -1,27 +1,32 @@
 """Seeded query traffic: the only input the serving workloads vary.
 
-Queries follow the definitions of ``repro.queries.workload``: a *random*
-query takes an independent uniform interval per dimension, a *coverage*
-query spans ``max(1, round(c * size))`` cells per dimension at a uniform
-position.  They are drawn here with vectorised NumPy, because a closed
-loop can need a hundred thousand queries per run.  All traffic of a run
-comes from one ``numpy.random.Generator`` seeded with ``--seed``.
+Queries come from the paper's own generators in ``repro.queries.workload``
+(``random_workload``, ``fixed_coverage_workload``, ``paper_workloads``),
+so the served traffic and the evaluator share one definition of each
+workload.  All traffic of a run comes from one ``numpy.random.Generator``
+seeded with ``--seed``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
-#: The paper's fixed-coverage levels (1 %, 5 %, 10 %).
-COVERAGES = (0.01, 0.05, 0.10)
+from repro.queries.workload import (
+    fixed_coverage_workload,
+    paper_workloads,
+    random_workload,
+)
+
+#: Coverage of ``serve_point``'s coverage queries (the paper's 1 %).
+POINT_COVERAGE = 0.01
 
 #: Queries per ``serve_point`` request and its open-loop arrival rate.
 POINT_QUERIES = 4
-POINT_RATE = 100.0
+POINT_RATE = 200.0
 
 #: Query-count range of a ``serve_batch`` request (inclusive).
 BATCH_QUERIES = (128, 256)
@@ -40,24 +45,6 @@ class Request:
         return int(self.lows.shape[0])
 
 
-def random_queries(
-    shape: Sequence[int], n: int, rng: np.random.Generator
-) -> Tuple[np.ndarray, np.ndarray]:
-    sizes = np.asarray(shape, dtype=np.int64)
-    a = rng.integers(0, sizes, size=(n, sizes.size))
-    b = rng.integers(0, sizes, size=(n, sizes.size))
-    return np.minimum(a, b), np.maximum(a, b)
-
-
-def coverage_queries(
-    shape: Sequence[int], coverage: float, n: int, rng: np.random.Generator
-) -> Tuple[np.ndarray, np.ndarray]:
-    sizes = np.asarray(shape, dtype=np.int64)
-    sides = np.maximum(1, np.round(coverage * sizes).astype(np.int64))
-    lows = rng.integers(0, sizes - sides + 1, size=(n, sizes.size))
-    return lows, lows + sides - 1
-
-
 def encode_request(lows: np.ndarray, highs: np.ndarray) -> Request:
     body = json.dumps({"lows": lows.tolist(), "highs": highs.tolist()})
     return Request(lows, highs, body.encode("utf-8"))
@@ -68,11 +55,15 @@ def point_requests(
 ) -> List[Request]:
     """``serve_point`` traffic: each query random or 1 %-coverage, 50/50."""
     n = n_requests * POINT_QUERIES
-    r_lo, r_hi = random_queries(shape, n, rng)
-    c_lo, c_hi = coverage_queries(shape, COVERAGES[0], n, rng)
-    pick = rng.random(n)[:, None] < 0.5
-    lows = np.where(pick, r_lo, c_lo)
-    highs = np.where(pick, r_hi, c_hi)
+    pick = rng.random(n) < 0.5
+    lows = np.empty((n, len(shape)), dtype=np.int64)
+    highs = np.empty_like(lows)
+    for mask, make in (
+        (pick, lambda k: random_workload(shape, k, rng)),
+        (~pick, lambda k: fixed_coverage_workload(shape, POINT_COVERAGE, k, rng)),
+    ):
+        if mask.any():
+            lows[mask], highs[mask] = make(int(mask.sum())).as_arrays()
     return [
         encode_request(lows[i : i + POINT_QUERIES], highs[i : i + POINT_QUERIES])
         for i in range(0, n, POINT_QUERIES)
@@ -84,15 +75,17 @@ def batch_requests(
 ) -> List[Request]:
     """``serve_batch`` traffic: 128-256 queries, a quarter from each of the
     paper's four workloads (random, 1 %, 5 %, 10 % coverage)."""
-    out = []
-    for q in rng.integers(BATCH_QUERIES[0], BATCH_QUERIES[1] + 1, size=n_requests):
-        parts = [random_queries(shape, q, rng)] + [
-            coverage_queries(shape, c, q, rng) for c in COVERAGES
-        ]
-        family = np.arange(q) % len(parts)
-        lows = np.choose(family[:, None], [p[0] for p in parts])
-        highs = np.choose(family[:, None], [p[1] for p in parts])
-        out.append(encode_request(lows, highs))
+    sizes = rng.integers(BATCH_QUERIES[0], BATCH_QUERIES[1] + 1, size=n_requests)
+    per_family = -(-sizes // 4)
+    families = [w.as_arrays() for w in paper_workloads(shape, int(per_family.sum()), rng)]
+    lows = np.stack([f[0] for f in families])
+    highs = np.stack([f[1] for f in families])
+    out, start = [], 0
+    for q, step in zip(sizes, per_family):
+        i = np.arange(q)
+        rows = (i % 4, start + i // 4)
+        out.append(encode_request(lows[rows], highs[rows]))
+        start += step
     return out
 
 

@@ -33,7 +33,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> Outcome:
     untraced = {
         "setup_s": setup.seconds["setup"],
         **serve.latency_metrics(served.windows[0]),
-        "mre_pct": served.checks[1].mre_pct,
+        "mre_pct": served.mre_pct,
         "peak_rss_mb": served.peak_rss_mb,
     }
     total = served.total
@@ -42,7 +42,9 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> Outcome:
 
     window = served.windows[-1]
     before, after = served.snapshots
-    out = layers.http_layers(window, before, after)
+    samples = [s for w in [served.warmup, *served.windows] for s in w.samples]
+    out = layers.http_layers(samples, window, before, after)
+    out["latency_p99_ms"] = untraced["latency_p99_ms"]
     sent = [plan.requests[s.index] for s in sorted(window.samples, key=lambda s: s.sent)]
     ticks = layers.group_ticks(sent, out["batch.queries_per_tick"])
     out.update(layers.replay_layers(ticks, setup.private))
