@@ -18,7 +18,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import signal
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,6 +87,37 @@ PER_LAYER = {
 }
 
 
+#: How long the resource tracker may take to exit once told to.
+TRACKER_EXIT_SECONDS = 10.0
+
+
+def stop_resource_tracker() -> None:
+    """Stop multiprocessing's resource tracker if this run started one,
+    and wait until it has ended.
+
+    Shared memory (the replay's resident pool) and spawn-context locks
+    (the reload check) start a tracker process that by itself exits only
+    after this one has, so it would outlive the run.  Closing its pipe
+    tells it to exit; it is killed if it has not within
+    :data:`TRACKER_EXIT_SECONDS`.
+    """
+    module = sys.modules.get("multiprocessing.resource_tracker")
+    tracker = getattr(module, "_resource_tracker", None)
+    if tracker is None or getattr(tracker, "_fd", None) is None:
+        return
+    with tracker._lock:
+        fd, pid = tracker._fd, tracker._pid
+        tracker._fd = tracker._pid = None
+        os.close(fd)
+        deadline = time.monotonic() + TRACKER_EXIT_SECONDS
+        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                return
+            time.sleep(0.01)
+
+
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
@@ -121,7 +155,10 @@ def main(argv=None) -> int:
     }
     print(json.dumps({"perfbench": stamp}), flush=True)
 
-    outcome = workloads.run(args.workload, args.seed, args.seconds, bool(args.trace))
+    try:
+        outcome = workloads.run(args.workload, args.seed, args.seconds, bool(args.trace))
+    finally:
+        stop_resource_tracker()
     units = PER_LAYER if args.trace else END_TO_END
     missing = set(units) - set(outcome.metrics)
     if missing:

@@ -7,6 +7,7 @@ workload runs use a tiny matrix and sub-second windows.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -78,6 +79,17 @@ def test_run_without_sources_fails_without_a_result(monkeypatch, tmp_path, capsy
     code = run.main(["--workload", "serve_point", "--seed", "1", "--seconds", "1"])
     assert code != 0
     assert capsys.readouterr().out == ""
+
+
+def test_resource_tracker_does_not_outlive_the_run():
+    from multiprocessing import resource_tracker
+
+    resource_tracker.ensure_running()
+    pid = resource_tracker._resource_tracker._pid
+    run.stop_resource_tracker()
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+    run.stop_resource_tracker()  # a second call finds nothing to stop
 
 
 def test_check_rejects_a_perturbed_answer(tiny):
