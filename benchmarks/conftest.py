@@ -14,12 +14,26 @@ while preserving every qualitative result.
 from __future__ import annotations
 
 import os
+from pathlib import Path
 from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 import pytest
 
 from repro.experiments import get_scale
+
+
+#: Where the micro benchmarks write their ``BENCH_*.json`` artifacts.
+#: Gitignored, so test runs never touch the committed baselines at the
+#: repository root; refreshing one is an explicit copy (see
+#: ``tools/bench_gate.py``).
+BENCH_OUT = Path(__file__).resolve().parent.parent / "bench-out"
+
+
+def bench_artifact(name: str) -> Path:
+    """``bench-out/BENCH_<name>.json``, creating the directory."""
+    BENCH_OUT.mkdir(exist_ok=True)
+    return BENCH_OUT / f"BENCH_{name}.json"
 
 
 @pytest.fixture(scope="session")

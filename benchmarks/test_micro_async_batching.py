@@ -19,8 +19,8 @@ endpoint, measured on the query-engine benchmark substrate:
   batch-shape-independent), and the gate enforces the recorded value as
   an absolute ceiling.
 
-Results are written to ``BENCH_async_batching.json`` at the repository
-root; ``tools/bench_gate.py`` tracks ``speedup`` (relative) and
+Results are written to ``bench-out/BENCH_async_batching.json``;
+``tools/bench_gate.py`` tracks ``speedup`` (relative) and
 ``async_max_abs_diff`` (absolute) across commits.
 """
 
@@ -29,7 +29,6 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -43,7 +42,7 @@ from repro.engine import (
 )
 from repro.methods._grid import axis_intervals
 
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_async_batching.json"
+from .conftest import bench_artifact
 
 SHAPE = (256, 256)
 GRID_M = 64  # 64 x 64 = 4096 partitions
@@ -159,7 +158,7 @@ def test_async_batching_amortization_and_exactness():
         "async_max_abs_diff": async_max_abs_diff,
         "sync_max_abs_diff": sync_max_abs_diff,
     }
-    ARTIFACT.write_text(json.dumps(payload, indent=1))
+    bench_artifact("async_batching").write_text(json.dumps(payload, indent=1))
     print(
         f"\n{N_CLIENTS} clients x {QUERIES_PER_CLIENT} queries, plan={PLAN}: "
         f"unbatched {1e3 * unbatched_seconds:.1f}ms ({unbatched_ticks} "

@@ -13,16 +13,15 @@ machine, not the executor, so recording a sub-1x "speedup" there would
 only trip downstream regression gates (``tools/bench_gate.py`` ignores
 skipped entries).
 
-Results are written to ``BENCH_parallel_trials.json`` at the repository
-root so the speedup trajectory (and the core count it was measured on)
-is visible across commits.
+Results are written to ``bench-out/BENCH_parallel_trials.json`` so the
+speedup trajectory (and the core count it was measured on) is visible
+across commits.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,9 +30,7 @@ from repro.datagen import gaussian_matrix
 from repro.experiments import default_method_specs, run_methods
 from repro.queries import random_workload
 
-from .conftest import usable_cores
-
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_parallel_trials.json"
+from .conftest import bench_artifact, usable_cores
 
 #: The 4-trial grid of the acceptance criterion.
 N_TRIALS = 4
@@ -114,7 +111,7 @@ def test_parallel_trials_speedup():
         # narrow, and downstream gates would read it as a regression.
         payload["speedup"] = speedup
         payload["meets_target"] = speedup >= SPEEDUP_TARGET
-    ARTIFACT.write_text(json.dumps(payload, indent=1))
+    bench_artifact("parallel_trials").write_text(json.dumps(payload, indent=1))
     print(
         f"\nserial {serial_seconds:.2f}s, parallel({N_JOBS}) "
         f"{parallel_seconds:.2f}s -> {speedup:.2f}x on {cores} core(s)"

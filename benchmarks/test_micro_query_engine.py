@@ -12,29 +12,30 @@ The planner claim rides on the same substrate: for a 10k batch of
 must beat the full tiled broadcast kernel by at least 3x with answers
 matching within 1e-9, and the planner must pick it unprompted.
 
-Results are written to ``BENCH_query_engine.json`` at the repository root
-so the speedup trajectory is visible across commits;
+Results are written to ``bench-out/BENCH_query_engine.json`` so the
+speedup trajectory is visible across commits;
 ``tools/bench_gate.py`` fails CI when the recorded speedups regress.
 """
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import (
-    PLAN_BROADCAST,
     PLAN_PRUNED,
     PrivateFrequencyMatrix,
     boxes_to_arrays,
+    choose_packed_plan,
     packed_from_intervals,
 )
 from repro.core.interval_index import PRUNE_OVERHEAD_PAIRS
 from repro.engine import Engine, QueryRequest
 from repro.methods._grid import axis_intervals
 from repro.queries import random_workload
+
+from .conftest import bench_artifact
 
 SHAPE = (256, 256)
 GRID_M = 64  # 64 x 64 = 4096 partitions
@@ -43,19 +44,18 @@ SCALAR_SAMPLE = 200  # scalar reference is timed on this subsample
 SMALL_QUERY_EXTENT = 3  # small queries span at most this many extra cells
 PRUNED_SPEEDUP_FLOOR = 3.0
 
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_query_engine.json"
-
 
 def merge_artifact(update):
     """Merge ``update`` into the artifact, keeping other tests' keys."""
+    artifact = bench_artifact("query_engine")
     payload = {}
-    if ARTIFACT.exists():
+    if artifact.exists():
         try:
-            payload = json.loads(ARTIFACT.read_text())
+            payload = json.loads(artifact.read_text())
         except ValueError:
             payload = {}
     payload.update(update)
-    ARTIFACT.write_text(json.dumps(payload, indent=1))
+    artifact.write_text(json.dumps(payload, indent=1))
 
 
 @pytest.fixture(scope="module")
@@ -86,9 +86,7 @@ def test_vectorized_speedup_and_exactness(private_256, workload_10k):
     # Vectorized geometric kernel on the full workload (forced broadcast:
     # this series tracks the tiled kernel itself, not the planner).
     start = time.perf_counter()
-    kernel = private_256.packed.answer_many_arrays(
-        lows, highs, plan=PLAN_BROADCAST
-    )
+    kernel = private_256.packed.answer_many_arrays(lows, highs)
     kernel_seconds = time.perf_counter() - start
 
     # The engine facade with the automatic planner (dense prefix sums
@@ -152,18 +150,19 @@ def test_pruned_plan_speedup_on_small_queries(private_256):
     highs = lows + rng.integers(0, SMALL_QUERY_EXTENT + 1, size=lows.shape)
     packed = private_256.packed
 
-    assert packed.choose_plan(lows, highs) == PLAN_PRUNED
+    assert choose_packed_plan(packed, lows, highs) == PLAN_PRUNED
 
     # Warm both paths (index build, weight cache) before timing.
-    packed.answer_many_arrays(lows, highs, plan=PLAN_BROADCAST)
-    packed.answer_many_arrays(lows, highs, plan=PLAN_PRUNED)
+    index = packed.interval_index()
+    packed.answer_many_arrays(lows, highs)
+    index.answer_pruned(lows, highs)
 
     start = time.perf_counter()
-    broadcast = packed.answer_many_arrays(lows, highs, plan=PLAN_BROADCAST)
+    broadcast = packed.answer_many_arrays(lows, highs)
     broadcast_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    pruned = packed.answer_many_arrays(lows, highs, plan=PLAN_PRUNED)
+    pruned = index.answer_pruned(lows, highs)
     pruned_seconds = time.perf_counter() - start
 
     pruned_speedup = broadcast_seconds / pruned_seconds
@@ -198,12 +197,8 @@ def test_pruned_plan_speedup_on_small_queries(private_256):
 def test_engines_agree_on_full_workload(private_256, workload_10k):
     """All vectorized engines agree everywhere, not just the sample."""
     lows, highs = workload_10k.as_arrays()
-    kernel = private_256.packed.answer_many_arrays(
-        lows, highs, plan=PLAN_BROADCAST
-    )
-    pruned = private_256.packed.answer_many_arrays(
-        lows, highs, plan=PLAN_PRUNED
-    )
+    kernel = private_256.packed.answer_many_arrays(lows, highs)
+    pruned = private_256.packed.interval_index().answer_pruned(lows, highs)
     dense = private_256._prefix_table().query_arrays(lows, highs)
     np.testing.assert_allclose(kernel, dense, rtol=1e-9, atol=1e-6)
     np.testing.assert_allclose(pruned, kernel, rtol=0, atol=1e-9)

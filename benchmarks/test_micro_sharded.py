@@ -17,16 +17,14 @@ these):
   machines the artifact carries a ``skipped_low_cores`` marker and *no*
   speedup record (same policy as the parallel-trials bench: four
   workers sharing one core measure the machine, not the code, and a
-  sub-1x record would only trip the regression gate).  This replaces
-  the old per-call process-pool measurement, whose spawn + shard
-  pickling costs were paid on *every* batch and swamped the kernels.
+  sub-1x record would only trip the regression gate).
 
 Pool answers must be **bit-identical** to serial sharded evaluation
 (the workers read the very same shard arrays through shm and the merge
 order is fixed), so ``resident_max_abs_diff`` is asserted at exactly
 0.0 — not a tolerance — on every machine.
 
-Results are written to ``BENCH_sharded.json`` at the repository root;
+Results are written to ``bench-out/BENCH_sharded.json``;
 ``tools/bench_gate.py`` tracks ``speedup`` (relative, skip-aware) and
 the ``sharded_max_abs_diff`` / ``resident_max_abs_diff`` absolute
 ceilings across commits.
@@ -36,17 +34,14 @@ from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 
-from repro.core import PLAN_BROADCAST, PrivateFrequencyMatrix, packed_from_intervals
-from repro.engine import Engine, EngineConfig
+from repro.core import PrivateFrequencyMatrix, packed_from_intervals
+from repro.engine import Engine, EngineConfig, QueryRequest
 from repro.methods._grid import axis_intervals
 
-from .conftest import usable_cores
-
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_sharded.json"
+from .conftest import bench_artifact, usable_cores
 
 SHAPE = (512, 512)
 GRID_M = 96  # 96 x 96 = 9216 partitions
@@ -108,10 +103,8 @@ def test_sharded_skip_exactness_and_resident_speedup():
     )
     skip_result = Engine(
         private, EngineConfig(n_shards=SKIP_SHARDS)
-    ).answer_sharded(skip_lows, skip_highs)
-    skip_broadcast = packed.answer_many_arrays(
-        skip_lows, skip_highs, plan=PLAN_BROADCAST
-    )
+    ).answer(QueryRequest(skip_lows, skip_highs))
+    skip_broadcast = packed.answer_many_arrays(skip_lows, skip_highs)
     skip_rate = skip_result.skip_rate
     skip_diff = float(np.abs(skip_result.answers - skip_broadcast).max())
 
@@ -126,11 +119,12 @@ def test_sharded_skip_exactness_and_resident_speedup():
     # Warm the serial path's per-shard index caches; the resident pool
     # shares them (the shm layout is copied out of the same cached
     # split), so neither side's measurement pays the index build.
-    serial_engine.answer_sharded(*batches[0])
+    serial_engine.answer(QueryRequest(*batches[0]))
 
     start = time.perf_counter()
     serial_rounds = [
-        serial_engine.answer_sharded(lows, highs) for lows, highs in batches
+        serial_engine.answer(QueryRequest(lows, highs))
+        for lows, highs in batches
     ]
     serial_seconds = time.perf_counter() - start
 
@@ -143,7 +137,7 @@ def test_sharded_skip_exactness_and_resident_speedup():
     try:
         start = time.perf_counter()
         resident_rounds = [
-            resident_engine.answer_sharded(lows, highs)
+            resident_engine.answer(QueryRequest(lows, highs))
             for lows, highs in batches
         ]
         resident_seconds = time.perf_counter() - start
@@ -151,9 +145,7 @@ def test_sharded_skip_exactness_and_resident_speedup():
     finally:
         resident_engine.close()
 
-    broadcast = packed.answer_many_arrays(
-        *batches[0], plan=PLAN_BROADCAST
-    )
+    broadcast = packed.answer_many_arrays(*batches[0])
     merged_diff = float(
         np.abs(serial_rounds[0].answers - broadcast).max()
     )
@@ -197,7 +189,7 @@ def test_sharded_skip_exactness_and_resident_speedup():
         # speedup; see the module docstring.
         payload["speedup"] = speedup
         payload["meets_target"] = speedup >= SPEEDUP_TARGET
-    ARTIFACT.write_text(json.dumps(payload, indent=1))
+    bench_artifact("sharded").write_text(json.dumps(payload, indent=1))
     print(
         f"\nskip rate {skip_rate:.2f} ({skip_result.skipped_shards}/"
         f"{SKIP_SHARDS} shards), max |sharded - broadcast| "
@@ -218,7 +210,8 @@ def test_sharded_skip_exactness_and_resident_speedup():
     )
     assert pool_stats["restarts"] == 0, "workers crashed during the bench"
     for r, s in zip(resident_rounds, serial_rounds):
-        assert r.plans == s.plans and r.bounds == s.bounds
+        assert r.shard_plans == s.shard_plans
+        assert r.shard_bounds == s.shard_bounds
     if threshold_enforced:
         assert speedup >= SPEEDUP_FLOOR, (
             f"resident fan-out only {speedup:.2f}x over {ROUNDS} rounds "

@@ -13,14 +13,12 @@ Commands
 ``compare``
     MRE comparison table of several methods on one dataset.
 ``serve``
-    With ``--port``: run the real HTTP serving layer
-    (:class:`~repro.engine.EngineServer` — ``POST /v1/query``,
-    ``GET /healthz``, ``GET /statz``) over one sanitized dataset until
-    interrupted, draining gracefully on SIGINT/SIGTERM; ``--off-loop``
-    (default) dispatches each tick's kernel into a worker thread so the
-    event loop stays responsive under heavy ticks.  Without ``--port``:
-    the in-process async micro-batching smoke demo (N concurrent
-    asyncio clients, tick stats, batched-vs-serial drift, expected 0).
+    Run the HTTP serving layer (:class:`~repro.engine.EngineServer` —
+    ``POST /v1/query``, ``GET /healthz``, ``GET /statz``) over one
+    sanitized dataset until interrupted, draining gracefully on
+    SIGINT/SIGTERM; ``--off-loop`` (default) dispatches each tick's
+    kernel into a worker thread so the event loop stays responsive
+    under heavy ticks.
 
 Every query-answering command accepts ``--engine-config`` with
 comma-separated ``key=value`` pairs over the
@@ -39,19 +37,9 @@ import sys
 import time
 from typing import List
 
-import numpy as np
-
 from .core.frequency_matrix import FrequencyMatrix
 from .datagen import get_city, gaussian_matrix, grid_substrate, zipf_matrix
-from .engine import (
-    SHARD_EXECUTORS,
-    AsyncBatchEngine,
-    Engine,
-    EngineConfig,
-    EngineServer,
-    QueryRequest,
-    gather_answers,
-)
+from .engine import Engine, EngineConfig, EngineServer
 from .experiments import ALL_ARTIFACTS, get_scale
 from .methods import available_methods, get_sanitizer
 from .queries import WorkloadEvaluator, random_workload
@@ -147,13 +135,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     scale = get_scale(args.scale)
     if args.n_jobs is not None:
         scale = scale.with_overrides(n_jobs=args.n_jobs)
-    if args.n_shards is not None:
-        scale = scale.with_overrides(n_shards=args.n_shards)
-    config = _engine_config(args)
-    if config != EngineConfig():
-        # Only a real override lands on the scale — a default config
-        # would needlessly conflict with the legacy --n-shards knob.
-        scale = scale.with_overrides(engine_config=config)
+    scale = scale.with_overrides(engine_config=_engine_config(args))
     result = ALL_ARTIFACTS[args.artifact](scale=scale, rng=args.seed)
     columns = [c for c in result.rows[0] if c not in ("mre_std", "n_trials")]
     print(result.to_text(columns))
@@ -181,12 +163,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def _serve_engine(args: argparse.Namespace) -> Engine:
     """The engine ``serve`` fronts: sanitized dataset or bench substrate."""
     config = _engine_config(args)
-    # Dedicated serve flags layer on top of --engine-config / env vars
-    # (most specific wins), mirroring the loadtest harness's knobs.
-    if getattr(args, "shard_executor", None):
-        config = config.with_overrides(shard_executor=args.shard_executor)
-    if getattr(args, "n_shards", None) is not None:
-        config = config.with_overrides(n_shards=args.n_shards)
     if args.bench_substrate is not None:
         private = grid_substrate(
             shape=(args.bench_shape,) * 2,
@@ -207,8 +183,9 @@ def _serve_engine(args: argparse.Namespace) -> Engine:
     return Engine(private, config)
 
 
-def _run_server(args: argparse.Namespace, engine: Engine) -> int:
+def cmd_serve(args: argparse.Namespace) -> int:
     """Run the HTTP serving layer until SIGINT/SIGTERM, then drain."""
+    engine = _serve_engine(args)
     server = EngineServer(
         engine,
         host=args.host,
@@ -249,58 +226,6 @@ def _run_server(args: argparse.Namespace, engine: Engine) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """HTTP serving layer (with ``--port``) or the async smoke demo.
-
-    The smoke demo simulates ``--clients`` concurrent asyncio clients,
-    each awaiting its own small random batch against one
-    :class:`~repro.engine.AsyncBatchEngine`, then checks the batched
-    answers against serial :meth:`~repro.engine.Engine.answer` calls
-    and prints tick statistics and amortized per-query latency.
-    """
-    engine = _serve_engine(args)
-    if args.port is not None:
-        return _run_server(args, engine)
-    matrix = engine.private  # smoke demo queries the private shape
-    requests = [
-        QueryRequest(
-            *random_workload(
-                matrix.shape, args.queries_per_client, rng=args.seed + 3 + i
-            ).as_arrays(),
-            workload=f"client-{i}",
-        )
-        for i in range(args.clients)
-    ]
-
-    async def demo():
-        batcher = AsyncBatchEngine(engine)
-        start = time.perf_counter()
-        answers = await gather_answers(batcher, requests)
-        elapsed = time.perf_counter() - start
-        return answers, elapsed, batcher.stats
-
-    answers, batched_seconds, stats = asyncio.run(demo())
-
-    start = time.perf_counter()
-    serial = [engine.answer(request) for request in requests]
-    serial_seconds = time.perf_counter() - start
-    drift = max(
-        (float(np.abs(s.answers - a.answers).max()) if len(a) else 0.0)
-        for s, a in zip(serial, answers)
-    )
-    n_queries = sum(len(a) for a in answers)
-    plans = sorted({a.plan for a in answers})
-    print(
-        f"served {stats['answered_requests']:.0f} clients "
-        f"({n_queries} queries) in {stats['ticks']:.0f} tick(s), "
-        f"plan(s) {'+'.join(plans)}; "
-        f"batched {1e6 * batched_seconds / max(1, n_queries):.1f} us/query "
-        f"vs serial {1e6 * serial_seconds / max(1, n_queries):.1f} us/query; "
-        f"max |batched - serial| = {drift:.3g}"
-    )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -329,10 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trial parallelism: 1 = serial (default), "
                             "k > 1 = worker processes, -1 = all cores; "
                             "results are identical across settings")
-    p_fig.add_argument("--n-shards", type=int, default=None,
-                       help="force the sharded query engine with this many "
-                            "partition-axis shards per trial (default: let "
-                            "the planner choose; answers agree within 1e-9)")
     _add_engine_config_arg(p_fig)
 
     p_cmp = sub.add_parser("compare", help="compare methods on one dataset")
@@ -343,22 +264,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--n-queries", type=int, default=500)
     _add_engine_config_arg(p_cmp)
 
-    p_srv = sub.add_parser(
-        "serve",
-        help="HTTP serving layer (--port) or the async micro-batching "
-             "smoke demo (no --port)",
-    )
+    p_srv = sub.add_parser("serve", help="run the HTTP serving layer")
     _add_dataset_args(p_srv)
     p_srv.add_argument("--method", default="ag", choices=available_methods())
     p_srv.add_argument("--epsilon", type=float, default=0.5)
-    p_srv.add_argument("--clients", type=int, default=32,
-                       help="simulated concurrent clients (smoke demo)")
-    p_srv.add_argument("--queries-per-client", type=int, default=4)
     p_srv.add_argument("--host", default="127.0.0.1",
                        help="bind address for the HTTP server")
-    p_srv.add_argument("--port", type=int, default=None,
-                       help="run the real HTTP server on this port "
-                            "(0 = ephemeral; omit for the smoke demo)")
+    p_srv.add_argument("--port", type=int, default=8000,
+                       help="HTTP port (0 = ephemeral)")
     p_srv.add_argument("--off-loop", action=argparse.BooleanOptionalAction,
                        default=True,
                        help="run each tick's kernel in a worker thread so "
@@ -378,16 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "tests that verify exactness out-of-process")
     p_srv.add_argument("--bench-shape", type=int, default=256,
                        help="square side of the bench substrate matrix")
-    p_srv.add_argument("--shard-executor", default=None,
-                       choices=list(SHARD_EXECUTORS),
-                       help="how sharded batches execute: 'serial' "
-                            "in-process, or 'resident' through a "
-                            "persistent shard-worker pool over "
-                            "shared-memory shards (selects the sharded "
-                            "plan; shorthand for the engine-config field)")
-    p_srv.add_argument("--n-shards", type=int, default=None,
-                       help="partition-axis shard count for the sharded "
-                            "plan (shorthand for the engine-config field)")
     _add_engine_config_arg(p_srv)
 
     return parser

@@ -38,20 +38,11 @@ import numpy as np
 
 from .exceptions import PartitioningError, QueryError
 from .frequency_matrix import Box
-from .interval_index import (
-    PACKED_PLANS,
-    PLAN_BROADCAST,
-    PLAN_PRUNED,
-    PLAN_SHARDED,
-    IntervalIndex,
-    PlanCost,
-    choose_packed_plan,
-    plan_with_slices,
-)
+from .interval_index import IntervalIndex
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .partition import Partitioning
-    from .sharding import PartitionShard, ShardedAnswer
+    from .sharding import PartitionShard
 
 #: Target number of elements per broadcast intermediate (~32 MB of
 #: float64).  Query batches are tiled so no single ``(q_tile, k)`` array
@@ -338,31 +329,6 @@ class PackedPartitioning:
     # ------------------------------------------------------------------
     # The vectorized query kernel
     # ------------------------------------------------------------------
-    def choose_plan(
-        self,
-        lows: np.ndarray,
-        highs: np.ndarray,
-        *,
-        force: str | None = None,
-        cost: "PlanCost | None" = None,
-    ) -> str:
-        """Planner: pruned gather vs. full broadcast for this batch.
-
-        Delegates to :func:`~repro.core.interval_index.choose_packed_plan`
-        — the index's summed candidate bound is the cost signal.
-        ``force`` pins a strategy, with the documented graceful fallback
-        for ``pruned`` on sub-threshold partition counts; ``cost``
-        overrides the rule's constants
-        (:class:`~repro.core.interval_index.PlanCost`).
-        """
-        return choose_packed_plan(self, lows, highs, force=force, cost=cost)
-
-    def answer_pruned_arrays(
-        self, lows: np.ndarray, highs: np.ndarray
-    ) -> np.ndarray:
-        """The index-pruned gather strategy (same answers as broadcast)."""
-        return self.interval_index().answer_pruned(lows, highs)
-
     def split_shards(self, n_shards: int | None = None) -> List["PartitionShard"]:
         """Contiguous partition-axis shards (see :mod:`repro.core.sharding`).
 
@@ -384,77 +350,29 @@ class PackedPartitioning:
             self._shards[key] = split_shards(self, requested)
         return self._shards[key]
 
-    def answer_sharded_arrays(
-        self,
-        lows: np.ndarray,
-        highs: np.ndarray,
-        *,
-        n_shards: int | None = None,
-        executor: object | None = None,
-        cost: "PlanCost | None" = None,
-    ) -> "ShardedAnswer":
-        """The sharded strategy: per-shard partial sums, merged.
-
-        Returns the full :class:`~repro.core.sharding.ShardedAnswer` so
-        callers can inspect which shards skipped; the merged
-        ``.answers`` match the broadcast kernel within float
-        reassociation.  ``executor`` is an ordered-``map`` provider
-        (e.g. :class:`~repro.experiments.parallel.ProcessPoolTrialExecutor`);
-        ``None`` evaluates shards serially in-process.  ``cost``
-        overrides the per-shard planning constants.
-        """
-        from .sharding import answer_sharded
-
-        return answer_sharded(
-            self, lows, highs, n_shards=n_shards, executor=executor,
-            cost=cost,
-        )
-
     def answer_many_arrays(
         self,
         lows: np.ndarray,
         highs: np.ndarray,
         *,
         tile_elements: int = DEFAULT_TILE_ELEMENTS,
-        plan: str | None = None,
     ) -> np.ndarray:
         """Uniformity-assumption answers for a batch of boxes.
 
-        ``lows``/``highs`` are ``(q, d)`` int arrays of inclusive bounds
-        (already validated — see :func:`validate_box_arrays`).  Returns a
-        ``(q,)`` float64 vector.
-
-        ``plan`` forces a strategy: :data:`~repro.core.interval_index.PLAN_BROADCAST`
-        (the tiled kernel), :data:`~repro.core.interval_index.PLAN_PRUNED`
-        (interval-index candidate gather), or
-        :data:`~repro.core.interval_index.PLAN_SHARDED` (partition-axis
-        shards with per-shard skip, merged partial sums — see
-        :meth:`answer_sharded_arrays` for shard-count and executor
-        control).  When ``None`` the planner picks, using the index's
-        candidate bound as the cost signal.  For the broadcast kernel,
-        memory is bounded by tiling the query axis so each
+        The tiled broadcast kernel.  ``lows``/``highs`` are ``(q, d)``
+        int arrays of inclusive bounds (already validated — see
+        :func:`validate_box_arrays`).  Returns a ``(q,)`` float64
+        vector.  Memory is bounded by tiling the query axis so each
         ``(q_tile, k)`` intermediate stays under ``tile_elements``
-        elements.
+        elements.  The index-pruned gather is
+        :meth:`IntervalIndex.answer_pruned`; choosing between the two
+        per batch is :class:`~repro.engine.Engine`'s job.
         """
         lows = np.asarray(lows, dtype=np.int64)
         highs = np.asarray(highs, dtype=np.int64)
         q = lows.shape[0]
         if q == 0:
             return np.zeros(0, dtype=np.float64)
-        slices = None
-        if plan is None:
-            plan, slices = plan_with_slices(self, lows, highs)
-        if plan == PLAN_PRUNED:
-            return self.interval_index().answer_pruned(
-                lows, highs, slices=slices
-            )
-        if plan == PLAN_SHARDED:
-            return self.answer_sharded_arrays(lows, highs).answers
-        if plan != PLAN_BROADCAST:
-            raise QueryError(
-                f"unknown packed query plan {plan!r}; expected one of "
-                f"{', '.join(repr(p) for p in PACKED_PLANS)}"
-            )
         k = self.n_partitions
         d = self.ndim
         weights = self.weights

@@ -34,27 +34,23 @@ overlap the batch's queries, the index-pruned gather skips them.  A fourth
 plan, ``sharded`` (:mod:`repro.core.sharding`), splits the partition axis
 into contiguous shards that each answer the whole batch (skipping shards
 whose candidate bound is empty) and merges the partial sums; it is selected
-by configuration (``plan="sharded"`` / ``n_shards=...``) rather than the
+by configuration (``EngineConfig(n_shards=...)``) rather than the
 cost model, being an execution layout for partition lists that outgrow one
 node.
 
-All of that routing now lives in the :mod:`repro.engine` facade: an
+All of that routing lives in the :mod:`repro.engine` facade: an
 :class:`~repro.engine.Engine` bound to an
 :class:`~repro.engine.EngineConfig` is the public query surface
 (:meth:`answer_many` routes through a cached default-config engine, and
 the plan chosen for a batch is observable via
-:meth:`PrivateFrequencyMatrix.plan_queries` or the engine's
-:class:`~repro.engine.QueryAnswer`).  The kwarg-era entry points
-:meth:`~PrivateFrequencyMatrix.answer_arrays` and
-:meth:`~PrivateFrequencyMatrix.answer_sharded` survive as deprecated
-shims with their exact historical contract.  The scalar
+:meth:`~repro.engine.Engine.plan_queries` or the engine's
+:class:`~repro.engine.QueryAnswer`).  The scalar
 :meth:`~PrivateFrequencyMatrix.answer` loop is kept as the reference
 implementation; every engine is asserted against it by the test suite.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -62,14 +58,12 @@ import numpy as np
 from .domain import Domain
 from .exceptions import QueryError, ValidationError
 from .frequency_matrix import Box, FrequencyMatrix, box_slices, validate_box
-from .interval_index import PLAN_SHARDED
 from .packed import PackedPartitioning, boxes_to_arrays
 from .partition import Partition, Partitioning
 from .prefix_sum import PrefixSumTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine import Engine
-    from .sharding import ShardedAnswer
 
 #: Matrices larger than this are never densified for querying.
 DENSE_SWITCH_MAX_CELLS = 50_000_000
@@ -301,18 +295,6 @@ class PrivateFrequencyMatrix:
         lows, highs = boxes_to_arrays(boxes)
         return self._default_engine().answer_arrays(lows, highs)
 
-    def plan_queries(self, lows: np.ndarray, highs: np.ndarray) -> str:
-        """The strategy the default engine would pick for this batch.
-
-        One of :data:`~repro.core.interval_index.PLAN_DENSE` (prefix-sum
-        reconstruction), :data:`~repro.core.interval_index.PLAN_BROADCAST`
-        (tiled geometric kernel) or
-        :data:`~repro.core.interval_index.PLAN_PRUNED` (interval-index
-        candidate gather).  Pure: answers nothing, but may lazily build
-        the interval index it uses as the cost signal.
-        """
-        return self._default_engine().plan_queries(lows, highs)
-
     def _default_engine(self) -> "Engine":
         """A cached default-config engine for the internal query paths."""
         if self._engine_cache is None:
@@ -320,75 +302,6 @@ class PrivateFrequencyMatrix:
 
             self._engine_cache = Engine(self)
         return self._engine_cache
-
-    def answer_arrays(
-        self,
-        lows: np.ndarray,
-        highs: np.ndarray,
-        *,
-        plan: str | None = None,
-        n_shards: int | None = None,
-        shard_executor: object | None = None,
-        return_plan: bool = False,
-    ) -> np.ndarray | Tuple[np.ndarray, str]:
-        """Deprecated: use :meth:`repro.engine.Engine.answer`.
-
-        The kwarg-era batch entry point, kept as a thin shim over the
-        engine facade with its exact historical contract — same
-        answers, same reported plans, same errors (the regression suite
-        pins this).  The kwargs map onto
-        :class:`~repro.engine.EngineConfig` fields one-for-one::
-
-            answer_arrays(lows, highs, plan=p, n_shards=k)
-            == Engine(self, EngineConfig(plan=p, n_shards=k))
-                   .answer(QueryRequest(lows, highs)).answers
-        """
-        warnings.warn(
-            "PrivateFrequencyMatrix.answer_arrays is deprecated; build a "
-            "repro.engine.Engine with an EngineConfig and call "
-            "Engine.answer (or Engine.answer_arrays) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from ..engine import Engine, EngineConfig, QueryRequest
-
-        if (n_shards is not None or shard_executor is not None) and plan is None:
-            plan = PLAN_SHARDED
-        config = EngineConfig(
-            plan=plan, n_shards=n_shards, shard_executor=shard_executor
-        )
-        result = Engine(self, config).answer(QueryRequest(lows, highs))
-        return (result.answers, result.plan) if return_plan else result.answers
-
-    def answer_sharded(
-        self,
-        lows: np.ndarray,
-        highs: np.ndarray,
-        *,
-        n_shards: int | None = None,
-        executor: object | None = None,
-    ) -> "ShardedAnswer":
-        """Deprecated: use :meth:`repro.engine.Engine.answer_sharded`.
-
-        The kwarg-era sharded entry point with full per-shard evidence,
-        kept as a shim over an engine configured for the sharded
-        layout.  Raises for dense-backed outputs, which have no
-        partition list to shard.
-        """
-        warnings.warn(
-            "PrivateFrequencyMatrix.answer_sharded is deprecated; build a "
-            "repro.engine.Engine with EngineConfig(n_shards=...) and call "
-            "Engine.answer_sharded (or Engine.answer, which carries the "
-            "per-shard evidence on its QueryAnswer) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from ..engine import Engine, EngineConfig
-
-        config = EngineConfig(
-            plan=PLAN_SHARDED, n_shards=n_shards, shard_executor=executor
-        )
-        return Engine(self, config).answer_sharded(lows, highs)
 
     def answer_continuous(
         self, lows: Sequence[float], highs: Sequence[float]

@@ -26,14 +26,9 @@ exactly that:
 
 Shard evaluation order does not affect the merged answers (each partial
 is computed independently and the merge is a fixed-order sum), so the
-partials can be computed serially or fanned out across a process pool.
-The ``executor`` argument of :func:`answer_sharded` accepts anything
-with an ordered ``map(fn, items)`` method — in particular the
-:class:`~repro.experiments.parallel.Executor` backends
-(:class:`~repro.experiments.parallel.SerialExecutor`,
-:class:`~repro.experiments.parallel.ProcessPoolTrialExecutor`), so the
-experiment harness's ``n_jobs`` machinery drives shard fan-out too.
-``None`` runs the shards in-process.
+partials can be computed serially (:func:`answer_sharded`) or by the
+resident worker pool (:class:`~repro.engine.ShardWorkerPool`), with
+bit-identical results.
 
 This is the ROADMAP's "partition lists outgrow one node" step: a shard
 is self-contained (its arrays, its index), ships across a process
@@ -44,7 +39,7 @@ shards — the same structure a multi-node deployment would distribute.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -190,7 +185,7 @@ class PartitionShard:
                 PLAN_PRUNED,
             )
         return (
-            self.packed.answer_many_arrays(lows, highs, plan=PLAN_BROADCAST),
+            self.packed.answer_many_arrays(lows, highs),
             PLAN_BROADCAST,
         )
 
@@ -241,34 +236,21 @@ def split_shards(
     ]
 
 
-def _shard_partial(
-    task: Tuple[PartitionShard, np.ndarray, np.ndarray, PlanCost | None]
-) -> Tuple[np.ndarray | None, str]:
-    """Module-level task body so pool executors can pickle it by name."""
-    shard, lows, highs, cost = task
-    return shard.partial(lows, highs, cost)
-
-
 def answer_sharded(
     packed: PackedPartitioning,
     lows: np.ndarray,
     highs: np.ndarray,
     *,
     n_shards: int | None = None,
-    executor: object | None = None,
     cost: PlanCost | None = None,
 ) -> ShardedAnswer:
     """Answer a validated batch by summing per-shard partial answers.
 
-    ``executor`` is anything with an ordered ``map(fn, items)`` method
-    (e.g. the :mod:`repro.experiments.parallel` backends); ``None`` runs
-    the shards serially in-process.  ``cost`` overrides the per-shard
-    pruned-vs-broadcast rule's constants (it ships with each shard
-    task, so pooled and serial execution plan identically).  The merge
-    is a fixed-order sum over shards, so the result is independent of
-    where each partial was computed, and matches the one-node broadcast
-    kernel within float reassociation (the equivalence suite pins this
-    at 1e-9).
+    The shards run serially in-process.  ``cost`` overrides the
+    per-shard pruned-vs-broadcast rule's constants.  The merge is a
+    fixed-order sum over shards, so the result matches the resident
+    pool's bit for bit, and the one-node broadcast kernel within float
+    reassociation (the equivalence suite pins this at 1e-9).
     """
     lows = np.asarray(lows, dtype=np.int64)
     highs = np.asarray(highs, dtype=np.int64)
@@ -283,19 +265,10 @@ def answer_sharded(
             bounds=bounds,
             plans=(SHARD_SKIPPED,) * len(shards),
         )
-    tasks = [(shard, lows, highs, cost) for shard in shards]
-    if executor is None:
-        partials: Sequence[Tuple[np.ndarray | None, str]] = [
-            _shard_partial(task) for task in tasks
-        ]
-    else:
-        # Anything that is not None must provide map(); a misconfigured
-        # executor (say, an n_jobs int) should fail loudly, not silently
-        # fall back to serial and fake a fan-out measurement.
-        partials = list(executor.map(_shard_partial, tasks))
     answers = np.zeros(q, dtype=np.float64)
     plans: List[str] = []
-    for partial, plan in partials:
+    for shard in shards:
+        partial, plan = shard.partial(lows, highs, cost)
         plans.append(plan)
         if partial is not None:
             answers += partial

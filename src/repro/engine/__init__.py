@@ -26,10 +26,6 @@ sanitized :class:`~repro.core.PrivateFrequencyMatrix`:
 * :class:`ServingClient` / :class:`AsyncServingClient` — matching HTTP
   clients that rebuild full :class:`QueryAnswer` objects; non-2xx
   answers raise :class:`ServingError`.
-
-The kwarg-era entry points
-(``PrivateFrequencyMatrix.answer_arrays``/``answer_sharded``) survive
-as deprecated shims over :class:`Engine`.
 """
 
 from .api import QueryAnswer, QueryRequest

@@ -296,8 +296,8 @@ async def gather_answers(
 ) -> Tuple[QueryAnswer, ...]:
     """Submit many client requests concurrently; answers in request order.
 
-    The canonical N-clients-one-tick pattern, used by the CLI ``serve``
-    smoke demo and the micro-benchmark.
+    The canonical N-clients-one-tick pattern, used by the tests and the
+    micro-benchmark.
     """
     return tuple(
         await asyncio.gather(*(batcher.answer(r) for r in requests))

@@ -1,12 +1,9 @@
 """`EngineConfig`: the one tuning knob of the query-serving engine.
 
-Before the engine existed, tuning the query path meant a different
-mechanism per knob: ``plan=`` / ``n_shards=`` / ``shard_executor=``
-kwargs threaded through every ``answer_arrays`` call site, and the
-dense-switch / pruning thresholds frozen as module constants in
-:mod:`repro.core.private_matrix` and :mod:`repro.core.interval_index`.
-:class:`EngineConfig` consolidates all of them into one validated,
-immutable object that travels with an :class:`~repro.engine.Engine`:
+Every setting of the query path — plan forcing, the shard layout, the
+dense-switch and pruning thresholds, the async flush thresholds — lives
+in one validated, immutable object that travels with an
+:class:`~repro.engine.Engine`:
 
 * **routing** — ``plan`` pins a strategy (``dense`` / ``broadcast`` /
   ``pruned`` / ``sharded``); ``n_shards`` / ``shard_executor`` select
@@ -19,9 +16,9 @@ immutable object that travels with an :class:`~repro.engine.Engine`:
 * **async serving** — ``max_batch_size`` / ``max_batch_latency`` are
   the :class:`~repro.engine.AsyncBatchEngine` tick-flush knobs.
 
-Defaults come from the historical module constants, so a bare
-``EngineConfig()`` behaves exactly like the pre-engine code.  Overrides
-can come from keyword arguments, from ``key=value`` strings
+Defaults come from the module constants in
+:mod:`repro.core.private_matrix` and :mod:`repro.core.interval_index`.
+Overrides can come from keyword arguments, from ``key=value`` strings
 (:meth:`EngineConfig.from_string`, the CLI ``--engine-config`` format),
 or from ``REPRO_ENGINE_<FIELD>`` environment variables
 (:meth:`EngineConfig.from_env`), checked in that order of precedence.
@@ -52,18 +49,15 @@ ENGINE_PLANS = (PLAN_DENSE,) + PACKED_PLANS
 #: Environment-variable prefix for :meth:`EngineConfig.from_env`.
 ENV_PREFIX = "REPRO_ENGINE_"
 
-#: Named shard-execution modes accepted as ``shard_executor`` strings.
-#: ``"serial"`` answers the shards in-process; ``"resident"`` routes
-#: through a persistent :class:`~repro.engine.ShardWorkerPool` over
-#: shared-memory shards.  Live ordered-``map`` executor objects remain
-#: accepted programmatically.
+#: The shard-execution modes ``shard_executor`` accepts.  ``"serial"``
+#: answers the shards in-process; ``"resident"`` routes through a
+#: persistent :class:`~repro.engine.ShardWorkerPool` over shared-memory
+#: shards.
 SHARD_EXECUTORS = ("serial", "resident")
 
 #: Fields settable from strings (CLI ``--engine-config`` / env vars),
-#: with their coercions.  ``shard_executor`` accepts the named modes in
-#: :data:`SHARD_EXECUTORS`; live executor objects can still be passed
-#: as keyword arguments, just not spelled as strings.
-#: Fields in :data:`_OPTIONAL_FIELDS` additionally accept ``none``.
+#: with their coercions.  Fields in :data:`_OPTIONAL_FIELDS`
+#: additionally accept ``none``.
 _OPTIONAL_FIELDS = frozenset({"plan", "n_shards", "shard_executor"})
 _STRING_FIELDS: Dict[str, type] = {
     "plan": str,
@@ -94,18 +88,15 @@ class EngineConfig:
         order; only *plan choice* depends on batch shape).
     n_shards:
         Partition-axis shard count; setting it selects the sharded
-        plan, like ``answer_arrays(n_shards=...)`` always did.
+        plan.
     shard_executor:
         How shard partials are executed; setting it alone also selects
-        the sharded plan.  Accepts the named modes ``"serial"``
-        (in-process, same as ``None`` with ``n_shards`` set) and
+        the sharded plan.  One of :data:`SHARD_EXECUTORS`: ``"serial"``
+        (in-process, same as ``None`` with ``n_shards`` set) or
         ``"resident"`` (a persistent
         :class:`~repro.engine.ShardWorkerPool` whose per-shard worker
         processes attach shared-memory shards and survive across
-        requests), or any ordered-``map`` provider object (e.g.
-        :class:`~repro.experiments.parallel.ProcessPoolTrialExecutor`).
-        Executor objects are not picklable in general — leave ``None``
-        inside process-pool trial workers.
+        requests).
     dense_switch_factor / dense_switch_max_cells:
         The dense prefix-sum switch: densify when ``q * k`` exceeds
         ``dense_switch_factor * n_cells`` and the matrix has at most
@@ -121,7 +112,7 @@ class EngineConfig:
 
     plan: str | None = None
     n_shards: int | None = None
-    shard_executor: object | None = None
+    shard_executor: str | None = None
     dense_switch_factor: float = DENSE_SWITCH_FACTOR
     dense_switch_max_cells: int = DENSE_SWITCH_MAX_CELLS
     prune_min_partitions: int = PRUNE_MIN_PARTITIONS
@@ -132,8 +123,7 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         if self.plan is not None and self.plan not in ENGINE_PLANS:
-            # QueryError with the planner's historical wording, so code
-            # (and tests) that caught the kwarg-era error keep working.
+            # Same wording as the planner's own unknown-plan error.
             raise QueryError(
                 f"unknown packed query plan {self.plan!r}; expected one of "
                 f"{', '.join(repr(p) for p in ENGINE_PLANS)}"
@@ -148,13 +138,12 @@ class EngineConfig:
                 f"n_shards must be >= 1, got {self.n_shards}"
             )
         if (
-            isinstance(self.shard_executor, str)
+            self.shard_executor is not None
             and self.shard_executor not in SHARD_EXECUTORS
         ):
             raise QueryError(
-                f"unknown shard_executor {self.shard_executor!r}; named "
-                f"modes: {', '.join(repr(m) for m in SHARD_EXECUTORS)} "
-                f"(or pass an ordered-map executor object)"
+                f"unknown shard_executor {self.shard_executor!r}; expected "
+                f"one of {', '.join(repr(m) for m in SHARD_EXECUTORS)}"
             )
         for attr in ("dense_switch_factor", "prune_overhead_pairs",
                      "prune_safety_factor"):

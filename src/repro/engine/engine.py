@@ -2,17 +2,16 @@
 
 :class:`Engine` binds a :class:`~repro.core.PrivateFrequencyMatrix` to
 an :class:`~repro.engine.EngineConfig` and answers
-:class:`~repro.engine.QueryRequest` batches through the same four
-strategies the kwarg-era ``answer_arrays`` offered — dense prefix sums,
-tiled broadcast, index-pruned gather, partition-axis sharding — but
-with every tuning decision read from the config instead of from
-scattered kwargs and module constants.  It is the *only* query path:
-``PrivateFrequencyMatrix.answer_many`` routes through a default-config
-engine, the deprecated ``answer_arrays``/``answer_sharded`` shims
-construct one per call, and :class:`~repro.engine.AsyncBatchEngine`
-answers each tick with exactly one :meth:`Engine.answer` invocation.
+:class:`~repro.engine.QueryRequest` batches through four strategies —
+dense prefix sums, tiled broadcast, index-pruned gather, partition-axis
+sharding — with every tuning decision read from the config.  It is the
+*only* query path: ``PrivateFrequencyMatrix.answer_many`` routes
+through a default-config engine, and
+:class:`~repro.engine.AsyncBatchEngine` answers each tick with exactly
+one :meth:`Engine.answer` invocation.
 
-Routing (mirrors, and replaces, the old ``answer_arrays`` body):
+Routing lives in one place, :meth:`Engine._route`, which both
+:meth:`Engine.plan_queries` and :meth:`Engine.answer` call:
 
 1. a forced ``config.plan`` wins, with the documented graceful fallback
    for ``pruned`` below the pruning threshold;
@@ -46,13 +45,16 @@ from ..core.interval_index import (
     plan_with_slices,
 )
 from ..core.packed import validate_box_arrays
+from ..core.sharding import ShardedAnswer, answer_sharded
 from .api import QueryAnswer, QueryRequest
 from .config import EngineConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.private_matrix import PrivateFrequencyMatrix
-    from ..core.sharding import ShardedAnswer
     from .worker_pool import ShardWorkerPool
+
+#: An interval-index candidate-slice pass: ``(slice_start, slice_stop)``.
+Slices = Tuple[np.ndarray, np.ndarray]
 
 
 class Engine:
@@ -181,33 +183,53 @@ class Engine:
         """The strategy :meth:`answer` would run for this batch.
 
         Pure: answers nothing, but may lazily build the interval index
-        used as the cost signal.  Reflects the full routing — forced
-        plans (after the ``pruned`` fallback), the sharding config, and
-        the cost model.
+        used as the cost signal.  Runs the same :meth:`_route` as
+        :meth:`answer`, so it raises the same :class:`QueryError` for a
+        batch :meth:`answer` would reject.
+        """
+        return self._route(lows, highs)[0]
+
+    def _route(
+        self, lows: np.ndarray, highs: np.ndarray
+    ) -> Tuple[str, "Slices | None", np.ndarray, np.ndarray]:
+        """Validate and route a batch: ``(plan, slices, lows, highs)``.
+
+        ``slices`` is the interval index's candidate-slice pass when
+        the cost model (or a forced ``pruned``) consulted it, so the
+        pruned gather reuses it instead of recomputing it.  An empty
+        batch is not validated: it reports the forced plan, or
+        ``broadcast``, except that an empty *partition-backed* sharded
+        batch still routes to ``sharded`` so callers get the per-shard
+        skip evidence.
         """
         private = self._private
         cfg = self._config
+        plan = cfg.plan
+        if plan is None and cfg.wants_sharding and not private.is_dense_backed:
+            plan = PLAN_SHARDED
+        n_queries = int(np.asarray(lows).shape[0])
+        if n_queries == 0 and (
+            plan != PLAN_SHARDED or private.is_dense_backed
+        ):
+            return plan or PLAN_BROADCAST, None, lows, highs
         lows, highs = validate_box_arrays(lows, highs, private.shape)
-        if cfg.plan == PLAN_DENSE:
-            return cfg.plan
-        if cfg.plan is not None:
-            # Any other forced plan needs a partition list; raising here
-            # keeps plan_queries an honest preview of answer().
-            if private.is_dense_backed:
-                raise QueryError(
-                    f"plan {cfg.plan!r} needs a partition list; this "
-                    f"private matrix is dense-backed"
-                )
-            if cfg.plan == PLAN_SHARDED:
-                return cfg.plan
-            return private.packed.choose_plan(
-                lows, highs, force=cfg.plan, cost=cfg.plan_cost()
+        if plan is None and self._dense_wins(n_queries):
+            plan = PLAN_DENSE
+        if plan == PLAN_DENSE:
+            return plan, None, lows, highs
+        if private.is_dense_backed:
+            raise QueryError(
+                f"plan {plan!r} needs a partition list; this private matrix "
+                f"is dense-backed"
             )
-        if cfg.wants_sharding and not private.is_dense_backed:
-            return PLAN_SHARDED
-        if self._dense_wins(int(lows.shape[0])):
-            return PLAN_DENSE
-        return private.packed.choose_plan(lows, highs, cost=cfg.plan_cost())
+        if plan == PLAN_SHARDED:
+            return plan, None, lows, highs
+        # The cost model, or a forced broadcast/pruned (a forced pruned
+        # degrades to broadcast below the threshold).
+        plan, slices = plan_with_slices(
+            private.packed, lows, highs, force=plan, cost=cfg.plan_cost()
+        )
+        return plan, slices, lows, highs
 
     # ------------------------------------------------------------------
     # Answering
@@ -215,7 +237,8 @@ class Engine:
     def answer(self, request: QueryRequest) -> QueryAnswer:
         """Answer one request batch; the public serving entry point."""
         start = time.perf_counter()
-        answers, plan, sharded = self._execute(request.lows, request.highs)
+        plan, slices, lows, highs = self._route(request.lows, request.highs)
+        answers, sharded = self._run(plan, slices, lows, highs)
         elapsed = time.perf_counter() - start
         return QueryAnswer(
             answers=answers,
@@ -234,107 +257,39 @@ class Engine:
         Convenience for callers that want neither tagging nor evidence
         (tests, benchmarks); :meth:`answer` is the serving surface.
         """
-        return self._execute(lows, highs)[0]
+        return self._run(*self._route(lows, highs))[0]
 
-    def answer_sharded(
-        self, lows: np.ndarray, highs: np.ndarray
-    ) -> "ShardedAnswer":
-        """Sharded answering with full per-shard evidence.
-
-        Forces the sharded layout regardless of ``config.plan``, using
-        the config's shard count/executor, and returns the raw
-        :class:`~repro.core.sharding.ShardedAnswer`.  Raises for
-        dense-backed outputs, which have no partition list to shard.
-        """
+    def _run(
+        self,
+        plan: str,
+        slices: "Slices | None",
+        lows: np.ndarray,
+        highs: np.ndarray,
+    ) -> Tuple[np.ndarray, "ShardedAnswer | None"]:
+        """Execute a routed batch: ``(answers, shard_evidence)``."""
         private = self._private
-        if private.is_dense_backed:
-            raise QueryError(
-                "the sharded plan needs a partition list; this private "
-                "matrix is dense-backed"
-            )
-        lows, highs = validate_box_arrays(lows, highs, private.shape)
-        return self._sharded_answer(lows, highs)
-
-    def _sharded_answer(
-        self, lows: np.ndarray, highs: np.ndarray
-    ) -> "ShardedAnswer":
-        """Run the sharded layout through the configured executor.
-
-        ``"resident"`` dispatches to the persistent worker pool;
-        ``"serial"`` (or ``None``) answers shards in-process; a live
-        executor object fans out through its ordered ``map``.  All
-        three merge partials in fixed shard order, so the answers are
-        bit-identical across executors.
-        """
-        cfg = self._config
-        if self.uses_resident_pool:
-            return self.shard_pool().answer(lows, highs)
-        executor = cfg.shard_executor
-        if executor == "serial":
-            executor = None
-        return self._private.packed.answer_sharded_arrays(
-            lows,
-            highs,
-            n_shards=cfg.n_shards,
-            executor=executor,
-            cost=cfg.plan_cost(),
-        )
-
-    def _execute(
-        self, lows: np.ndarray, highs: np.ndarray
-    ) -> Tuple[np.ndarray, str, "ShardedAnswer | None"]:
-        """Validate, route, run: ``(answers, ran_plan, shard_evidence)``."""
-        private = self._private
-        cfg = self._config
-        plan = cfg.plan
-        if plan is None and cfg.wants_sharding and not private.is_dense_backed:
-            plan = PLAN_SHARDED
-        n_queries = int(np.asarray(lows).shape[0])
-        if n_queries == 0 and (
-            plan != PLAN_SHARDED or private.is_dense_backed
-        ):
-            # Nothing to validate or answer; report the forced plan (or
-            # the broadcast default the kwarg API always reported).  An
-            # empty *partition-backed* sharded batch still runs below,
-            # so callers get the per-shard skip evidence; dense-backed
-            # has no shards to report on (and the kwarg API returned
-            # empty here rather than erroring).
-            return np.zeros(0, dtype=np.float64), plan or PLAN_BROADCAST, None
-        lows, highs = validate_box_arrays(lows, highs, private.shape)
-        if plan is None and self._dense_wins(n_queries):
-            plan = PLAN_DENSE
-        if plan == PLAN_DENSE:
-            return private._prefix_table().query_arrays(lows, highs), plan, None
-        if private.is_dense_backed:
-            raise QueryError(
-                f"plan {plan!r} needs a partition list; this private matrix "
-                f"is dense-backed"
-            )
-        packed = private.packed
-        cost = cfg.plan_cost()
-        if plan == PLAN_SHARDED:
+        if plan == PLAN_SHARDED and not private.is_dense_backed:
             # Even an empty batch runs the sharded route, so callers
             # get the per-shard evidence (every shard trivially skips).
-            sharded = self._sharded_answer(lows, highs)
-            return sharded.answers, plan, sharded
-        if plan == PLAN_BROADCAST:
-            return (
-                packed.answer_many_arrays(lows, highs, plan=plan),
-                plan,
-                None,
-            )
-        # plan is None (cost model decides) or a forced "pruned" (which
-        # degrades to broadcast below the threshold); either way, plan
-        # and — when pruned — answer off one candidate-slice pass.
-        plan, slices = plan_with_slices(
-            packed, lows, highs, force=plan, cost=cost
-        )
+            # Both executors merge partials in fixed shard order, so
+            # their answers are bit-identical.
+            if self.uses_resident_pool:
+                sharded = self.shard_pool().answer(lows, highs)
+            else:
+                sharded = answer_sharded(
+                    private.packed,
+                    lows,
+                    highs,
+                    n_shards=self._config.n_shards,
+                    cost=self._config.plan_cost(),
+                )
+            return sharded.answers, sharded
+        if len(lows) == 0:
+            return np.zeros(0, dtype=np.float64), None
+        if plan == PLAN_DENSE:
+            return private._prefix_table().query_arrays(lows, highs), None
+        packed = private.packed
         if plan == PLAN_PRUNED:
-            answers = packed.interval_index().answer_pruned(
-                lows, highs, slices=slices
-            )
-        else:
-            answers = packed.answer_many_arrays(
-                lows, highs, plan=PLAN_BROADCAST
-            )
-        return answers, plan, None
+            index = packed.interval_index()
+            return index.answer_pruned(lows, highs, slices=slices), None
+        return packed.answer_many_arrays(lows, highs), None

@@ -345,6 +345,8 @@ class EngineServer:
                     break
                 try:
                     length = int(headers.get("content-length", "0") or "0")
+                    if length < 0:
+                        raise ValueError(length)
                 except ValueError:
                     self._counters["bad_requests"] += 1
                     await self._respond(
@@ -479,7 +481,7 @@ class EngineServer:
         try:
             lows = np.asarray(payload.get("lows"), dtype=np.int64)
             highs = np.asarray(payload.get("highs"), dtype=np.int64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             self._counters["bad_requests"] += 1
             return (
                 400,

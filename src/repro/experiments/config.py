@@ -45,19 +45,12 @@ class ExperimentScale:
         (1 = serial, ``k > 1`` = that many worker processes, -1 = all
         cores).  Results are bit-identical across settings; serial is
         usually faster for tiny grids where process startup dominates.
-    n_shards:
-        When set, each trial's query phase runs through the sharded
-        engine with this many partition-axis shards (``None`` lets the
-        planner route normally).  Answers match the single-node engine
-        within 1e-9; rows record ``plan="sharded"``.  Mostly a scale-out
-        and CI-forcing knob — on one node sharding pays off only when
-        shard skipping bites.
     engine_config:
         Full :class:`~repro.engine.EngineConfig` for every trial's
         query phase (the CLI ``--engine-config`` flag lands here).
-        Mutually exclusive with ``n_shards``, which is sugar for the
-        sharded special case; the config must pickle for ``n_jobs > 1``
-        (so keep its ``shard_executor`` ``None``).
+        ``EngineConfig(n_shards=K)`` runs it through K partition-axis
+        shards; answers match the single-node engine within 1e-9 and
+        rows record ``plan="sharded"``.
     """
 
     name: str
@@ -68,7 +61,6 @@ class ExperimentScale:
     n_queries: int
     n_trials: int = 1
     n_jobs: int = 1
-    n_shards: int | None = None
     engine_config: "EngineConfig | None" = None
 
     def __post_init__(self) -> None:
@@ -79,15 +71,6 @@ class ExperimentScale:
         if self.n_jobs < 1 and self.n_jobs != -1:
             raise ValidationError(
                 f"n_jobs must be >= 1 or -1 (all cores), got {self.n_jobs}"
-            )
-        if self.n_shards is not None and self.n_shards < 1:
-            raise ValidationError(
-                f"n_shards must be >= 1 or None, got {self.n_shards}"
-            )
-        if self.engine_config is not None and self.n_shards is not None:
-            raise ValidationError(
-                "set either engine_config or the legacy n_shards knob, "
-                "not both"
             )
 
     def with_overrides(self, **kwargs) -> "ExperimentScale":

@@ -118,7 +118,6 @@ def figure4(
             rows = run_methods(
                 matrix, specs, list(epsilons), [workload],
                 n_trials=scale.n_trials, rng=run_rng, n_jobs=scale.n_jobs,
-                n_shards=scale.n_shards,
                 engine_config=scale.engine_config,
                 extra={"d": d, "skew_fraction": frac, "variance": variance},
             )
@@ -154,7 +153,6 @@ def figure5(
             rows = run_methods(
                 matrix, specs, [epsilon], [workload],
                 n_trials=scale.n_trials, rng=run_rng, n_jobs=scale.n_jobs,
-                n_shards=scale.n_shards,
                 engine_config=scale.engine_config,
                 extra={"d": d, "zipf_a": a},
             )
@@ -214,7 +212,6 @@ def figure6(
         rows = run_methods(
             matrix, specs, list(epsilons), workloads,
             n_trials=scale.n_trials, rng=run_rng, n_jobs=scale.n_jobs,
-            n_shards=scale.n_shards,
             engine_config=scale.engine_config,
             extra={"city": city_name},
         )
@@ -271,7 +268,6 @@ def figure8(
         rows = run_methods(
             matrix, specs, list(epsilons), workloads,
             n_trials=scale.n_trials, rng=run_rng, n_jobs=scale.n_jobs,
-            n_shards=scale.n_shards,
             engine_config=scale.engine_config,
             extra={"city": city_name, "od_shape": "x".join(map(str, matrix.shape))},
         )
@@ -309,7 +305,6 @@ def table3(
         rows = run_methods(
             matrix, specs, [epsilon], [workload],
             n_trials=scale.n_trials, rng=run_rng, n_jobs=scale.n_jobs,
-            n_shards=scale.n_shards,
             engine_config=scale.engine_config,
             extra={"city": city_name},
         )

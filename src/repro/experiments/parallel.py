@@ -20,9 +20,10 @@ run's root entropy and the trial's grid coordinates via
 ``(entropy, (method_index, epsilon_index, trial))`` — so the noise a
 trial sees does not depend on scheduling, worker assignment, or which
 trials ran before it.  Both backends return rows in task-submission
-order (``Executor.map`` preserves order), making ``n_jobs > 1`` output
-row-for-row identical to serial; ``tests/experiments/test_parallel.py``
-enforces this across grid, AG, quadtree, kd-tree, and DAF sanitizers.
+order (``ProcessPoolExecutor.map`` preserves order), making
+``n_jobs > 1`` output row-for-row identical to serial;
+``tests/experiments/test_parallel.py`` enforces this across grid, AG,
+quadtree, kd-tree, and DAF sanitizers.
 """
 
 from __future__ import annotations
@@ -72,19 +73,16 @@ def _run_trial(
     task: TrialTask,
     extra: Dict[str, object] | None = None,
     evaluator: WorkloadEvaluator | None = None,
-    n_shards: int | None = None,
-    engine_config: "EngineConfig | None" = None,
 ) -> List["ResultRow"]:
     """Run one trial: sanitize, answer all workloads, build result rows.
 
     Pure with respect to process state: everything the trial needs
     arrives through the arguments, and the random stream is rebuilt from
     ``task.entropy`` and ``task.spawn_key`` alone.  ``evaluator`` is an
-    optional ground-truth cache; omitting it only costs recomputation.
-    ``engine_config`` is the :class:`~repro.engine.EngineConfig` the
-    trial's query phase runs under; ``n_shards`` is legacy sugar for a
-    sharded config (shards run serially inside the trial — the process
-    pool, if any, is already spent on trial-level parallelism).
+    optional ground-truth cache, and its
+    :class:`~repro.engine.EngineConfig` is the one the trial's query
+    phase runs under; omitting it means a fresh default-config
+    evaluator.
     """
     from .runner import ResultRow
 
@@ -94,9 +92,7 @@ def _run_trial(
     private = sanitizer.sanitize(matrix, task.epsilon, rng)
     sanitize_elapsed = time.perf_counter() - start
     if evaluator is None:
-        evaluator = WorkloadEvaluator(
-            matrix, n_shards=n_shards, engine_config=engine_config
-        )
+        evaluator = WorkloadEvaluator(matrix)
     start = time.perf_counter()
     results = evaluator.evaluate_all(private, list(workloads))
     query_elapsed = time.perf_counter() - start
@@ -128,14 +124,7 @@ def resolve_n_jobs(n_jobs: int) -> int:
 
 
 class Executor(abc.ABC):
-    """Maps :class:`TrialTask`s to their result rows, preserving order.
-
-    Executors double as generic ordered-``map`` providers: anything that
-    needs to fan independent work items out (the sharded query engine's
-    per-shard partials, most prominently) can hand a picklable function
-    and an item list to :meth:`map` and get results back in item order,
-    serially or across the backend's process pool.
-    """
+    """Maps :class:`TrialTask`s to their result rows, preserving order."""
 
     @abc.abstractmethod
     def run_trials(
@@ -144,30 +133,22 @@ class Executor(abc.ABC):
         workloads: Sequence[Workload],
         tasks: Sequence[TrialTask],
         extra: Dict[str, object] | None = None,
-        n_shards: int | None = None,
         engine_config: "EngineConfig | None" = None,
     ) -> List[List["ResultRow"]]:
         """One row list per task, in task order.
 
         ``engine_config`` (a picklable
-        :class:`~repro.engine.EngineConfig`; its ``shard_executor``
-        must be ``None`` for pooled backends) configures every trial's
-        query phase; ``n_shards`` is the legacy sharded shorthand.
+        :class:`~repro.engine.EngineConfig`) configures every trial's
+        query phase.
         """
-
-    def map(self, fn, items: Sequence) -> List:
-        """Ordered map over independent items (serial by default)."""
-        return [fn(item) for item in items]
 
 
 class SerialExecutor(Executor):
     """In-process execution; ground truth is computed once and shared."""
 
-    def run_trials(self, matrix, workloads, tasks, extra=None, n_shards=None,
+    def run_trials(self, matrix, workloads, tasks, extra=None,
                    engine_config=None):
-        evaluator = WorkloadEvaluator(
-            matrix, n_shards=n_shards, engine_config=engine_config
-        )
+        evaluator = WorkloadEvaluator(matrix, engine_config=engine_config)
         return [
             _run_trial(matrix, workloads, task, extra, evaluator=evaluator)
             for task in tasks
@@ -185,12 +166,9 @@ def _init_worker(
     matrix: FrequencyMatrix,
     workloads: Sequence[Workload],
     extra: Dict[str, object] | None,
-    n_shards: int | None = None,
     engine_config: "EngineConfig | None" = None,
 ) -> None:
-    evaluator = WorkloadEvaluator(
-        matrix, n_shards=n_shards, engine_config=engine_config
-    )
+    evaluator = WorkloadEvaluator(matrix, engine_config=engine_config)
     for workload in workloads:
         evaluator.true_answers(workload)  # warm the cache before any trial
     _WORKER_STATE["matrix"] = matrix
@@ -212,8 +190,9 @@ def _run_trial_in_worker(task: TrialTask) -> List["ResultRow"]:
 class ProcessPoolTrialExecutor(Executor):
     """Fan trials out across worker processes.
 
-    ``Executor.map`` returns results in submission order regardless of
-    completion order, so row ordering matches :class:`SerialExecutor`.
+    ``ProcessPoolExecutor.map`` returns results in submission order
+    regardless of completion order, so row ordering matches
+    :class:`SerialExecutor`.
     """
 
     def __init__(self, n_jobs: int):
@@ -231,7 +210,7 @@ class ProcessPoolTrialExecutor(Executor):
                 return None
         return None
 
-    def run_trials(self, matrix, workloads, tasks, extra=None, n_shards=None,
+    def run_trials(self, matrix, workloads, tasks, extra=None,
                    engine_config=None):
         tasks = list(tasks)
         if not tasks:
@@ -239,15 +218,14 @@ class ProcessPoolTrialExecutor(Executor):
         workers = min(self.n_jobs, len(tasks))
         if workers <= 1:
             return SerialExecutor().run_trials(
-                matrix, workloads, tasks, extra, n_shards, engine_config
+                matrix, workloads, tasks, extra, engine_config
             )
         ctx = self._fork_context()
         if ctx is not None:
             # Fork path: stage the state in the parent so workers inherit
             # the matrix, workloads, and warmed ground-truth cache
             # copy-on-write — nothing heavyweight crosses a pipe.
-            _init_worker(matrix, list(workloads), extra, n_shards,
-                         engine_config)
+            _init_worker(matrix, list(workloads), extra, engine_config)
             try:
                 with ProcessPoolExecutor(
                     max_workers=workers, mp_context=ctx
@@ -258,30 +236,9 @@ class ProcessPoolTrialExecutor(Executor):
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(matrix, list(workloads), extra, n_shards,
-                      engine_config),
+            initargs=(matrix, list(workloads), extra, engine_config),
         ) as pool:
             return list(pool.map(_run_trial_in_worker, tasks))
-
-    def map(self, fn, items):
-        """Ordered map across the worker pool (used for shard fan-out).
-
-        ``fn`` and every item must be picklable (module-level function,
-        array-backed shards).  Falls back to a serial loop when one
-        worker would do all the work anyway.
-        """
-        items = list(items)
-        if not items:
-            return []
-        workers = min(self.n_jobs, len(items))
-        if workers <= 1:
-            return [fn(item) for item in items]
-        ctx = self._fork_context()
-        kwargs = {"max_workers": workers}
-        if ctx is not None:
-            kwargs["mp_context"] = ctx
-        with ProcessPoolExecutor(**kwargs) as pool:
-            return list(pool.map(fn, items))
 
 
 def get_executor(n_jobs: int = 1) -> Executor:

@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence
 
 import numpy as np
 
-from ..core.exceptions import ValidationError
 from ..core.frequency_matrix import FrequencyMatrix
 from ..dp.rng import RNGLike, derive_entropy, ensure_rng
 from ..queries.metrics import AccuracyReport
@@ -121,7 +120,6 @@ def run_methods(
     extra: Dict[str, object] | None = None,
     n_jobs: int = 1,
     executor: Executor | None = None,
-    n_shards: int | None = None,
     engine_config: "EngineConfig | None" = None,
 ) -> List[ResultRow]:
     """Evaluate every (method, epsilon) pair on every workload.
@@ -137,43 +135,25 @@ def run_methods(
     ``k > 1`` = a pool of ``k`` worker processes, -1 = all cores); an
     explicit ``executor`` overrides it.  ``engine_config`` is the
     :class:`~repro.engine.EngineConfig` every trial's query phase runs
-    under (it must pickle for pooled backends, so its
-    ``shard_executor`` must stay ``None`` there); ``n_shards`` is the
-    legacy sugar for a sharded config — it forces each trial's query
-    phase through the sharded engine with that many partition-axis
-    shards (dense-backed methods keep their dense route); shards run
-    serially inside each trial, so either knob composes with ``n_jobs``
-    without nesting pools.  Passing both is ambiguous and rejected.
+    under; a sharded config (``n_shards=K``) sends each trial's
+    partition-backed outputs through K partition-axis shards
+    (dense-backed methods keep their dense route).  Leave its
+    ``shard_executor`` unset or ``"serial"`` with ``n_jobs > 1``, so
+    shards run inside each trial and pools do not nest.
     For the same ``rng`` seed every backend returns bit-identical rows
     in identical order — only the timing fields vary.  Sharded answers
     match the single-node engine within float reassociation (1e-9,
     pinned by the plan-equivalence suite), and the rows' ``plan``
     column records ``"sharded"``.
     """
-    if engine_config is not None and n_shards is not None:
-        raise ValidationError(
-            "pass either engine_config or the legacy n_shards knob, not both"
-        )
     entropy = derive_entropy(ensure_rng(rng))
     tasks = build_trial_tasks(method_specs, epsilons, n_trials, entropy)
     if executor is None:
         executor = get_executor(n_jobs)
-    if n_shards is None and engine_config is None:
-        # The pre-sharding call shape, so Executor implementations
-        # written against it keep working when sharding is off.
-        row_lists = executor.run_trials(
-            matrix, list(workloads), tasks, dict(extra or {})
-        )
-    elif engine_config is not None:
-        row_lists = executor.run_trials(
-            matrix, list(workloads), tasks, dict(extra or {}),
-            engine_config=engine_config,
-        )
-    else:
-        row_lists = executor.run_trials(
-            matrix, list(workloads), tasks, dict(extra or {}),
-            n_shards=n_shards,
-        )
+    row_lists = executor.run_trials(
+        matrix, list(workloads), tasks, dict(extra or {}),
+        engine_config=engine_config,
+    )
     return [row for rows in row_lists for row in rows]
 
 

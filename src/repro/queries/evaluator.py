@@ -70,15 +70,10 @@ class WorkloadEvaluator:
 
     ``engine_config`` is the :class:`~repro.engine.EngineConfig` every
     private matrix is answered under (``None`` = default config, cost
-    model picks the plan per batch).  The legacy ``n_shards`` /
-    ``shard_executor`` keywords survive as sugar for a sharded config —
-    they force partition-backed private matrices through the sharded
-    engine, while dense-backed outputs (identity, Privlet) have no
-    partition list to shard and keep their dense route (the engine
-    handles that fallback itself now).  Passing ``engine_config``
-    together with the legacy keywords is ambiguous and rejected.  Leave
-    executors ``None`` inside trial workers — trial-level parallelism
-    already owns the pool there.
+    model picks the plan per batch).  A sharded config sends
+    partition-backed private matrices through the sharded layout, while
+    dense-backed outputs (identity, Privlet) have no partition list to
+    shard and keep their dense route.
     """
 
     def __init__(
@@ -86,21 +81,10 @@ class WorkloadEvaluator:
         matrix: FrequencyMatrix,
         floor: float = DEFAULT_FLOOR,
         *,
-        n_shards: int | None = None,
-        shard_executor: object | None = None,
         engine_config: EngineConfig | None = None,
     ):
-        if engine_config is not None and (
-            n_shards is not None or shard_executor is not None
-        ):
-            raise QueryError(
-                "pass either engine_config or the legacy "
-                "n_shards/shard_executor keywords, not both"
-            )
         if engine_config is None:
-            engine_config = EngineConfig(
-                n_shards=n_shards, shard_executor=shard_executor
-            )
+            engine_config = EngineConfig()
         self._matrix = matrix
         self._floor = floor
         self._table = PrefixSumTable(matrix.data)

@@ -81,15 +81,16 @@ class TestPrunedMatchesBroadcast:
         rng = np.random.default_rng(data_seed ^ noise_seed)
         boxes = degenerate_and_random_queries(shape, rng)
         lows, highs = boxes_to_arrays(boxes)
-        broadcast = packed.answer_many_arrays(lows, highs, plan=PLAN_BROADCAST)
-        pruned = packed.answer_many_arrays(lows, highs, plan=PLAN_PRUNED)
+        broadcast = packed.answer_many_arrays(lows, highs)
+        pruned = packed.interval_index().answer_pruned(lows, highs)
         np.testing.assert_allclose(pruned, broadcast, rtol=0, atol=1e-9)
 
     def test_empty_batch(self):
         packed = sanitized_packed("uniform", (16, 16), 0, 0, 1.0)
         empty = np.empty((0, 2), dtype=np.int64)
-        assert packed.answer_many_arrays(empty, empty, plan=PLAN_PRUNED).size == 0
-        assert packed.interval_index().candidate_counts(empty, empty).size == 0
+        index = packed.interval_index()
+        assert index.answer_pruned(empty, empty).size == 0
+        assert index.candidate_counts(empty, empty).size == 0
 
     @pytest.mark.parametrize("method", METHODS)
     def test_candidates_match_brute_force(self, method):
@@ -161,14 +162,14 @@ class TestPlanner:
         rng = np.random.default_rng(3)
         lows, highs = small_queries((256, 256), 50, rng)
         # Small batch of small queries: q*k below the dense switch.
-        assert priv.plan_queries(lows, highs) == PLAN_PRUNED
+        assert Engine(priv).plan_queries(lows, highs) == PLAN_PRUNED
         # Huge batch: the dense prefix-sum switch takes precedence.
         big_l = np.repeat(lows, 50, axis=0)
         big_h = np.repeat(highs, 50, axis=0)
-        assert priv.plan_queries(big_l, big_h) == PLAN_DENSE
+        assert Engine(priv).plan_queries(big_l, big_h) == PLAN_DENSE
         dense = PrivateFrequencyMatrix.from_dense_noisy(np.ones((8, 8)))
         one = np.zeros((1, 2), dtype=np.int64)
-        assert dense.plan_queries(one, one) == PLAN_DENSE
+        assert Engine(dense).plan_queries(one, one) == PLAN_DENSE
 
     def test_all_plans_agree_and_are_reported(self):
         packed = bench_like_packed()

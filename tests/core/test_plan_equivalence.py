@@ -21,8 +21,7 @@ re-runs this module with ``REPRO_ENGINE_SHARD_EXECUTOR=resident`` (see
 
 All routing goes through the :mod:`repro.engine` facade (an
 :class:`~repro.engine.Engine` per forced
-:class:`~repro.engine.EngineConfig`) — the deprecated kwarg shims have
-their own regression suite in ``tests/engine/test_deprecation.py``.
+:class:`~repro.engine.EngineConfig`).
 
 The suite also carries the skip-counter acceptance criterion (a shard
 whose candidate bound is empty must provably skip the gather, observable
@@ -39,6 +38,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    DEFAULT_N_SHARDS,
     PLAN_BROADCAST,
     PLAN_DENSE,
     PLAN_PRUNED,
@@ -57,7 +57,6 @@ from repro.core import (
 )
 from repro.core.interval_index import PRUNE_MIN_PARTITIONS
 from repro.engine import Engine, EngineConfig, QueryRequest
-from repro.experiments.parallel import ProcessPoolTrialExecutor
 from repro.methods import get_sanitizer
 from repro.methods._grid import axis_intervals
 from repro.queries import WorkloadEvaluator, random_workload
@@ -89,11 +88,15 @@ def engine_answers(private, lows, highs, **config):
 
 
 def sharded_evidence(private, lows, highs, *, n_shards=None, executor=None):
-    """A :class:`~repro.core.sharding.ShardedAnswer` via the facade."""
-    return Engine(
+    """A sharded :class:`~repro.engine.QueryAnswer` via the facade."""
+    answer = Engine(
         private,
-        EngineConfig(n_shards=n_shards, shard_executor=executor),
-    ).answer_sharded(lows, highs)
+        EngineConfig(
+            plan=PLAN_SHARDED, n_shards=n_shards, shard_executor=executor
+        ),
+    ).answer(QueryRequest(lows, highs))
+    assert answer.plan == PLAN_SHARDED
+    return answer
 
 
 def sanitized_private(method, shape, data_seed, noise_seed, epsilon):
@@ -245,8 +248,6 @@ class TestShardEdgeCases:
             Engine(dense, EngineConfig(plan=PLAN_SHARDED)).answer(
                 QueryRequest(one, one)
             )
-        with pytest.raises(QueryError, match="dense-backed"):
-            Engine(dense, EngineConfig(n_shards=2)).answer_sharded(one, one)
 
 
 class TestShardSkipping:
@@ -266,11 +267,15 @@ class TestShardSkipping:
         highs = np.minimum(highs, [[31, 255]])
         result = sharded_evidence(private, lows, highs, n_shards=8)
         assert result.skipped_shards > 0
-        assert result.plans.count(SHARD_SKIPPED) == result.skipped_shards
+        assert (
+            result.shard_plans.count(SHARD_SKIPPED) == result.skipped_shards
+        )
         # Every skip is provable: brute-force overlap over the shard's
         # partition range finds nothing.
         lo, hi = packed.lo, packed.hi
-        for (start, stop), plan in zip(result.bounds, result.plans):
+        for (start, stop), plan in zip(
+            result.shard_bounds, result.shard_plans
+        ):
             overlaps = np.logical_and(
                 lo[None, start:stop, :] <= highs[:, None, :],
                 hi[None, start:stop, :] >= lows[:, None, :],
@@ -293,7 +298,7 @@ class TestShardSkipping:
         assert result.skipped_shards == 0
 
     def test_query_answer_carries_shard_evidence(self):
-        """The facade's QueryAnswer exposes the per-shard plans."""
+        """The facade's QueryAnswer exposes the serial per-shard plans."""
         private = grid_private()
         rng = np.random.default_rng(17)
         lows = np.stack(
@@ -304,7 +309,7 @@ class TestShardSkipping:
         answer = Engine(private, EngineConfig(n_shards=8)).answer(
             QueryRequest(lows, highs)
         )
-        evidence = sharded_evidence(private, lows, highs, n_shards=8)
+        evidence = answer_sharded(private.packed, lows, highs, n_shards=8)
         assert answer.shard_plans == evidence.plans
         assert answer.shard_bounds == evidence.bounds
         assert answer.skipped_shards == evidence.skipped_shards > 0
@@ -312,26 +317,7 @@ class TestShardSkipping:
 
 
 class TestShardExecutors:
-    """Shards compute identical partials serially and across a pool."""
-
-    def test_process_pool_matches_serial(self):
-        private = grid_private(shape=(64, 64), m=16)
-        rng = np.random.default_rng(11)
-        lows, highs = boxes_to_arrays(
-            degenerate_and_random_queries((64, 64), rng, n_random=20)
-        )
-        serial = sharded_evidence(private, lows, highs, n_shards=3)
-        pooled = sharded_evidence(
-            private, lows, highs, n_shards=3,
-            executor=ProcessPoolTrialExecutor(2),
-        )
-        np.testing.assert_array_equal(serial.answers, pooled.answers)
-        assert serial.plans == pooled.plans
-        assert serial.bounds == pooled.bounds
-
-    def test_executor_map_preserves_order(self):
-        items = list(range(7))
-        assert ProcessPoolTrialExecutor(2).map(abs, items) == items
+    """Serial sharded execution reuses its cached shards."""
 
     def test_shards_are_cached_per_effective_count(self):
         packed = grid_private(shape=(64, 64), m=16).packed
@@ -347,7 +333,7 @@ class TestShardExecutors:
                 (64, 64), np.random.default_rng(12), n_random=5
             )
         )
-        packed.answer_sharded_arrays(lows, highs, n_shards=4)
+        answer_sharded(packed, lows, highs, n_shards=4)
         assert packed.split_shards(4) is first
 
 
@@ -377,20 +363,20 @@ class TestResidentPool:
                 EngineConfig(n_shards=n_shards, shard_executor="resident"),
             )
             try:
-                resident = engine.answer_sharded(lows, highs)
-                # The facade route reuses the same (already-warm) pool.
-                answer = engine.answer(QueryRequest(lows, highs))
+                resident = engine.answer(QueryRequest(lows, highs))
+                # A second batch reuses the same (already-warm) pool.
+                again = engine.answer(QueryRequest(lows, highs))
             finally:
                 engine.close()
             np.testing.assert_array_equal(
                 resident.answers, serial.answers,
                 err_msg=f"resident(K={n_shards}, {method}) != serial",
             )
-            assert resident.plans == serial.plans
-            assert resident.bounds == serial.bounds
-            np.testing.assert_array_equal(answer.answers, serial.answers)
-            assert answer.plan == PLAN_SHARDED
-            assert answer.shard_plans == serial.plans
+            assert resident.plan == PLAN_SHARDED
+            assert resident.shard_plans == serial.shard_plans
+            assert resident.shard_bounds == serial.shard_bounds
+            np.testing.assert_array_equal(again.answers, serial.answers)
+            assert again.shard_plans == serial.shard_plans
 
     def test_resident_empty_batch_reports_skips_without_dispatch(self):
         private = grid_private(shape=(16, 16), m=4)
@@ -399,7 +385,7 @@ class TestResidentPool:
             private, EngineConfig(n_shards=3, shard_executor="resident")
         )
         try:
-            result = engine.answer_sharded(empty, empty)
+            result = engine.answer(QueryRequest(empty, empty))
             assert result.answers.size == 0
             assert result.skipped_shards == result.n_shards == 3
             stats = engine.pool_stats()
@@ -503,29 +489,12 @@ class TestEvaluatorAndRunnerPlumbing:
         private = get_sanitizer("kdtree").sanitize(matrix, 0.5, 7)
         workload = random_workload(matrix.shape, 40, rng=3)
         plain = WorkloadEvaluator(matrix).evaluate(private, workload)
-        sharded = WorkloadEvaluator(matrix, n_shards=3).evaluate(
-            private, workload
-        )
+        sharded = WorkloadEvaluator(
+            matrix, engine_config=EngineConfig(n_shards=3)
+        ).evaluate(private, workload)
         assert sharded.plan == PLAN_SHARDED
         assert len(sharded.shard_plans) == min(3, private.n_partitions)
         assert sharded.report.mre == pytest.approx(plain.report.mre, abs=1e-6)
-
-    def test_evaluator_engine_config_matches_legacy_kwargs(self):
-        rng = np.random.default_rng(15)
-        matrix = FrequencyMatrix(rng.poisson(3.0, (24, 24)).astype(float))
-        private = get_sanitizer("quadtree").sanitize(matrix, 0.5, 7)
-        workload = random_workload(matrix.shape, 30, rng=3)
-        legacy = WorkloadEvaluator(matrix, n_shards=3).evaluate(
-            private, workload
-        )
-        explicit = WorkloadEvaluator(
-            matrix, engine_config=EngineConfig(n_shards=3)
-        ).evaluate(private, workload)
-        assert legacy == explicit
-        with pytest.raises(QueryError, match="not both"):
-            WorkloadEvaluator(
-                matrix, n_shards=3, engine_config=EngineConfig()
-            )
 
     def test_evaluator_shard_executor_alone_selects_sharded(self):
         # Matching the engine's config semantics: configuring only the
@@ -535,28 +504,22 @@ class TestEvaluatorAndRunnerPlumbing:
         matrix = FrequencyMatrix(rng.poisson(3.0, (24, 24)).astype(float))
         private = get_sanitizer("kdtree").sanitize(matrix, 0.5, 7)
         workload = random_workload(matrix.shape, 30, rng=3)
-
-        class CountingMap:
-            calls = 0
-
-            def map(self, fn, items):
-                CountingMap.calls += 1
-                return [fn(item) for item in items]
-
         result = WorkloadEvaluator(
-            matrix, shard_executor=CountingMap()
+            matrix, engine_config=EngineConfig(shard_executor="serial")
         ).evaluate(private, workload)
         assert result.plan == PLAN_SHARDED
-        assert CountingMap.calls == 1
+        assert len(result.shard_plans) == min(
+            DEFAULT_N_SHARDS, private.n_partitions
+        )
 
     def test_evaluator_keeps_dense_route_for_dense_backed(self):
         rng = np.random.default_rng(6)
         matrix = FrequencyMatrix(rng.poisson(3.0, (16, 16)).astype(float))
         private = get_sanitizer("identity").sanitize(matrix, 0.5, 7)
         workload = random_workload(matrix.shape, 20, rng=3)
-        result = WorkloadEvaluator(matrix, n_shards=3).evaluate(
-            private, workload
-        )
+        result = WorkloadEvaluator(
+            matrix, engine_config=EngineConfig(n_shards=3)
+        ).evaluate(private, workload)
         assert result.plan == PLAN_DENSE
         assert result.shard_plans == ()
 
@@ -572,34 +535,31 @@ class TestEvaluatorAndRunnerPlumbing:
             [0.5],
             [workload],
             rng=1,
-            n_shards=2,
+            engine_config=EngineConfig(n_shards=2),
         )
         plans = {r.method: r.plan for r in rows}
         assert plans["kdtree"] == PLAN_SHARDED
         assert plans["identity"] == PLAN_DENSE  # dense-backed: no shards
 
     def test_run_methods_engine_config_equivalent_and_exclusive(self):
+        # A sharded config changes the route, not the accuracy, and it
+        # is the only way to ask run_methods for shards.
         from repro.experiments import default_method_specs, run_methods
-        from repro.core import ValidationError
 
         rng = np.random.default_rng(21)
         matrix = FrequencyMatrix(rng.poisson(3.0, (20, 20)).astype(float))
         workload = random_workload(matrix.shape, 25, rng=4)
         specs = default_method_specs(["kdtree"])
-        legacy = run_methods(
-            matrix, specs, [0.5], [workload], rng=1, n_shards=2
-        )
-        explicit = run_methods(
+        plain = run_methods(matrix, specs, [0.5], [workload], rng=1)
+        sharded = run_methods(
             matrix, specs, [0.5], [workload], rng=1,
             engine_config=EngineConfig(n_shards=2),
         )
-        assert [r.report for r in legacy] == [r.report for r in explicit]
-        assert [r.plan for r in legacy] == [r.plan for r in explicit]
-        with pytest.raises(ValidationError, match="not both"):
-            run_methods(
-                matrix, specs, [0.5], [workload], rng=1,
-                n_shards=2, engine_config=EngineConfig(n_shards=2),
-            )
+        assert [r.plan for r in sharded] == [PLAN_SHARDED] * len(plain)
+        for p, s in zip(plain, sharded):
+            assert s.report.mre == pytest.approx(p.report.mre, abs=1e-6)
+        with pytest.raises(TypeError):
+            run_methods(matrix, specs, [0.5], [workload], rng=1, n_shards=2)
 
     @pytest.mark.skipif(
         ENV_N_SHARDS is None, reason="REPRO_TEST_N_SHARDS not set"
@@ -621,7 +581,7 @@ class TestEvaluatorAndRunnerPlumbing:
 
 
 def test_answer_sharded_function_matches_method():
-    """The module-level entry point and packed method agree."""
+    """The module-level entry point and ``Engine.answer`` agree."""
     private = grid_private(shape=(64, 64), m=16)
     lows, highs = boxes_to_arrays(
         degenerate_and_random_queries(
@@ -629,8 +589,7 @@ def test_answer_sharded_function_matches_method():
         )
     )
     via_fn = answer_sharded(private.packed, lows, highs, n_shards=5)
-    via_method = private.packed.answer_sharded_arrays(
-        lows, highs, n_shards=5
-    )
+    via_method = sharded_evidence(private, lows, highs, n_shards=5)
     np.testing.assert_array_equal(via_fn.answers, via_method.answers)
+    assert via_fn.plans == via_method.shard_plans
     assert len(split_shards(private.packed, 5)) == 5

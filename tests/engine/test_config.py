@@ -35,7 +35,6 @@ class TestDefaultsAndValidation:
 
     def test_sharding_knobs_imply_sharded_only(self):
         assert EngineConfig(n_shards=3).wants_sharding
-        assert EngineConfig(shard_executor=object()).wants_sharding
         assert EngineConfig(shard_executor="serial").wants_sharding
         assert EngineConfig(shard_executor="resident").wants_sharding
         assert EngineConfig(plan="sharded", n_shards=3).n_shards == 3

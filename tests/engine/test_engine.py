@@ -13,6 +13,7 @@ from repro.core import (
     QueryError,
     packed_from_intervals,
 )
+from repro.core.interval_index import IntervalIndex
 from repro.engine import Engine, EngineConfig, QueryRequest
 from repro.methods import get_sanitizer
 from repro.methods._grid import axis_intervals
@@ -117,6 +118,93 @@ class TestRouting:
             Engine(private).answer(QueryRequest(one, one))
 
 
+#: Routing-agreement configs: auto, every forced plan, and both ways of
+#: selecting the sharded layout implicitly.
+ROUTING_CONFIGS = {
+    "auto": EngineConfig(),
+    "dense": EngineConfig(plan=PLAN_DENSE),
+    "broadcast": EngineConfig(plan=PLAN_BROADCAST),
+    "pruned": EngineConfig(plan=PLAN_PRUNED),
+    "sharded": EngineConfig(plan=PLAN_SHARDED),
+    "n_shards=3": EngineConfig(n_shards=3),
+    "serial": EngineConfig(shard_executor="serial"),
+}
+
+ROUTING_SHAPE = (256, 256)
+
+
+def routing_batch(name):
+    rng = np.random.default_rng(11)
+    if name == "empty":
+        empty = np.empty((0, 2), dtype=np.int64)
+        return empty, empty
+    if name == "one":
+        return random_bounds(ROUTING_SHAPE, 1, rng)
+    if name == "small_boxes":  # the cost model prunes these
+        return random_bounds(ROUTING_SHAPE, 40, rng, extent=2)
+    # q * k > dense_switch_factor * cells on the 4096-partition grid
+    return random_bounds(ROUTING_SHAPE, 100, rng)
+
+
+@pytest.fixture(scope="module")
+def routing_matrices():
+    return {
+        "partitions": grid_private(shape=ROUTING_SHAPE, m=64),
+        "dense": PrivateFrequencyMatrix.from_dense_noisy(
+            np.ones(ROUTING_SHAPE)
+        ),
+    }
+
+
+class TestRoutingAgreement:
+    """``plan_queries`` and ``answer`` share one routing function."""
+
+    def test_batches_hit_the_routes_they_are_named_for(self, routing_matrices):
+        plan = Engine(routing_matrices["partitions"]).plan_queries
+        assert plan(*routing_batch("small_boxes")) == PLAN_PRUNED
+        assert plan(*routing_batch("dense_switch")) == PLAN_DENSE
+
+    def test_pruned_batch_pays_one_candidate_pass(
+        self, routing_matrices, monkeypatch
+    ):
+        # The cost model's candidate slices are reused by the gather.
+        calls = []
+        slices = IntervalIndex.candidate_slices
+        monkeypatch.setattr(
+            IntervalIndex,
+            "candidate_slices",
+            lambda index, *bounds: calls.append(1) or slices(index, *bounds),
+        )
+        answer = Engine(routing_matrices["partitions"]).answer(
+            QueryRequest(*routing_batch("small_boxes"))
+        )
+        assert answer.plan == PLAN_PRUNED
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "batch", ["empty", "one", "small_boxes", "dense_switch"]
+    )
+    @pytest.mark.parametrize("matrix", ["partitions", "dense"])
+    @pytest.mark.parametrize("config", sorted(ROUTING_CONFIGS))
+    def test_plan_queries_matches_answer(
+        self, routing_matrices, config, matrix, batch
+    ):
+        engine = Engine(routing_matrices[matrix], ROUTING_CONFIGS[config])
+        lows, highs = routing_batch(batch)
+        try:
+            planned = engine.plan_queries(lows, highs)
+        except QueryError as exc:
+            with pytest.raises(QueryError) as answered:
+                engine.answer(QueryRequest(lows, highs))
+            assert str(answered.value) == str(exc)
+        else:
+            assert engine.answer(QueryRequest(lows, highs)).plan == planned
+
+    def test_shard_executor_is_a_closed_enum(self):
+        with pytest.raises(QueryError, match="unknown shard_executor"):
+            EngineConfig(shard_executor=object())
+
+
 class TestDenseBacked:
     def test_dense_backed_routes_dense(self):
         dense = PrivateFrequencyMatrix.from_dense_noisy(np.ones((8, 8)))
@@ -196,15 +284,14 @@ class TestConfigThresholds:
         lows, highs = random_bounds(
             (256, 256), 40, np.random.default_rng(8), extent=2
         )
-        sharded = Engine(private, EngineConfig(n_shards=2)).answer_sharded(
-            lows, highs
-        )
-        assert PLAN_PRUNED in sharded.plans  # default rule prunes shards
+        request = QueryRequest(lows, highs)
+        sharded = Engine(private, EngineConfig(n_shards=2)).answer(request)
+        assert PLAN_PRUNED in sharded.shard_plans  # default rule prunes shards
         blunt = Engine(
             private,
             EngineConfig(n_shards=2, prune_min_partitions=10_000),
-        ).answer_sharded(lows, highs)
-        assert all(p != PLAN_PRUNED for p in blunt.plans)
+        ).answer(request)
+        assert all(p != PLAN_PRUNED for p in blunt.shard_plans)
         np.testing.assert_allclose(
             sharded.answers, blunt.answers, rtol=0, atol=1e-9
         )

@@ -214,6 +214,41 @@ class TestBadRequests:
         assert status == 400
         assert "lows/highs" in body["error"]
 
+    @pytest.mark.parametrize("bound", [1e30, 2**70], ids=["float", "int"])
+    def test_bounds_outside_int64_are_400_and_counted(self, engine, bound):
+        payload = json.dumps(
+            {"lows": [[bound, 0]], "highs": [[bound, 0]]}
+        ).encode()
+
+        async def run():
+            async with serve(engine) as server:
+                response = await raw_exchange(
+                    server.port, post_bytes("/v1/query", payload)
+                )
+                return response, server.statz()["counters"]["bad_requests"]
+
+        (status, _, body), bad_requests = asyncio.run(run())
+        assert status == 400
+        assert "lows/highs" in body["error"]
+        assert bad_requests == 1
+
+    def test_negative_content_length_is_400_and_counted(self, engine):
+        request = (
+            b"POST /v1/query HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: -5\r\n\r\n"
+        )
+
+        async def run():
+            async with serve(engine) as server:
+                response = await raw_exchange(server.port, request)
+                return response, server.statz()["counters"]["bad_requests"]
+
+        (status, headers, body), bad_requests = asyncio.run(run())
+        assert status == 400
+        assert body["error"] == "bad Content-Length"
+        assert headers.get("connection") == "close"
+        assert bad_requests == 1
+
     def test_out_of_range_query_is_400(self, engine):
         async def run():
             async with serve(engine) as server:

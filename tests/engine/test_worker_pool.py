@@ -29,8 +29,14 @@ import numpy as np
 import pytest
 
 from repro.core import QueryError, ShmShardLayout, boxes_to_arrays, full_box
-from repro.core.sharding import SHARD_SKIPPED
-from repro.engine import Engine, EngineConfig, ServingError, ShardWorkerPool
+from repro.core.sharding import SHARD_SKIPPED, answer_sharded
+from repro.engine import (
+    Engine,
+    EngineConfig,
+    QueryRequest,
+    ServingError,
+    ShardWorkerPool,
+)
 from repro.methods._grid import axis_intervals
 from repro.core import PrivateFrequencyMatrix, packed_from_intervals
 
@@ -68,9 +74,7 @@ def pool(private):
 
 
 def _serial(private, lows, highs):
-    return Engine(
-        private, EngineConfig(n_shards=3, shard_executor="serial")
-    ).answer_sharded(lows, highs)
+    return answer_sharded(private.packed, lows, highs, n_shards=3)
 
 
 def _wait_dead(process, timeout=5.0):
@@ -257,7 +261,7 @@ class TestShutdown:
         engine.close()
         assert first.closed and engine.pool_stats() is None
         # The engine stays usable: a later batch spawns a fresh pool.
-        result = engine.answer_sharded(lows, highs)
+        result = engine.answer(QueryRequest(lows, highs))
         try:
             np.testing.assert_array_equal(
                 result.answers[: serial.answers.size],

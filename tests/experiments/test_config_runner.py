@@ -43,21 +43,22 @@ class TestScale:
             ExperimentScale("x", 0, 1, 1, 1, 1)
 
     def test_n_shards_validation(self):
-        with pytest.raises(ValidationError):
-            ExperimentScale("x", 1, 1, 1, 1, 1, n_shards=0)
-        assert ExperimentScale("x", 1, 1, 1, 1, 1).n_shards is None
-        s = TINY_SCALE.with_overrides(n_shards=3)
-        assert s.n_shards == 3
+        # The shard count travels inside the scale's EngineConfig, which
+        # validates it.
+        from repro.core import QueryError
+        from repro.engine import EngineConfig
+
+        with pytest.raises(QueryError, match="n_shards"):
+            TINY_SCALE.with_overrides(engine_config=EngineConfig(n_shards=0))
 
     def test_engine_config_exclusive_with_n_shards(self):
+        # EngineConfig is the scale's only shard knob.
         from repro.engine import EngineConfig
 
         s = TINY_SCALE.with_overrides(engine_config=EngineConfig(n_shards=3))
         assert s.engine_config.n_shards == 3
-        with pytest.raises(ValidationError, match="not both"):
-            TINY_SCALE.with_overrides(
-                n_shards=3, engine_config=EngineConfig()
-            )
+        with pytest.raises(TypeError):
+            ExperimentScale("x", 1, 1, 1, 1, 1, n_shards=3)
 
 
 class TestMethodSpec:

@@ -116,9 +116,10 @@ class ScrambledExecutor(SerialExecutor):
     execution order, this would diverge from the serial run.
     """
 
-    def run_trials(self, matrix, workloads, tasks, extra=None, n_shards=None):
+    def run_trials(self, matrix, workloads, tasks, extra=None,
+                   engine_config=None):
         reversed_rows = super().run_trials(
-            matrix, workloads, list(reversed(tasks)), extra, n_shards
+            matrix, workloads, list(reversed(tasks)), extra, engine_config
         )
         return list(reversed(reversed_rows))
 

@@ -26,18 +26,20 @@ class TestParser:
             build_parser().parse_args(["figure", "figure99"])
 
     def test_figure_n_shards_flag(self):
+        # Sharding is configured only through --engine-config.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["figure", "table3", "--n-shards", "3"])
         args = build_parser().parse_args(
-            ["figure", "table3", "--n-shards", "3"]
+            ["figure", "table3", "--engine-config", "n_shards=3"]
         )
-        assert args.n_shards == 3
-        assert build_parser().parse_args(["figure", "table3"]).n_shards is None
+        assert args.engine_config == "n_shards=3"
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.command == "serve"
-        assert args.clients == 32
-        assert args.queries_per_client == 4
         assert args.engine_config is None
+        with pytest.raises(SystemExit):  # serve simulates no clients
+            build_parser().parse_args(["serve", "--clients", "8"])
 
     def test_serve_network_flags(self):
         args = build_parser().parse_args(
@@ -47,7 +49,7 @@ class TestParser:
         assert args.port == 8080
         assert args.off_loop is False
         defaults = build_parser().parse_args(["serve"])
-        assert defaults.port is None  # no port: legacy smoke demo
+        assert defaults.port == 8000
         assert defaults.off_loop is True
         assert defaults.max_pending == 1024
         assert defaults.request_timeout == 30.0
@@ -120,19 +122,20 @@ class TestCommands:
         assert "daf_entropy" in out
 
     def test_figure_with_forced_sharding(self, capsys):
-        # The sharded engine end-to-end through the CLI: partitioned
+        # The sharded engine end-to-end through the CLI: a shard
+        # executor alone selects the sharded layout, so partitioned
         # methods must report plan=sharded in the rendered rows.
-        code = main(
-            ["figure", "table3", "--scale", "tiny", "--n-shards", "2"]
-        )
+        code = main([
+            "figure", "table3", "--scale", "tiny",
+            "--engine-config", "shard_executor=serial",
+        ])
         assert code == 0
         assert "sharded" in capsys.readouterr().out
 
     def test_figure_with_engine_config(self, capsys):
-        # The full EngineConfig path: a sharded config through
-        # --engine-config instead of the legacy --n-shards knob.
-        # n_shards alone (no forced plan) lets dense-backed methods in
-        # the mixed set keep their dense route.
+        # A sharded config through --engine-config: n_shards alone (no
+        # forced plan) lets dense-backed methods in the mixed set keep
+        # their dense route.
         code = main([
             "figure", "table3", "--scale", "tiny",
             "--engine-config", "n_shards=2",
@@ -156,19 +159,6 @@ class TestCommands:
                 "sanitize", "--dataset", "gaussian", "--n-points", "2000",
                 "--n-queries", "10", "--engine-config", "bogus=1",
             ])
-
-    def test_serve_smoke(self, capsys):
-        code = main([
-            "serve", "--dataset", "gaussian", "--n-points", "4000",
-            "--dims", "2", "--method", "ag", "--clients", "8",
-            "--queries-per-client", "3",
-            "--engine-config", "plan=broadcast,max_batch_size=8",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "served 8 clients" in out
-        assert "1 tick(s)" in out
-        assert "max |batched - serial| = 0" in out
 
     def test_serve_port_boots_live_http_server(self):
         # The real network path: `repro serve --port 0` in a subprocess,

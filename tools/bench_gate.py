@@ -10,17 +10,23 @@ gate deliberately never compares wall-clock fields.
 
 Usage (what the CI ``bench-gate`` job runs; also works locally)::
 
-    # stash the committed artifacts, re-measure from a clean slate
-    # (mv, not cp: stale committed values must not pose as fresh ones),
-    # then compare
-    mkdir -p /tmp/bench-baseline && mv BENCH_*.json /tmp/bench-baseline/
+    # The benchmarks and the loadtest write fresh artifacts to the
+    # gitignored bench-out/; start from an empty one, so stale values
+    # cannot pose as fresh ones, then compare against the committed
+    # baselines at the repository root.
+    rm -rf bench-out
     REPRO_BENCH_SCALE=tiny PYTHONPATH=src python -m pytest \
         benchmarks/test_micro_query_engine.py \
         benchmarks/test_micro_parallel_trials.py \
         benchmarks/test_micro_sharded.py \
         benchmarks/test_micro_async_batching.py -q
     python tools/loadtest.py --ci --no-enforce
-    python tools/bench_gate.py --baseline /tmp/bench-baseline --fresh .
+    python tools/bench_gate.py --baseline . --fresh bench-out
+
+Test runs never rewrite the committed baselines.  Refreshing one is an
+explicit copy of a fresh artifact, committed on purpose::
+
+    cp bench-out/BENCH_<name>.json .
 
 Rules
 -----

@@ -4,8 +4,8 @@
 ``DENSE_SWITCH_FACTOR`` and the ``PRUNE_*`` constants were chosen on one
 development machine; the right crossovers depend on the host's BLAS,
 memory bandwidth, and core count.  This tool reads the measurements the
-query-engine micro-benchmark already records (``BENCH_query_engine.json``
-at the repository root) and prints *suggested*
+query-engine micro-benchmark already records
+(``bench-out/BENCH_query_engine.json``) and prints *suggested*
 :class:`repro.engine.EngineConfig` threshold overrides for this machine
 — as an ``EngineConfig(...)`` call, a CLI ``--engine-config`` string,
 and ``REPRO_ENGINE_*`` environment exports.  It never applies anything:
@@ -32,7 +32,8 @@ Model
 
 Usage::
 
-    PYTHONPATH=src python tools/calibrate.py [--artifact BENCH_query_engine.json]
+    PYTHONPATH=src python tools/calibrate.py \
+        [--artifact bench-out/BENCH_query_engine.json]
 """
 
 from __future__ import annotations
@@ -151,8 +152,9 @@ def main(argv: list[str] | None = None) -> int:
         "--artifact",
         type=Path,
         default=Path(__file__).resolve().parent.parent
-        / "BENCH_query_engine.json",
-        help="measured BENCH_query_engine.json (default: repository root)",
+        / "bench-out" / "BENCH_query_engine.json",
+        help="measured BENCH_query_engine.json (default: the fresh one "
+             "the micro-benchmark writes to bench-out/)",
     )
     args = parser.parse_args(argv)
     if not args.artifact.is_file():

@@ -3,8 +3,8 @@
 
 Boots the real ``repro serve`` CLI server as a subprocess (off-loop and
 on-loop, back to back), replays a skewed query stream from many
-concurrent HTTP clients, and writes ``BENCH_serving.json`` — the
-serving SLO artifact tracked by ``tools/bench_gate.py``.
+concurrent HTTP clients, and writes ``bench-out/BENCH_serving.json``
+— the serving SLO artifact tracked by ``tools/bench_gate.py``.
 
 What one run measures
 ---------------------
@@ -77,7 +77,7 @@ from repro.engine import (  # noqa: E402
 )
 from repro.engine.server import percentile  # noqa: E402
 
-ARTIFACT = REPO_ROOT / "BENCH_serving.json"
+ARTIFACT = REPO_ROOT / "bench-out" / "BENCH_serving.json"
 
 #: The serving plan is pinned for the whole harness: determinism lever
 #: (bit-identical HTTP vs in-process answers) and the kernel whose
@@ -164,6 +164,16 @@ async def fetch_statz(host: str, port: int) -> dict:
         return await c.statz()
 
 
+def engine_config_arg(args) -> str:
+    """The servers' ``--engine-config``: the pinned plan plus shard knobs."""
+    pairs = [f"plan={args.plan}"]
+    if args.shard_executor:
+        pairs.append(f"shard_executor={args.shard_executor}")
+    if args.n_shards is not None:
+        pairs.append(f"n_shards={args.n_shards}")
+    return ",".join(pairs)
+
+
 def spawn_server(args, off_loop: bool) -> "tuple[subprocess.Popen, int]":
     """Boot ``repro serve --port 0`` and parse the bound port."""
     cmd = [
@@ -173,13 +183,9 @@ def spawn_server(args, off_loop: bool) -> "tuple[subprocess.Popen, int]":
         "--bench-substrate", str(args.grid_m),
         "--bench-shape", str(args.shape),
         "--seed", str(args.seed),
-        "--engine-config", f"plan={args.plan}",
+        "--engine-config", engine_config_arg(args),
         "--request-timeout", str(args.timeout),
     ]
-    if args.shard_executor:
-        cmd += ["--shard-executor", args.shard_executor]
-    if args.n_shards is not None:
-        cmd += ["--n-shards", str(args.n_shards)]
     if not off_loop:
         cmd.append("--no-off-loop")
     env = dict(os.environ)
@@ -463,6 +469,7 @@ def main(argv: "list[str] | None" = None) -> int:
                 f"from in-process Engine.answer"
             )
 
+    args.output.parent.mkdir(parents=True, exist_ok=True)
     args.output.write_text(json.dumps(payload, indent=1))
     print(f"wrote {args.output}")
     if failures and not args.no_enforce:
