@@ -21,9 +21,13 @@ running maximum of ``hi`` along that order is precomputed.  A query
 Two binary searches per (query, dimension) therefore bound the candidate
 set from above; the dimension with the smallest slice is the probe axis.
 Gathered candidates then go through the exact overlap product (the same
-arithmetic as the broadcast kernel, clipped at zero), so false positives
-contribute exactly zero and the answers are *identical* to the unpruned
-kernel up to float summation order.
+arithmetic as the broadcast kernel, clipped at zero, on the same narrow
+:class:`~repro.core.packed.OverlapLayout`: per-axis lengths in the
+narrowest int holding ``max(shape)``, their product in int32, one cast
+to float64), so false positives contribute exactly zero and the answers
+are *identical* to the unpruned kernel up to float summation order.
+The integer product is exact, so the gather is bit-identical to the
+same gather done in int64/float64.
 
 The slice lengths double as the planner's cost signal: their sum
 estimates how many pairs the pruned gather touches, and
@@ -73,9 +77,10 @@ PRUNE_OVERHEAD_PAIRS = 64
 PRUNE_SAFETY_FACTOR = 8.0
 
 #: Upper bound on gathered (query, partition) pairs per processing chunk
-#: of the pruned strategy, so peak memory stays bounded like the
-#: broadcast kernel's query tiling.
-GATHER_TILE_PAIRS = 2_000_000
+#: of the pruned strategy.  Like the broadcast kernel's query tiles, a
+#: 64k-pair chunk keeps every temporary cache-resident (about twice as
+#: fast as 2M-pair chunks) and bounds peak memory.
+GATHER_TILE_PAIRS = 65_536
 
 
 @dataclass(frozen=True)
@@ -114,12 +119,15 @@ class IntervalIndex:
         self._packed = packed
         lo, hi = packed.lo, packed.hi
         d = lo.shape[1]
-        self._order: List[np.ndarray] = []
+        # One (d, k) array, so the pruned gather can address every
+        # axis's order with a single flat index.
+        self._order = np.ascontiguousarray(
+            np.argsort(lo.T, axis=1, kind="stable")
+        )
         self._lo_sorted: List[np.ndarray] = []
         self._run_max_hi: List[np.ndarray] = []
         for a in range(d):
-            order = np.argsort(lo[:, a], kind="stable")
-            self._order.append(order)
+            order = self._order[a]
             self._lo_sorted.append(np.ascontiguousarray(lo[order, a]))
             self._run_max_hi.append(np.maximum.accumulate(hi[order, a]))
 
@@ -127,7 +135,7 @@ class IntervalIndex:
     def from_buffers(
         cls,
         packed: "PackedPartitioning",
-        order: List[np.ndarray],
+        order: np.ndarray,
         lo_sorted: List[np.ndarray],
         run_max_hi: List[np.ndarray],
     ) -> "IntervalIndex":
@@ -135,15 +143,15 @@ class IntervalIndex:
 
         The zero-copy construction path of the shared-memory shard
         layout (:mod:`repro.core.shm`): a worker process attaches the
-        per-dimension ``order`` / ``lo_sorted`` / ``run_max_hi`` arrays
-        the parent built once, instead of re-sorting — so the attached
-        index is buffer-identical to the parent's, not merely
-        value-equal.  No validation: the caller owns consistency with
-        ``packed``.
+        ``(d, k)`` ``order`` array and the per-dimension ``lo_sorted`` /
+        ``run_max_hi`` arrays the parent built once, instead of
+        re-sorting — so the attached index is buffer-identical to the
+        parent's, not merely value-equal.  No validation: the caller
+        owns consistency with ``packed``.
         """
         index = object.__new__(cls)
         index._packed = packed
-        index._order = list(order)
+        index._order = order
         index._lo_sorted = list(lo_sorted)
         index._run_max_hi = list(run_max_hi)
         return index
@@ -238,10 +246,11 @@ class IntervalIndex:
         clipped at zero, contracted against ``noisy / n_cells`` weights)
         — only the partitions that each query's probe axis cannot rule
         out are touched.  The candidate slices of a whole chunk of
-        queries are concatenated into one flat gather, the overlap
-        products computed in a single vectorized pass, and the per-query
-        sums recovered with a segmented ``bincount`` — the Python-level
-        loop only collects array views.  ``lows``/``highs`` are
+        queries are gathered as one flat ``np.take`` over the flattened
+        order, the overlap products computed in a single vectorized
+        pass on the narrow :class:`~repro.core.packed.OverlapLayout`,
+        and the per-query sums recovered with a segmented ``bincount``
+        — no Python-level loop runs per query.  ``lows``/``highs`` are
         ``(q, d)`` validated bounds; chunks are sized so no more than
         ``tile_pairs`` gathered pairs are in flight at once.  ``slices``
         accepts this batch's :meth:`candidate_slices` result when the
@@ -261,7 +270,13 @@ class IntervalIndex:
         rows = np.arange(q)
         lengths = per_dim[rows, best_axis]
         bounds = np.concatenate([[0], np.cumsum(lengths)])
-        lo, hi = self._packed.lo, self._packed.hi
+        # Each query's candidates are one run of the flattened (d, k)
+        # order, starting at its probe axis's slice start.
+        first = best_axis * self.n_partitions + slice_start[rows, best_axis]
+        order = self._order.reshape(-1)
+        layout = self._packed.overlap_layout()
+        qlo, qhi = layout.queries(lows, highs)
+        plo, phi = layout.lo, layout.hi
         weights = self._packed.weights
         start = 0
         while start < q:
@@ -271,26 +286,28 @@ class IntervalIndex:
                 np.searchsorted(bounds, bounds[start] + tile_pairs, "right")
             ) - 1
             stop = min(max(stop, start + 1), q)
-            ids_chunks = [
-                self._order[best_axis[i]][
-                    slice_start[i, best_axis[i]]:slice_stop[i, best_axis[i]]
-                ]
-                for i in range(start, stop)
-                if lengths[i] > 0
-            ]
-            if not ids_chunks:
+            n_pairs = int(bounds[stop] - bounds[start])
+            if n_pairs == 0:
                 start = stop
                 continue
-            ids = np.concatenate(ids_chunks)
-            qidx = np.repeat(np.arange(start, stop), lengths[start:stop])
-            ov = np.minimum(highs[qidx], hi[ids])
-            ov -= np.maximum(lows[qidx], lo[ids])
-            ov += 1
-            np.clip(ov, 0, None, out=ov)
-            vals = ov.prod(axis=1, dtype=np.float64)
-            vals *= weights[ids]
+            reps = lengths[start:stop]
+            run_offset = first[start:stop] - (bounds[start:stop] - bounds[start])
+            ids = np.take(order, np.repeat(run_offset, reps) + np.arange(n_pairs))
+            # The broadcast kernel's overlap product, over gathered
+            # (query, partition) pairs.  ``np.take`` and ``np.repeat``
+            # gather several times faster than fancy indexing.
+            acc = layout.cells(
+                np.repeat(qlo[:, start:stop], reps, axis=1),
+                np.repeat(qhi[:, start:stop], reps, axis=1),
+                np.take(plo, ids, axis=1),
+                np.take(phi, ids, axis=1),
+            )
+            vals = acc.astype(np.float64, copy=False)
+            vals *= np.take(weights, ids)
             out[start:stop] = np.bincount(
-                qidx - start, weights=vals, minlength=stop - start
+                np.repeat(np.arange(stop - start), reps),
+                weights=vals,
+                minlength=stop - start,
             )
             start = stop
         return out

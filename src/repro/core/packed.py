@@ -22,12 +22,24 @@ batch of box queries at once:
   answer vector is a single matrix-vector product against the
   precomputed ``noisy_counts / n_cells`` weights.
 
-Query batches are processed in tiles (:data:`DEFAULT_TILE_ELEMENTS`
-elements per intermediate) so peak memory stays bounded no matter how
+The arithmetic runs on a narrow :class:`OverlapLayout`, built once per
+matrix: bounds transposed to contiguous ``(d, k)`` rows in the
+narrowest signed int holding ``max(shape)`` (int8 for the ``11**6`` OD
+matrices), the product across axes accumulated in int32 (float64 when
+a partition has more than ``2**31 - 1`` cells).  Integer ops are exact
+and every partial product is an integer below ``2**53``, so the single
+cast to float64 yields exactly the values an all-float64 kernel
+computes; the ``einsum`` contraction then reduces each row in an order
+that depends only on ``k``.  Answers are therefore bit-identical to the
+int64/float64 arithmetic, whatever the tile size or batch composition.
+
+Query batches are processed in cache-sized tiles
+(:data:`DEFAULT_TILE_ELEMENTS` elements per intermediate, buffers
+allocated once per call), so peak memory stays bounded no matter how
 large ``q × k`` grows.  The scalar loop in
 :meth:`~repro.core.private_matrix.PrivateFrequencyMatrix.answer` remains
-the reference implementation; the test suite asserts bit-level agreement
-(within 1e-9) between the two.
+the reference implementation; the test suite asserts agreement within
+1e-9 between the two.
 """
 
 from __future__ import annotations
@@ -44,13 +56,104 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .partition import Partitioning
     from .sharding import PartitionShard
 
-#: Target number of elements per broadcast intermediate (~32 MB of
-#: float64).  Query batches are tiled so no single ``(q_tile, k)`` array
-#: exceeds this.
-DEFAULT_TILE_ELEMENTS = 4_000_000
+#: Target number of elements per broadcast tile.  Query batches are
+#: tiled so no single ``(q_tile, k)`` intermediate exceeds this; at 64k
+#: elements the four tile buffers (two narrow ints, the int32 product,
+#: its float64 copy) take under 1 MB and stay cache-resident.
+DEFAULT_TILE_ELEMENTS = 65_536
 
 #: Row-block size for the vectorized pairwise-disjointness check.
 _DISJOINT_BLOCK = 512
+
+
+#: Candidate bound dtypes of :class:`OverlapLayout`, narrowest first.
+_NARROW_INTS = (np.int8, np.int16, np.int32, np.int64)
+
+
+class OverlapLayout:
+    """The overlap kernels' view of a partitioning's bounds.
+
+    ``lo`` and ``hi`` are the partition bounds transposed to contiguous
+    ``(d, k)`` rows, ``hi`` exclusive (``hi + 1``), stored in
+    :attr:`dtype`: the narrowest signed int holding ``max(shape)``.
+    With query bounds clipped into ``[0, max(shape)]`` (which changes
+    no overlap length), every per-axis step
+    ``max(0, min(q_hi, p_hi) - max(q_lo, p_lo))`` stays inside
+    ``[-max(shape), max(shape)]``, so it is exact in that dtype.
+
+    A clipped overlap never exceeds the partition's own extent on that
+    axis, so the product across axes never exceeds the partition's
+    ``n_cells``.  :attr:`acc_dtype` is int32 when the largest ``n_cells``
+    fits it, else float64.  Either way the product is exact: integer
+    ops are exact, and every partial product is an integer below
+    ``2**53``, which float64 represents exactly.  Cast to float64, it
+    equals the all-float64 product bit for bit.  :meth:`cells` is the
+    only place this arithmetic is written; the broadcast kernel and the
+    pruned gather both call it.
+    """
+
+    __slots__ = ("lo", "hi", "dtype", "acc_dtype", "_bound")
+
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, shape: Sequence[int],
+                 n_cells: np.ndarray):
+        self._bound = max(shape)
+        self.dtype = next(
+            t for t in _NARROW_INTS if np.iinfo(t).max >= self._bound
+        )
+        self.lo = np.ascontiguousarray(lo.T, dtype=self.dtype)
+        self.hi = np.ascontiguousarray((hi + 1).T, dtype=self.dtype)
+        fits = int(n_cells.max()) <= np.iinfo(np.int32).max
+        self.acc_dtype = np.int32 if fits else np.float64
+
+    def queries(
+        self, lows: np.ndarray, highs: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(d, q)`` query bounds in :attr:`dtype`, ``highs`` exclusive."""
+        qlo = np.clip(np.asarray(lows, dtype=np.int64).T, 0, self._bound)
+        # Clip before the +1, so no int64 high bound can wrap.
+        qhi = np.clip(
+            np.asarray(highs, dtype=np.int64).T, -1, self._bound - 1
+        ) + 1
+        return (np.ascontiguousarray(qlo, dtype=self.dtype),
+                np.ascontiguousarray(qhi, dtype=self.dtype))
+
+    def cells(
+        self,
+        qlo: np.ndarray,
+        qhi: np.ndarray,
+        plo: np.ndarray,
+        phi: np.ndarray,
+        *,
+        out: np.ndarray | None = None,
+        scratch: Tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> np.ndarray:
+        """Overlap cell counts of (query, partition) pairs, in :attr:`acc_dtype`.
+
+        Each argument is indexed by axis first: ``qlo[a]``/``qhi[a]``
+        come from :meth:`queries`, ``plo[a]``/``phi[a]`` from :attr:`lo`/
+        :attr:`hi` (broadcast or gathered), and the four must broadcast
+        together.  ``out`` (:attr:`acc_dtype`) and ``scratch`` (two
+        :attr:`dtype` arrays) of the broadcast shape are written in
+        place when given.
+        """
+        ov, low = scratch if scratch is not None else (None, None)
+        for axis in range(len(qlo)):
+            # max(0, min(hi) - max(lo)) against the exclusive upper
+            # bounds; the clamp at zero is max(min(hi), max(lo)) -
+            # max(lo): NumPy's array-array maximum is several times
+            # faster than its array-scalar one.
+            ov = np.minimum(qhi[axis], phi[axis], out=ov)
+            low = np.maximum(qlo[axis], plo[axis], out=low)
+            np.maximum(ov, low, out=ov)
+            np.subtract(ov, low, out=ov)
+            if axis == 0:
+                if out is None:
+                    out = ov.astype(self.acc_dtype)
+                else:
+                    out[...] = ov
+            else:
+                np.multiply(out, ov, out=out)
+        return out
 
 
 def boxes_to_arrays(boxes: Sequence[Box]) -> Tuple[np.ndarray, np.ndarray]:
@@ -118,7 +221,7 @@ class PackedPartitioning:
     """
 
     __slots__ = ("_lo", "_hi", "_noisy", "_true", "_shape", "_n_cells",
-                 "_weights", "_index", "_shards")
+                 "_weights", "_index", "_shards", "_layout")
 
     def __init__(
         self,
@@ -164,6 +267,7 @@ class PackedPartitioning:
         self._weights: np.ndarray | None = None
         self._index: IntervalIndex | None = None
         self._shards: dict | None = None
+        self._layout: OverlapLayout | None = None
         if validate:
             self._validate_bounds()
             self._validate_exact_cover()
@@ -273,6 +377,11 @@ class PackedPartitioning:
             self._index = IntervalIndex(self)
         return self._index
 
+    def __getstate__(self):
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["_layout"] = None  # derived and cheap: rebuilt lazily
+        return None, state
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"PackedPartitioning(shape={self._shape}, "
@@ -350,6 +459,18 @@ class PackedPartitioning:
             self._shards[key] = split_shards(self, requested)
         return self._shards[key]
 
+    def overlap_layout(self) -> "OverlapLayout":
+        """The narrow ``(d, k)`` kernel layout (built once, cached).
+
+        Derived data only: it is dropped on pickling and rebuilt lazily
+        on first use, so neither a pickled shard nor a shared-memory
+        segment carries it.
+        """
+        if self._layout is None:
+            self._layout = OverlapLayout(self._lo, self._hi, self._shape,
+                                         self._n_cells)
+        return self._layout
+
     def answer_many_arrays(
         self,
         lows: np.ndarray,
@@ -362,47 +483,46 @@ class PackedPartitioning:
         The tiled broadcast kernel.  ``lows``/``highs`` are ``(q, d)``
         int arrays of inclusive bounds (already validated — see
         :func:`validate_box_arrays`).  Returns a ``(q,)`` float64
-        vector.  Memory is bounded by tiling the query axis so each
-        ``(q_tile, k)`` intermediate stays under ``tile_elements``
-        elements.  The index-pruned gather is
+        vector.  The query axis is tiled so each ``(q_tile, k)``
+        intermediate stays under ``tile_elements`` elements; the tile
+        buffers are allocated once per call and every step writes into
+        them.  The index-pruned gather is
         :meth:`IntervalIndex.answer_pruned`; choosing between the two
         per batch is :class:`~repro.engine.Engine`'s job.
         """
-        lows = np.asarray(lows, dtype=np.int64)
-        highs = np.asarray(highs, dtype=np.int64)
-        q = lows.shape[0]
+        q = len(lows)
         if q == 0:
             return np.zeros(0, dtype=np.float64)
+        layout = self.overlap_layout()
+        qlo, qhi = layout.queries(lows, highs)
+        plo, phi = layout.lo, layout.hi
         k = self.n_partitions
-        d = self.ndim
         weights = self.weights
         out = np.empty(q, dtype=np.float64)
-        tile = max(1, int(tile_elements) // max(1, k))
-        plo, phi = self._lo, self._hi
+        tile = min(q, max(1, int(tile_elements) // k))
+        ov = np.empty((tile, k), dtype=layout.dtype)
+        low = np.empty((tile, k), dtype=layout.dtype)
+        acc = np.empty((tile, k), dtype=layout.acc_dtype)
+        cells = acc if acc.dtype == np.float64 else np.empty((tile, k))
         for start in range(0, q, tile):
             stop = min(start + tile, q)
-            qlo = lows[start:stop]
-            qhi = highs[start:stop]
-            # Per-dimension overlap lengths, multiplied into (q_tile, k).
-            overlap = np.minimum(qhi[:, None, 0], phi[None, :, 0])
-            overlap = overlap - np.maximum(qlo[:, None, 0], plo[None, :, 0])
-            overlap += 1
-            np.clip(overlap, 0, None, out=overlap)
-            overlap = overlap.astype(np.float64)
-            for axis in range(1, d):
-                ov = np.minimum(qhi[:, None, axis], phi[None, :, axis])
-                ov = ov - np.maximum(qlo[:, None, axis], plo[None, :, axis])
-                ov += 1
-                np.clip(ov, 0, None, out=ov)
-                overlap *= ov
+            n = stop - start
+            acc_t, cells_t = acc[:n], cells[:n]
+            layout.cells(
+                qlo[:, start:stop, None], qhi[:, start:stop, None],
+                plo[:, None, :], phi[:, None, :],
+                out=acc_t, scratch=(ov[:n], low[:n]),
+            )
+            if cells_t is not acc_t:
+                cells_t[...] = acc_t
             # Contract against the weights with einsum rather than a
             # BLAS matvec: BLAS picks its reduction tree from the
             # *matrix* shape, so one query's sum could change with the
             # batch it rides in, while einsum's per-row reduction order
             # depends only on k — every query's answer is bit-identical
-            # across batch compositions, which the async micro-batching
-            # endpoint's determinism guarantee rests on.
-            out[start:stop] = np.einsum("qk,k->q", overlap, weights)
+            # across batch compositions and tile sizes, which the async
+            # micro-batching endpoint's determinism guarantee rests on.
+            np.einsum("qk,k->q", cells_t, weights, out=out[start:stop])
         return out
 
     def answer_many(self, boxes: Sequence[Box]) -> np.ndarray:

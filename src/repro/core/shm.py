@@ -12,11 +12,13 @@ matrix:
   ``noisy_counts`` (the arrays
   :meth:`~repro.core.sharding.PartitionShard.partial` reads), and
 * the backing buffers of the shard's already-built
-  :class:`~repro.core.interval_index.IntervalIndex` (per-dimension
-  ``order`` / ``lo_sorted`` / ``run_max_hi``), so an attaching worker
-  never re-sorts anything — it sees the *same* index the serial path
-  uses, which is one half of the pool ≡ serial bit-identity guarantee
-  (the other half is the fixed-order partial merge in the pool).
+  :class:`~repro.core.interval_index.IntervalIndex` (the ``(d, k)``
+  ``order`` plus per-dimension ``lo_sorted`` / ``run_max_hi``), so an
+  attaching worker never re-sorts anything — it sees the *same* index
+  the serial path uses, which is one half of the pool ≡ serial
+  bit-identity guarantee (the other half is the fixed-order partial
+  merge in the pool).  The kernels' narrow overlap layout is not in
+  the segment: each worker rebuilds it lazily from ``lo`` / ``hi``.
 
 The layout is split into an owner and a handle:
 
@@ -145,8 +147,8 @@ class ShmShardSpec:
     ``manifests[i]`` maps array names to :class:`_ArraySpec` locations
     for shard ``i``; ``bounds[i]`` is the shard's ``[start, stop)``
     range on the parent partition axis; ``ndim`` says how many
-    ``order{a}``/``lo_sorted{a}``/``run_max_hi{a}`` triples each shard
-    carries.
+    ``lo_sorted{a}``/``run_max_hi{a}`` pairs each shard carries next to
+    its ``(d, k)`` ``order``.
     """
 
     segment: str
@@ -190,7 +192,7 @@ class ShmShardSpec:
             )
             packed._index = IntervalIndex.from_buffers(
                 packed,
-                [view(f"order{a}") for a in range(self.ndim)],
+                view("order"),
                 [view(f"lo_sorted{a}") for a in range(self.ndim)],
                 [view(f"run_max_hi{a}") for a in range(self.ndim)],
             )
@@ -251,8 +253,8 @@ class ShmShardLayout:
                 ("hi", shard.packed.hi),
                 ("noisy", shard.packed.noisy_counts),
             ]
+            arrays.append(("order", index._order))
             for a in range(self.ndim):
-                arrays.append((f"order{a}", index._order[a]))
                 arrays.append((f"lo_sorted{a}", index._lo_sorted[a]))
                 arrays.append((f"run_max_hi{a}", index._run_max_hi[a]))
             per_shard.append(arrays)

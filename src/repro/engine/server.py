@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -56,7 +57,10 @@ import numpy as np
 from ..core.exceptions import QueryError, ValidationError
 from .async_batch import AsyncBatchEngine
 from .api import QueryRequest
+from .client import ServingError
 from .engine import Engine
+
+_log = logging.getLogger(__name__)
 
 #: Queue-depth cap: queries queued or executing above this answer 503.
 DEFAULT_MAX_PENDING_REQUESTS = 1024
@@ -90,6 +94,17 @@ _REASONS = {
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
+
+
+class _NonIntegerLiteral(Exception):
+    """A float or ``NaN``/``Infinity`` literal in a request body.
+
+    Not a ``ValueError``, so it cannot be mistaken for malformed JSON.
+    """
+
+
+def _reject_literal(text: str):
+    raise _NonIntegerLiteral(text)
 
 
 def percentile(sorted_values: Sequence[float], q: float) -> float:
@@ -221,6 +236,8 @@ class EngineServer:
             "rejected_queue_full": 0,
             "timeouts": 0,
             "client_disconnects": 0,
+            "serving_errors": 0,
+            "internal_errors": 0,
             "not_found": 0,
             "health_checks": 0,
             "stat_checks": 0,
@@ -467,7 +484,22 @@ class EngineServer:
                 self._retry_header(),
             )
         try:
-            payload = json.loads(body)
+            # Float and NaN/Infinity literals would be truncated to int64
+            # below; the hooks fire only on such tokens, so integer-only
+            # bodies decode at full speed.
+            payload = json.loads(
+                body, parse_float=_reject_literal, parse_constant=_reject_literal
+            )
+        except _NonIntegerLiteral as exc:
+            self._counters["bad_requests"] += 1
+            return (
+                400,
+                {
+                    "error": f"lows/highs must be (q, d) integer arrays "
+                    f"(got the non-integer literal {exc})"
+                },
+                None,
+            )
         except ValueError as exc:
             self._counters["bad_requests"] += 1
             return 400, {"error": f"invalid JSON: {exc}"}, None
@@ -537,6 +569,15 @@ class EngineServer:
         except (QueryError, ValidationError) as exc:
             self._counters["bad_requests"] += 1
             return 400, {"error": str(exc)}, None
+        except ServingError as exc:
+            # A resident-pool failure (docs/WORKERS.md): keep its status.
+            self._counters["serving_errors"] += 1
+            extra = self._retry_header() if exc.status == 503 else None
+            return exc.status, {"error": str(exc), **exc.payload}, extra
+        except Exception:  # noqa: BLE001 - every request gets a response
+            self._counters["internal_errors"] += 1
+            _log.exception("unexpected error answering a query batch")
+            return 500, {"error": "internal server error"}, None
         finally:
             self._in_progress -= 1
         self._latencies.append(loop.time() - start)

@@ -249,6 +249,44 @@ class TestBadRequests:
         assert headers.get("connection") == "close"
         assert bad_requests == 1
 
+    @pytest.mark.parametrize(
+        "literal", ["1.7", "1.0", "1e2", "-0.5", "NaN", "Infinity", "-Infinity"]
+    )
+    def test_non_integer_literals_are_400_and_counted(self, engine, literal):
+        # Before strict decoding, 1.7 was silently truncated to 1 and
+        # answered with 200.
+        body = (
+            '{"lows": [[%s, 0]], "highs": [[5, 5]]}' % literal
+        ).encode()
+
+        async def run():
+            async with serve(engine) as server:
+                response = await raw_exchange(
+                    server.port, post_bytes("/v1/query", body)
+                )
+                return response, server.statz()["counters"]
+
+        (status, _, body), counters = asyncio.run(run())
+        assert status == 400
+        assert "integer" in body["error"]
+        assert literal in body["error"]
+        assert counters["bad_requests"] == 1
+        assert counters["answered_requests"] == 0
+
+    def test_integer_body_still_answers(self, engine):
+        body = b'{"lows": [[1, 0]], "highs": [[5, 5]]}'
+
+        async def run():
+            async with serve(engine) as server:
+                return await raw_exchange(
+                    server.port, post_bytes("/v1/query", body)
+                )
+
+        status, _, payload = asyncio.run(run())
+        expected = engine.answer(QueryRequest([[1, 0]], [[5, 5]])).answers
+        assert status == 200
+        assert payload["answers"] == expected.tolist()
+
     def test_out_of_range_query_is_400(self, engine):
         async def run():
             async with serve(engine) as server:
@@ -401,6 +439,91 @@ class TestFlowControl:
             )
             == 0.0
         )
+
+
+class TestFailureMapping:
+    """Tick failures reach every tick-mate as a well-formed response."""
+
+    @staticmethod
+    def _fail_ticks(monkeypatch, exc):
+        def answer(self, request):
+            raise exc
+
+        monkeypatch.setattr(Engine, "answer", answer)
+
+    @staticmethod
+    async def _two_requests_then_health(server):
+        request = post_bytes("/v1/query", b'{"lows": [[0, 0]], "highs": [[3, 3]]}')
+        responses = await asyncio.gather(
+            raw_exchange(server.port, request),
+            raw_exchange(server.port, request),
+        )
+        health = await raw_exchange(
+            server.port, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+        )
+        return responses, health, server.statz()["counters"]
+
+    def test_pool_serving_error_keeps_status_and_retry_after(
+        self, private, monkeypatch
+    ):
+        self._fail_ticks(
+            monkeypatch,
+            ServingError(503, {"error": "shard worker 0 crashed twice"}),
+        )
+
+        async def run():
+            async with serve(Engine(private), retry_after=2.5) as server:
+                return await self._two_requests_then_health(server)
+
+        responses, health, counters = asyncio.run(run())
+        for status, headers, body in responses:
+            assert status == 503
+            assert headers["retry-after"] == "2.5"
+            assert body["error"] == "shard worker 0 crashed twice"
+        assert counters["serving_errors"] == 2
+        assert counters["internal_errors"] == 0
+        assert health[0] == 200 and health[2] == {"status": "ok"}
+
+    def test_pool_worker_error_frame_is_500_without_retry_after(
+        self, private, monkeypatch
+    ):
+        self._fail_ticks(
+            monkeypatch,
+            ServingError(500, {"error": "shard worker 1 failed batch 3"}),
+        )
+
+        async def run():
+            async with serve(Engine(private)) as server:
+                return await self._two_requests_then_health(server)
+
+        responses, health, counters = asyncio.run(run())
+        for status, headers, body in responses:
+            assert status == 500
+            assert "retry-after" not in headers
+            assert body["error"] == "shard worker 1 failed batch 3"
+        assert counters["serving_errors"] == 2
+        assert health[0] == 200
+
+    @pytest.mark.parametrize("off_loop", [True, False], ids=["off", "on"])
+    def test_unexpected_exception_is_500_counted_and_logged(
+        self, private, monkeypatch, caplog, off_loop
+    ):
+        self._fail_ticks(monkeypatch, RuntimeError("kernel bug"))
+
+        async def run():
+            async with serve(Engine(private), off_loop=off_loop) as server:
+                return await self._two_requests_then_health(server)
+
+        with caplog.at_level("ERROR", logger="repro.engine.server"):
+            responses, health, counters = asyncio.run(run())
+        for status, _, body in responses:
+            assert status == 500
+            assert body == {"error": "internal server error"}
+        assert counters["internal_errors"] == 2
+        assert counters["serving_errors"] == 0
+        assert health[0] == 200 and health[2] == {"status": "ok"}
+        logged = [r for r in caplog.records if r.exc_info]
+        assert logged and "kernel bug" in str(logged[0].exc_info[1])
 
 
 class TestStatzAndHealth:

@@ -22,12 +22,19 @@ What one run measures
   deterministic across processes): ``serving_max_abs_diff`` must be
   exactly 0.0.  Dropped non-rejected requests (anything other than a
   200 or an explicit 503/413 rejection) fail the run.
-* **Responsiveness phase** — a few clients send deliberately heavy
-  batches (``--heavy-queries-per-request`` against ``k = m**2``
-  partitions with the broadcast plan pinned, ~hundreds of ms per tick)
-  and the server's own ``/statz`` loop-lag monitor records the longest
-  stretch the event loop could not run.  The same traffic is then
-  replayed against an on-loop server; ``responsiveness_ratio =
+* **Responsiveness phase** — a fresh server on a heavy substrate (a
+  ``512 × 512`` grid with one partition per cell, ``k = 262144``)
+  takes a few deliberately heavy batches, and its own ``/statz``
+  loop-lag monitor records the longest stretch the event loop could
+  not run.  The fresh server keeps the throughput phase's lag out of
+  the figure.  The batch size is set by a measured tick, not fixed:
+  queries per request double from 16 until one in-process
+  ``Engine.answer`` on that substrate takes 200 ms.  The
+  on-loop work a request costs even off-loop (JSON, coercion) grows
+  with its query count, the kernel with queries × ``k``, so a large
+  ``k`` keeps that work small next to the kernel however fast the
+  kernel gets.  The same traffic is then replayed against an on-loop
+  server; ``responsiveness_ratio =
   on_loop_max_lag / off_loop_max_lag`` must be at least
   ``--responsiveness-floor`` (default 5): dispatching kernels into the
   worker thread must keep the loop at least that much more responsive.
@@ -46,7 +53,7 @@ Usage::
 With ``--url`` the harness replays the throughput phase against an
 already-running server (booted with the same ``--bench-substrate`` /
 ``--seed`` flags so exactness can still be verified; pass
-``--no-verify`` otherwise) and skips the off-vs-on-loop comparison.
+``--no-verify`` otherwise) and skips the responsiveness phase.
 """
 
 from __future__ import annotations
@@ -87,6 +94,18 @@ ARTIFACT = REPO_ROOT / "bench-out" / "BENCH_serving.json"
 #: deterministic, and with the resident pool the exactness check then
 #: verifies pool answers ≡ serial shard evaluation through HTTP.
 PLAN = "broadcast"
+
+#: Side of the responsiveness phase's square substrate, one partition
+#: per cell.
+HEAVY_SHAPE = 512
+
+#: In-process tick the heavy batches are sized to reach: on-loop lag
+#: then lands in the hundreds of ms, far above off-loop scheduling noise.
+HEAVY_TICK_S = 0.2
+
+#: Smallest heavy batch tried, and the cap on doubling it.
+HEAVY_MIN_QUERIES = 16
+HEAVY_MAX_QUERIES = 16_384
 
 
 def build_queries(
@@ -174,14 +193,16 @@ def engine_config_arg(args) -> str:
     return ",".join(pairs)
 
 
-def spawn_server(args, off_loop: bool) -> "tuple[subprocess.Popen, int]":
+def spawn_server(
+    args, off_loop: bool, shape: int, grid_m: int
+) -> "tuple[subprocess.Popen, int]":
     """Boot ``repro serve --port 0`` and parse the bound port."""
     cmd = [
         sys.executable, "-m", "repro", "serve",
         "--host", args.host,
         "--port", "0",
-        "--bench-substrate", str(args.grid_m),
-        "--bench-shape", str(args.shape),
+        "--bench-substrate", str(grid_m),
+        "--bench-shape", str(shape),
         "--seed", str(args.seed),
         "--engine-config", engine_config_arg(args),
         "--request-timeout", str(args.timeout),
@@ -218,14 +239,33 @@ def stop_server(proc: subprocess.Popen) -> None:
         proc.wait(timeout=10)
 
 
-def measure_mode(args, off_loop: bool, reference: "Engine | None") -> dict:
-    """Boot one server mode, run both phases, return its measurements."""
+def measure_mode(
+    args, off_loop: bool, reference: "Engine | None", heavy: list
+) -> dict:
+    """Boot one server mode per phase, return its measurements."""
     label = "off-loop" if off_loop else "on-loop"
-    proc, port = spawn_server(args, off_loop)
+    proc, port = spawn_server(args, off_loop, args.shape, args.grid_m)
     try:
-        return drive_server(args, args.host, port, label, reference)
+        measurements = drive_server(args, args.host, port, label, reference)
     finally:
         stop_server(proc)
+    proc, port = spawn_server(args, off_loop, HEAVY_SHAPE, HEAVY_SHAPE)
+    try:
+        heavy_result = asyncio.run(
+            run_phase(args.host, port, heavy, args.heavy_clients, args.timeout)
+        )
+        statz = asyncio.run(fetch_statz(args.host, port))
+    finally:
+        stop_server(proc)
+    measurements["rejected_requests"] += heavy_result.rejected
+    measurements["dropped_requests"] += heavy_result.dropped
+    measurements["heavy_max_loop_lag_ms"] = statz["loop"]["max_lag_ms"]
+    print(
+        f"[{label}] heavy phase: {len(heavy)} requests in "
+        f"{heavy_result.elapsed:.2f}s, max loop lag "
+        f"{measurements['heavy_max_loop_lag_ms']:.1f}ms"
+    )
+    return measurements
 
 
 def drive_server(
@@ -259,26 +299,14 @@ def drive_server(
             ) if len(expected) else 0.0
             max_abs_diff = max(max_abs_diff, diff)
 
-    # Responsiveness phase: few clients, heavy ticks.
-    heavy = []
-    for index in range(args.heavy_clients * args.heavy_requests_per_client):
-        lows, highs = build_queries(
-            shape, args.heavy_queries_per_request, args.zipf_a,
-            args.shape // 2, rng,
-        )
-        heavy.append((index, lows, highs))
-    heavy_result = asyncio.run(
-        run_phase(host, port, heavy, args.heavy_clients, args.timeout)
-    )
-
     statz = asyncio.run(fetch_statz(host, port))
     latencies = sorted(throughput.latencies)
     answered = len(throughput.latencies)
     measurements = {
         "label": label,
         "answered_requests": answered,
-        "rejected_requests": throughput.rejected + heavy_result.rejected,
-        "dropped_requests": throughput.dropped + heavy_result.dropped,
+        "rejected_requests": throughput.rejected,
+        "dropped_requests": throughput.dropped,
         "n_queries": throughput.n_queries,
         "elapsed_seconds": throughput.elapsed,
         "queries_per_second": (
@@ -315,7 +343,7 @@ def drive_server(
     return measurements
 
 
-def build_reference(args) -> Engine:
+def build_reference(args, shape: int, grid_m: int) -> Engine:
     """The bit-identical in-process engine the servers were booted from.
 
     Deliberately never uses the resident pool itself: with
@@ -325,11 +353,44 @@ def build_reference(args) -> Engine:
     pool ≡ serial bit-identity assertion.
     """
     private = grid_substrate(
-        shape=(args.shape, args.shape), m=args.grid_m, seed=args.seed
+        shape=(shape, shape), m=grid_m, seed=args.seed
     )
     return Engine(
         private, EngineConfig(plan=args.plan, n_shards=args.n_shards)
     )
+
+
+def build_heavy(args) -> "tuple[list, float]":
+    """The responsiveness phase's batches, sized by a measured tick.
+
+    Queries per request double from :data:`HEAVY_MIN_QUERIES` until one
+    in-process ``Engine.answer`` of a batch on the :data:`HEAVY_SHAPE`
+    substrate (the same plan and shard knobs as the servers) takes
+    :data:`HEAVY_TICK_S`.  Returns the batches and the last measured
+    tick in seconds.
+    """
+    shape = (HEAVY_SHAPE, HEAVY_SHAPE)
+    engine = build_reference(args, HEAVY_SHAPE, HEAVY_SHAPE)
+    rng = np.random.default_rng(args.seed + 29)
+    n_queries = HEAVY_MIN_QUERIES
+    # The first call builds the engine's lazy state; keep it untimed.
+    engine.answer(QueryRequest(*build_queries(shape, 1, args.zipf_a, 0, rng)))
+    while True:
+        lows, highs = build_queries(
+            shape, n_queries, args.zipf_a, HEAVY_SHAPE // 2, rng
+        )
+        start = time.perf_counter()
+        engine.answer(QueryRequest(lows, highs))
+        tick = time.perf_counter() - start
+        if tick >= HEAVY_TICK_S or n_queries >= HEAVY_MAX_QUERIES:
+            break
+        n_queries *= 2
+    batches = [(0, lows, highs)]
+    for index in range(1, args.heavy_clients * args.heavy_requests_per_client):
+        batches.append((index, *build_queries(
+            shape, n_queries, args.zipf_a, HEAVY_SHAPE // 2, rng
+        )))
+    return batches, tick
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -348,8 +409,6 @@ def main(argv: "list[str] | None" = None) -> int:
                         help="skew of the query-center distribution")
     parser.add_argument("--heavy-clients", type=int, default=8)
     parser.add_argument("--heavy-requests-per-client", type=int, default=2)
-    parser.add_argument("--heavy-queries-per-request", type=int, default=512,
-                        help="queries per batch in the responsiveness phase")
     parser.add_argument("--shape", type=int, default=256,
                         help="square side of the bench substrate")
     parser.add_argument("--grid-m", type=int, default=64,
@@ -388,7 +447,10 @@ def main(argv: "list[str] | None" = None) -> int:
         args.heavy_clients = min(args.heavy_clients, 4)
         args.heavy_requests_per_client = 1
 
-    reference = None if args.no_verify else build_reference(args)
+    reference = (
+        None if args.no_verify
+        else build_reference(args, args.shape, args.grid_m)
+    )
 
     payload = {
         "clients": args.clients,
@@ -402,7 +464,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "shard_executor": args.shard_executor,
         "n_shards": args.n_shards,
         "heavy_clients": args.heavy_clients,
-        "heavy_queries_per_request": args.heavy_queries_per_request,
         "responsiveness_floor": args.responsiveness_floor,
     }
     failures = []
@@ -418,20 +479,31 @@ def main(argv: "list[str] | None" = None) -> int:
         # deliberately absent (the bench gate only runs spawn mode).
         payload.update({k: v for k, v in off.items() if k != "label"})
     else:
-        off = measure_mode(args, off_loop=True, reference=reference)
-        on = measure_mode(args, off_loop=False, reference=reference)
+        heavy, heavy_tick = build_heavy(args)
+        payload["heavy_shape"] = [HEAVY_SHAPE, HEAVY_SHAPE]
+        payload["heavy_n_partitions"] = HEAVY_SHAPE ** 2
+        payload["heavy_queries_per_request"] = len(heavy[0][1])
+        payload["heavy_tick_ms"] = 1e3 * heavy_tick
+        print(
+            f"heavy phase: {len(heavy[0][1])} queries per request "
+            f"(in-process tick {1e3 * heavy_tick:.0f}ms against "
+            f"k={HEAVY_SHAPE ** 2})"
+        )
+        off = measure_mode(args, True, reference, heavy)
+        on = measure_mode(args, False, reference, heavy)
         payload.update({k: v for k, v in off.items() if k != "label"})
         payload["on_loop"] = on
-        payload["off_loop_max_lag_ms"] = off["max_loop_lag_ms"]
-        payload["on_loop_max_lag_ms"] = on["max_loop_lag_ms"]
+        payload["off_loop_max_lag_ms"] = off["heavy_max_loop_lag_ms"]
+        payload["on_loop_max_lag_ms"] = on["heavy_max_loop_lag_ms"]
         # Guard the denominator: a perfectly responsive loop would
         # otherwise make the ratio infinite/unstable.
-        floor_lag = max(off["max_loop_lag_ms"], 1e-3)
-        ratio = on["max_loop_lag_ms"] / floor_lag
+        floor_lag = max(payload["off_loop_max_lag_ms"], 1e-3)
+        ratio = payload["on_loop_max_lag_ms"] / floor_lag
         payload["responsiveness_ratio"] = ratio
         print(
-            f"responsiveness: on-loop max lag {on['max_loop_lag_ms']:.1f}ms "
-            f"vs off-loop {off['max_loop_lag_ms']:.1f}ms -> {ratio:.1f}x "
+            f"responsiveness: on-loop max lag "
+            f"{payload['on_loop_max_lag_ms']:.1f}ms vs off-loop "
+            f"{payload['off_loop_max_lag_ms']:.1f}ms -> {ratio:.1f}x "
             f"(floor {args.responsiveness_floor}x)"
         )
         if ratio < args.responsiveness_floor:
