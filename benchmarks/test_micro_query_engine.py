@@ -27,10 +27,9 @@ from repro.core import (
     PLAN_PRUNED,
     PrivateFrequencyMatrix,
     boxes_to_arrays,
-    choose_packed_plan,
     packed_from_intervals,
 )
-from repro.core.interval_index import PRUNE_OVERHEAD_PAIRS
+from repro.core.interval_index import PRUNE_OVERHEAD_PAIRS, plan_with_slices
 from repro.engine import Engine, QueryRequest
 from repro.methods._grid import axis_intervals
 from repro.queries import random_workload
@@ -150,7 +149,7 @@ def test_pruned_plan_speedup_on_small_queries(private_256):
     highs = lows + rng.integers(0, SMALL_QUERY_EXTENT + 1, size=lows.shape)
     packed = private_256.packed
 
-    assert choose_packed_plan(packed, lows, highs) == PLAN_PRUNED
+    assert plan_with_slices(packed, lows, highs)[0] == PLAN_PRUNED
 
     # Warm both paths (index build, weight cache) before timing.
     index = packed.interval_index()

@@ -39,7 +39,6 @@ from .interval_index import (
     PLAN_SHARDED,
     IntervalIndex,
     PlanCost,
-    choose_packed_plan,
 )
 from .packed import (
     PackedPartitioning,
@@ -96,7 +95,6 @@ __all__ = [
     "answer_sharded",
     "box_n_cells",
     "boxes_to_arrays",
-    "choose_packed_plan",
     "shard_bounds",
     "split_shards",
     "clip_nonnegative",

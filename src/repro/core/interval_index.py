@@ -31,10 +31,8 @@ same gather done in int64/float64.
 
 The slice lengths double as the planner's cost signal: their sum
 estimates how many pairs the pruned gather touches, and
-:func:`choose_packed_plan` compares that (plus a per-query gather
+:func:`plan_with_slices` compares that (plus a per-query gather
 overhead) against the ``q × k`` pairs the broadcast kernel always pays.
-Sharded evaluation can reuse the same structure to skip partition ranges
-that no query in a batch touches (see ROADMAP).
 """
 
 from __future__ import annotations
@@ -207,28 +205,6 @@ class IntervalIndex:
         """``(q,)`` estimated fraction of the partition list per query."""
         return self.candidate_counts(lows, highs) / float(self.n_partitions)
 
-    def candidates(self, qlo: np.ndarray, qhi: np.ndarray) -> np.ndarray:
-        """Exact sorted partition ids overlapping one query box.
-
-        The single-query building block for sharded evaluation: probe the
-        cheapest axis, then filter the gathered superset with the full
-        per-axis overlap test.
-        """
-        qlo = np.asarray(qlo, dtype=np.int64).reshape(1, -1)
-        qhi = np.asarray(qhi, dtype=np.int64).reshape(1, -1)
-        if qlo.shape[1] != len(self._order):
-            raise QueryError(
-                f"query has {qlo.shape[1]} dimensions, "
-                f"index has {len(self._order)}"
-            )
-        start, stop = self.candidate_slices(qlo, qhi)
-        lengths = np.clip(stop - start, 0, None)[0]
-        axis = int(lengths.argmin())
-        ids = self._order[axis][start[0, axis]:stop[0, axis]]
-        lo, hi = self._packed.lo, self._packed.hi
-        mask = np.logical_and(lo[ids] <= qhi, hi[ids] >= qlo).all(axis=1)
-        return np.sort(ids[mask])
-
     # ------------------------------------------------------------------
     # The pruned gather strategy
     # ------------------------------------------------------------------
@@ -393,15 +369,3 @@ def plan_with_slices(
     slices = packed.interval_index().candidate_slices(lows, highs)
     counts = np.clip(slices[1] - slices[0], 0, None).min(axis=1)
     return candidate_cost_plan(counts, q, k, cost), slices
-
-
-def choose_packed_plan(
-    packed: "PackedPartitioning",
-    lows: np.ndarray,
-    highs: np.ndarray,
-    *,
-    force: str | None = None,
-    cost: PlanCost | None = None,
-) -> str:
-    """:func:`plan_with_slices` for callers that only want the name."""
-    return plan_with_slices(packed, lows, highs, force=force, cost=cost)[0]

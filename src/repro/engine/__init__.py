@@ -21,7 +21,7 @@ sanitized :class:`~repro.core.PrivateFrequencyMatrix`:
 * :class:`ShardWorkerPool` — the resident shard-worker pool behind
   ``EngineConfig(shard_executor="resident")``: one persistent process
   per partition shard attached zero-copy to a shared-memory segment,
-  with heartbeat, crash restart, and exactly-once segment cleanup (see
+  with crash restart and exactly-once segment cleanup (see
   ``docs/WORKERS.md``);
 * :class:`ServingClient` / :class:`AsyncServingClient` — matching HTTP
   clients that rebuild full :class:`QueryAnswer` objects; non-2xx

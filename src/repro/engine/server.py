@@ -107,6 +107,16 @@ def _reject_literal(text: str):
     raise _NonIntegerLiteral(text)
 
 
+def _non_integers(value):
+    """Yield each element of nested JSON lists that is not an ``int``
+    (a JSON ``true``/``false`` decodes to ``bool``, which is not)."""
+    if type(value) is list:
+        for item in value:
+            yield from _non_integers(item)
+    elif type(value) is not int:
+        yield value
+
+
 def percentile(sorted_values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile of an already-sorted sequence (0 if empty)."""
     if not sorted_values:
@@ -510,9 +520,23 @@ class EngineServer:
         if not isinstance(workload, str):
             self._counters["bad_requests"] += 1
             return 400, {"error": "workload must be a string"}, None
+        # int64 coercion also takes "1" and true as 1.  Integer-only
+        # bodies skip the element walk: a bool needs a true/false token
+        # (both spell "e"), a string needs more quote characters than the
+        # keys and the workload account for.  The walk runs after the
+        # coercion, which caps the nesting it can meet at NumPy's ndim.
+        suspect = (
+            b"e" in body and (b"true" in body or b"false" in body)
+        ) or body.count(b'"') > 2 * (len(payload) + ("workload" in payload))
         try:
             lows = np.asarray(payload.get("lows"), dtype=np.int64)
             highs = np.asarray(payload.get("highs"), dtype=np.int64)
+            if suspect:
+                for name in ("lows", "highs"):
+                    for bad in _non_integers(payload[name]):
+                        raise ValueError(
+                            f"got the non-integer {json.dumps(bad)}"
+                        )
         except (TypeError, ValueError, OverflowError) as exc:
             self._counters["bad_requests"] += 1
             return (

@@ -12,20 +12,18 @@ both prices one-time:
   Workers attach zero-copy views; a restarted worker re-attaches the
   *still-live* segment instead of receiving a fresh copy.
 * **Processes** — one worker per shard, spawned once, answering query
-  batches over request/response queues until shutdown.  Per request
-  only the ``(q, d)`` bound arrays and the ``(q,)`` partial cross the
-  queues.
+  batches over one duplex pipe per worker life until shutdown.  Per
+  request only the ``(q, d)`` bound arrays and the ``(q,)`` partial
+  cross the pipe.
 
 Protocol frames (full tables in ``docs/WORKERS.md``)::
 
     parent -> worker   ("batch", batch_id, lows, highs)
-                       ("ping", token)
                        ("crash_next",)            # test hook
                        ("stop",)
     worker -> parent   ("ready", shard_id, pid)   # warmup handshake
                        ("done", shard_id, batch_id, partial, plan)
                        ("error", shard_id, batch_id, traceback)
-                       ("pong", shard_id, token, batches_done)
 
 Determinism: a worker executes the *same*
 :meth:`~repro.core.sharding.PartitionShard.partial` the serial path
@@ -37,10 +35,25 @@ the shm arrays — so pool answers are **bit-identical** to
 ``shard_executor="serial"``, and the equivalence suite asserts exactly
 that (``==``, not a tolerance).
 
+Waiting: the ready handshake, batch collection and the retry after a
+crash all wait through one primitive, :meth:`_Worker.receive` — a
+:func:`multiprocessing.connection.wait` on the worker's pipe and its
+process sentinel.  A death wakes the parent at once; nothing polls.
+Pipe sends block (there is no feeder thread), so two invariants keep
+parent and worker from deadlocking:
+
+* **every pipe is empty between batches** — :meth:`ShardWorkerPool.answer`
+  reads every dispatched shard's frame before it raises the first
+  failure, and a worker that misses its deadline is killed (its pipe
+  may hold half a frame) and revived, as a restart, on the next
+  dispatch;
+* **dead-or-slow is decided only after reaping** — on EOF
+  ``is_alive()`` can still read True for a moment, so a worker is
+  joined before it is reported dead.
+
 Lifecycle: spawn + ready handshake (:meth:`ShardWorkerPool.__init__`),
-per-worker heartbeat (:meth:`ShardWorkerPool.ping`), automatic restart
-of a crashed worker with the in-flight batch retried once
-(:meth:`ShardWorkerPool.answer`), then a clean
+automatic restart of a crashed worker with the in-flight batch retried
+once (:meth:`ShardWorkerPool.answer`), then a clean
 :class:`~repro.engine.ServingError`; :meth:`ShardWorkerPool.shutdown`
 is idempotent and unlinks the segment exactly once.  A
 :func:`weakref.finalize` net tears down workers and segment if a pool
@@ -49,13 +62,14 @@ is dropped without shutdown.
 
 from __future__ import annotations
 
+import logging
 import multiprocessing
 import os
-import queue as queue_mod
 import threading
 import time
 import traceback
 import weakref
+from multiprocessing.connection import wait
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
@@ -68,19 +82,16 @@ from .client import ServingError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.packed import PackedPartitioning
 
+_log = logging.getLogger(__name__)
+
 #: Seconds a freshly spawned worker gets to attach its shard and send
 #: the ``ready`` handshake before the pool declares it failed.
-DEFAULT_WARMUP_TIMEOUT = 60.0
+WARMUP_TIMEOUT = 60.0
 
 #: Seconds the pool waits for one shard's partial before declaring the
-#: batch failed (a worker that is alive but silent for this long is
-#: indistinguishable from a livelocked one).
-DEFAULT_BATCH_TIMEOUT = 120.0
-
-#: Poll interval while waiting on a worker's response queue; each miss
-#: re-checks worker liveness, which is what turns a kill -9 into a
-#: restart instead of a hang.
-_POLL_INTERVAL = 0.05
+#: batch failed and killing the worker (a worker that is alive but
+#: silent for this long is indistinguishable from a livelocked one).
+BATCH_TIMEOUT = 120.0
 
 #: Exit code of the ``crash_next`` test hook, distinguishable from a
 #: real kill in worker post-mortems.
@@ -103,8 +114,7 @@ def _worker_main(
     spec: ShmShardSpec,
     shard_id: int,
     cost: PlanCost | None,
-    request_queue,
-    response_queue,
+    conn,
 ) -> None:
     """One resident worker: attach the shm shard, answer until told to stop.
 
@@ -115,21 +125,19 @@ def _worker_main(
     serial execution.
     """
     attached = spec.attach(shard_id)
-    batches_done = 0
     crash_next = False
     try:
-        response_queue.put(("ready", shard_id, os.getpid()))
+        conn.send(("ready", shard_id, os.getpid()))
         while True:
-            frame = request_queue.get()
+            try:
+                frame = conn.recv()
+            except EOFError:  # the parent closed its end
+                return
             kind = frame[0]
             if kind == "stop":
                 return
-            if kind == "ping":
-                response_queue.put(
-                    ("pong", shard_id, frame[1], batches_done)
-                )
-            elif kind == "crash_next":
-                # Test hook: die *mid-batch* (after dequeue, before
+            if kind == "crash_next":
+                # Test hook: die *mid-batch* (after receiving, before
                 # reply), the exact window the restart logic covers.
                 crash_next = True
             elif kind == "batch":
@@ -141,7 +149,7 @@ def _worker_main(
                         lows, highs, cost
                     )
                 except BaseException:
-                    response_queue.put(
+                    conn.send(
                         (
                             "error",
                             shard_id,
@@ -150,44 +158,47 @@ def _worker_main(
                         )
                     )
                 else:
-                    batches_done += 1
-                    response_queue.put(
-                        ("done", shard_id, batch_id, partial, plan)
-                    )
+                    conn.send(("done", shard_id, batch_id, partial, plan))
     finally:
         attached.close()
+        conn.close()
 
 
 class _Worker:
-    """Parent-side handle: process + its private queue pair + gauges."""
+    """Parent-side handle: one worker life — process, pipe end, gauges."""
 
-    __slots__ = (
-        "shard_id",
-        "process",
-        "request_queue",
-        "response_queue",
-        "batches",
-        "restarts",
-    )
+    __slots__ = ("shard_id", "process", "conn", "batches", "restarts")
 
-    def __init__(self, shard_id, process, request_queue, response_queue):
+    def __init__(self, shard_id, process, conn):
         self.shard_id = shard_id
         self.process = process
-        self.request_queue = request_queue
-        self.response_queue = response_queue
+        self.conn = conn
         self.batches = 0
         self.restarts = 0
 
-    def discard_queues(self) -> None:
-        """Drop this life's queues (a restart gets a fresh pair, so a
-        dead worker's half-written frames can never leak into the next
-        life's responses)."""
-        for q in (self.request_queue, self.response_queue):
+    def receive(self, timeout: float):
+        """The pool's one wait primitive: the next frame, or ``None``
+        once the worker is dead.
+
+        Sleeps in :func:`multiprocessing.connection.wait` on the pipe
+        and the process sentinel, so a frame, an EOF or an exit wakes
+        it at once.  Death is reported only after the process is
+        reaped.  A worker silent for ``timeout`` seconds is killed and
+        reaped — its pipe may hold half a frame, so it must not serve
+        again; the next dispatch revives it — and :class:`TimeoutError`
+        is raised.
+        """
+        if not wait([self.conn, self.process.sentinel], timeout):
+            self.process.kill()
+            self.process.join()
+            raise TimeoutError
+        if self.conn.poll():  # a frame, or EOF
             try:
-                q.close()
-                q.join_thread()
-            except (OSError, ValueError):  # pragma: no cover - torn down
+                return self.conn.recv()
+            except (EOFError, OSError):
                 pass
+        self.process.join()
+        return None
 
 
 def _finalize_pool(layout: ShmShardLayout, workers: List[_Worker]) -> None:
@@ -197,7 +208,7 @@ def _finalize_pool(layout: ShmShardLayout, workers: List[_Worker]) -> None:
             worker.process.terminate()
     for worker in workers:
         worker.process.join(timeout=5.0)
-        worker.discard_queues()
+        worker.conn.close()
     layout.close()
 
 
@@ -218,14 +229,12 @@ class ShardWorkerPool:
         Per-shard :class:`~repro.core.interval_index.PlanCost`, shipped
         to each worker once so pooled and serial planning are
         identical.
-    start_method:
-        ``"fork"`` / ``"spawn"`` / ``"forkserver"`` override; default
-        prefers fork where the platform has it.
-    warmup_timeout / batch_timeout:
-        Handshake and per-shard response deadlines (seconds).
 
-    The pool is thread-safe (one internal lock serializes dispatch) and
-    usable as a context manager; :meth:`shutdown` is idempotent.
+    Workers start with :func:`_preferred_context`; the handshake and
+    per-shard deadlines are :data:`WARMUP_TIMEOUT` and
+    :data:`BATCH_TIMEOUT`.  The pool is thread-safe (one internal lock
+    serializes dispatch) and usable as a context manager;
+    :meth:`shutdown` is idempotent.
     """
 
     def __init__(
@@ -234,20 +243,11 @@ class ShardWorkerPool:
         n_shards: int | None = None,
         *,
         cost: PlanCost | None = None,
-        start_method: str | None = None,
-        warmup_timeout: float = DEFAULT_WARMUP_TIMEOUT,
-        batch_timeout: float = DEFAULT_BATCH_TIMEOUT,
     ):
         self._layout = ShmShardLayout(packed, n_shards)
         self._spec = self._layout.spec
         self._cost = cost
-        self._ctx = (
-            multiprocessing.get_context(start_method)
-            if start_method is not None
-            else _preferred_context()
-        )
-        self._warmup_timeout = float(warmup_timeout)
-        self._batch_timeout = float(batch_timeout)
+        self._ctx = _preferred_context()
         self._lock = threading.Lock()
         self._closed = False
         self._restarts_total = 0
@@ -309,29 +309,6 @@ class ShardWorkerPool:
             "closed": self._closed,
         }
 
-    def ping(self, timeout: float = 5.0) -> List[bool]:
-        """Heartbeat every worker; ``True`` per worker that answered.
-
-        A dead or silent worker reads ``False`` — it is *not* restarted
-        here (restart is the dispatch path's job, where the in-flight
-        batch context exists); the next :meth:`answer` will revive it.
-        """
-        with self._lock:
-            self._ensure_open()
-            token = f"ping-{time.monotonic_ns()}"
-            alive: List[bool] = []
-            for worker in self._workers:
-                if not worker.process.is_alive():
-                    alive.append(False)
-                    continue
-                try:
-                    worker.request_queue.put(("ping", token))
-                except (OSError, ValueError):
-                    alive.append(False)
-                    continue
-                alive.append(self._await_pong(worker, token, timeout))
-            return alive
-
     # ------------------------------------------------------------------
     # Answering
     # ------------------------------------------------------------------
@@ -345,7 +322,9 @@ class ShardWorkerPool:
         found dead is restarted from the live shm segment before
         dispatch; a worker dying mid-batch triggers one restart + retry
         of that shard's batch, after which the failure surfaces as a
-        :class:`~repro.engine.ServingError` (status 503).
+        :class:`~repro.engine.ServingError` (status 503).  Every
+        dispatched shard's frame is read before the first failure is
+        raised, so no pipe carries a stale frame into the next batch.
         """
         lows = np.asarray(lows, dtype=np.int64)
         highs = np.asarray(highs, dtype=np.int64)
@@ -361,18 +340,30 @@ class ShardWorkerPool:
                 )
             batch_id = self._next_batch_id
             self._next_batch_id += 1
+            failures: List[ServingError] = []
+            dispatched: List[int] = []
             for shard_id in range(self.n_shards):
-                self._dispatch(shard_id, batch_id, lows, highs)
-            self._inflight = self.n_shards
+                try:
+                    self._dispatch(shard_id, batch_id, lows, highs)
+                except ServingError as exc:
+                    failures.append(exc)
+                    break
+                dispatched.append(shard_id)
+            self._inflight = len(dispatched)
+            partials = []
             try:
-                partials = []
-                for shard_id in range(self.n_shards):
-                    partials.append(
-                        self._collect(shard_id, batch_id, lows, highs)
-                    )
+                for shard_id in dispatched:
+                    try:
+                        partials.append(
+                            self._collect(shard_id, batch_id, lows, highs)
+                        )
+                    except ServingError as exc:
+                        failures.append(exc)
                     self._inflight -= 1
             finally:
                 self._inflight = 0
+            if failures:
+                raise failures[0]
         answers = np.zeros(q, dtype=np.float64)
         plans: List[str] = []
         for partial, plan in partials:
@@ -402,8 +393,8 @@ class ShardWorkerPool:
             for worker in self._workers:
                 if worker.process.is_alive():
                     try:
-                        worker.request_queue.put(("stop",))
-                    except (OSError, ValueError):
+                        worker.conn.send(("stop",))
+                    except OSError:
                         pass
             deadline = time.monotonic() + timeout
             for worker in self._workers:
@@ -413,7 +404,7 @@ class ShardWorkerPool:
                 if worker.process.is_alive():
                     worker.process.terminate()
                     worker.process.join(timeout=5.0)
-                worker.discard_queues()
+                worker.conn.close()
             self._finalizer.detach()  # cleanup is done; drop the net
             self._layout.close()
 
@@ -439,83 +430,47 @@ class ShardWorkerPool:
             )
 
     def _spawn_worker(self, shard_id: int) -> _Worker:
-        request_queue = self._ctx.Queue()
-        response_queue = self._ctx.Queue()
+        conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_worker_main,
-            args=(
-                self._spec,
-                shard_id,
-                self._cost,
-                request_queue,
-                response_queue,
-            ),
+            args=(self._spec, shard_id, self._cost, child_conn),
             name=f"repro-shard-{shard_id}",
             daemon=True,
         )
-        process.start()
-        return _Worker(shard_id, process, request_queue, response_queue)
+        try:
+            process.start()
+        finally:
+            # The worker now holds the only copy of its end, so its
+            # exit reads as EOF here.
+            child_conn.close()
+        return _Worker(shard_id, process, conn)
 
     def _await_ready(self, worker: _Worker) -> None:
-        deadline = time.monotonic() + self._warmup_timeout
-        while True:
-            try:
-                frame = worker.response_queue.get(timeout=_POLL_INTERVAL)
-            except queue_mod.Empty:
-                if not worker.process.is_alive():
-                    raise ServingError(
-                        503,
-                        {
-                            "error": f"shard worker "
-                            f"{worker.shard_id} died during warmup "
-                            f"(exit code "
-                            f"{worker.process.exitcode})"
-                        },
-                    )
-                if time.monotonic() > deadline:
-                    raise ServingError(
-                        503,
-                        {
-                            "error": f"shard worker "
-                            f"{worker.shard_id} failed the warmup "
-                            f"handshake within "
-                            f"{self._warmup_timeout:g}s"
-                        },
-                    )
-                continue
-            if frame[0] == "ready" and frame[1] == worker.shard_id:
+        try:
+            if worker.receive(WARMUP_TIMEOUT) is not None:
                 return
-
-    def _await_pong(
-        self, worker: _Worker, token: str, timeout: float
-    ) -> bool:
-        deadline = time.monotonic() + timeout
-        while True:
-            try:
-                frame = worker.response_queue.get(timeout=_POLL_INTERVAL)
-            except queue_mod.Empty:
-                if (
-                    not worker.process.is_alive()
-                    or time.monotonic() > deadline
-                ):
-                    return False
-                continue
-            if frame[0] == "pong" and frame[2] == token:
-                return True
-            # Anything else on the queue here is stale (e.g. an older
-            # pong); keep draining until ours arrives or time is up.
+            reason = (
+                f"died during warmup (exit code {worker.process.exitcode})"
+            )
+        except TimeoutError:
+            reason = (
+                f"failed the warmup handshake within {WARMUP_TIMEOUT:g}s"
+            )
+        raise ServingError(
+            503, {"error": f"shard worker {worker.shard_id} {reason}"}
+        )
 
     def _restart_worker(self, shard_id: int) -> None:
         """Replace a dead worker, re-attaching the still-live segment.
 
-        Fresh queues per life: frames from the previous incarnation can
-        never be read as answers from the new one.
+        A fresh pipe per life: a frame half-written by the previous
+        incarnation can never be read as an answer from the new one.
         """
         old = self._workers[shard_id]
         if old.process.is_alive():  # pragma: no cover - defensive
-            old.process.terminate()
-            old.process.join(timeout=5.0)
-        old.discard_queues()
+            old.process.kill()
+            old.process.join()
+        old.conn.close()
         replacement = self._spawn_worker(shard_id)
         replacement.batches = old.batches
         replacement.restarts = old.restarts + 1
@@ -540,22 +495,17 @@ class ShardWorkerPool:
         lows: np.ndarray,
         highs: np.ndarray,
     ) -> None:
-        worker = self._workers[shard_id]
-        if not worker.process.is_alive():
-            # Died idle (e.g. kill -9 between requests): revive before
-            # send — this is a restart, not a retry.
+        if not self._workers[shard_id].process.is_alive():
+            # Died idle (e.g. kill -9 between requests) or was killed
+            # for a missed deadline: revive before send — this is a
+            # restart, not a retry.
             self._restart_worker(shard_id)
-            worker = self._workers[shard_id]
         try:
-            worker.request_queue.put(("batch", batch_id, lows, highs))
-        except (OSError, ValueError) as exc:
-            raise ServingError(
-                503,
-                {
-                    "error": f"could not dispatch to shard worker "
-                    f"{shard_id}: {exc}"
-                },
-            ) from exc
+            self._workers[shard_id].conn.send(
+                ("batch", batch_id, lows, highs)
+            )
+        except OSError:
+            pass  # died after the check: _collect sees it and retries
 
     def _collect(
         self,
@@ -567,65 +517,46 @@ class ShardWorkerPool:
         retried: bool = False,
     ) -> Tuple[np.ndarray | None, str]:
         worker = self._workers[shard_id]
-        deadline = time.monotonic() + self._batch_timeout
-        while True:
-            try:
-                frame = worker.response_queue.get(timeout=_POLL_INTERVAL)
-            except queue_mod.Empty:
-                if not worker.process.is_alive():
-                    return self._retry(
-                        shard_id, batch_id, lows, highs, retried
-                    )
-                if time.monotonic() > deadline:
-                    raise ServingError(
-                        503,
-                        {
-                            "error": f"shard worker {shard_id} did "
-                            f"not answer batch {batch_id} within "
-                            f"{self._batch_timeout:g}s"
-                        },
-                    )
-                continue
-            kind = frame[0]
-            if kind == "done":
-                if frame[2] != batch_id:
-                    continue  # stale frame from an abandoned batch
-                worker.batches += 1
-                return frame[3], frame[4]
-            if kind == "error":
-                if frame[2] != batch_id:
-                    continue
-                raise ServingError(
-                    500,
-                    {
-                        "error": f"shard worker {shard_id} failed "
-                        f"batch {batch_id}",
-                        "traceback": frame[3],
-                    },
-                )
-            # "pong"/"ready" stragglers: ignore and keep waiting.
-
-    def _retry(
-        self,
-        shard_id: int,
-        batch_id: int,
-        lows: np.ndarray,
-        highs: np.ndarray,
-        retried: bool,
-    ) -> Tuple[np.ndarray | None, str]:
-        """Crash mid-batch: restart once and re-run, then give up."""
-        exitcode = self._workers[shard_id].process.exitcode
-        if retried:
+        try:
+            frame = worker.receive(BATCH_TIMEOUT)
+        except TimeoutError:
             raise ServingError(
                 503,
                 {
-                    "error": f"shard worker {shard_id} crashed twice "
-                    f"answering batch {batch_id} (last exit code "
-                    f"{exitcode}); giving up after one retry"
+                    "error": f"shard worker {shard_id} did not answer "
+                    f"batch {batch_id} within {BATCH_TIMEOUT:g}s and "
+                    f"was killed"
                 },
+            ) from None
+        if frame is None:
+            # Crash mid-batch: restart once and re-run, then give up.
+            if retried:
+                raise ServingError(
+                    503,
+                    {
+                        "error": f"shard worker {shard_id} crashed twice "
+                        f"answering batch {batch_id} (last exit code "
+                        f"{worker.process.exitcode}); giving up after "
+                        f"one retry"
+                    },
+                )
+            self._restart_worker(shard_id)
+            self._dispatch(shard_id, batch_id, lows, highs)
+            return self._collect(
+                shard_id, batch_id, lows, highs, retried=True
             )
-        self._restart_worker(shard_id)
-        self._dispatch(shard_id, batch_id, lows, highs)
-        return self._collect(
-            shard_id, batch_id, lows, highs, retried=True
+        if frame[0] == "done":
+            worker.batches += 1
+            return frame[3], frame[4]
+        # An in-worker exception: the traceback is for the operator's
+        # log, not for HTTP clients.
+        _log.error(
+            "shard worker %d failed batch %d:\n%s",
+            shard_id,
+            batch_id,
+            frame[3],
+        )
+        raise ServingError(
+            500,
+            {"error": f"shard worker {shard_id} failed batch {batch_id}"},
         )

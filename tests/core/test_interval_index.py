@@ -24,10 +24,7 @@ from repro.core import (
     full_box,
     packed_from_intervals,
 )
-from repro.core.interval_index import (
-    PRUNE_MIN_PARTITIONS,
-    choose_packed_plan,
-)
+from repro.core.interval_index import PRUNE_MIN_PARTITIONS, plan_with_slices
 from repro.engine import Engine, EngineConfig, QueryRequest
 from repro.methods import get_sanitizer
 from repro.methods._grid import axis_intervals
@@ -94,17 +91,25 @@ class TestPrunedMatchesBroadcast:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_candidates_match_brute_force(self, method):
+        # Every truly overlapping partition lies in every axis's candidate
+        # slice; a miss would drop it from the pruned gather, unnoticed
+        # by the answers whenever its noisy count is zero.
         packed = sanitized_packed(method, (24, 18), 5, 7, 0.5)
         index = packed.interval_index()
         rng = np.random.default_rng(9)
+        lows, highs = boxes_to_arrays(
+            degenerate_and_random_queries((24, 18), rng, n_random=15)
+        )
+        start, stop = index.candidate_slices(lows, highs)
         lo, hi = packed.lo, packed.hi
-        for box in degenerate_and_random_queries((24, 18), rng, n_random=15):
-            qlo = np.array([b[0] for b in box])
-            qhi = np.array([b[1] for b in box])
-            expected = np.flatnonzero(
+        for i, (qlo, qhi) in enumerate(zip(lows, highs)):
+            overlapping = np.flatnonzero(
                 np.logical_and(lo <= qhi, hi >= qlo).all(axis=1)
             )
-            np.testing.assert_array_equal(index.candidates(qlo, qhi), expected)
+            assert overlapping.size > 0  # every box here overlaps something
+            for a in range(lows.shape[1]):
+                slice_ids = index._order[a][start[i, a] : stop[i, a]]
+                assert np.isin(overlapping, slice_ids).all(), (i, a)
 
     def test_candidate_counts_upper_bound_true_counts(self):
         packed = sanitized_packed("kdtree", (32, 32), 3, 4, 0.5)
@@ -141,20 +146,20 @@ class TestPlanner:
     def test_small_queries_on_many_partitions_prune(self):
         packed = bench_like_packed()
         lows, highs = small_queries((256, 256), 500, np.random.default_rng(1))
-        assert choose_packed_plan(packed, lows, highs) == PLAN_PRUNED
+        assert plan_with_slices(packed, lows, highs)[0] == PLAN_PRUNED
 
     def test_wide_queries_broadcast(self):
         packed = bench_like_packed()
         q = 500
         lows = np.zeros((q, 2), dtype=np.int64)
         highs = np.full((q, 2), 255, dtype=np.int64)
-        assert choose_packed_plan(packed, lows, highs) == PLAN_BROADCAST
+        assert plan_with_slices(packed, lows, highs)[0] == PLAN_BROADCAST
 
     def test_few_partitions_never_prune(self):
         packed = bench_like_packed((16, 16), 4)  # 16 partitions
         assert packed.n_partitions < PRUNE_MIN_PARTITIONS
         lows, highs = small_queries((16, 16), 200, np.random.default_rng(1), 1)
-        assert choose_packed_plan(packed, lows, highs) == PLAN_BROADCAST
+        assert plan_with_slices(packed, lows, highs)[0] == PLAN_BROADCAST
 
     def test_private_matrix_plan_routes(self):
         packed = bench_like_packed()

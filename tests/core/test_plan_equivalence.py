@@ -49,13 +49,12 @@ from repro.core import (
     QueryError,
     answer_sharded,
     boxes_to_arrays,
-    choose_packed_plan,
     full_box,
     packed_from_intervals,
     shard_bounds,
     split_shards,
 )
-from repro.core.interval_index import PRUNE_MIN_PARTITIONS
+from repro.core.interval_index import PRUNE_MIN_PARTITIONS, plan_with_slices
 from repro.engine import Engine, EngineConfig, QueryRequest
 from repro.methods import get_sanitizer
 from repro.methods._grid import axis_intervals
@@ -424,7 +423,7 @@ class TestResidentPool:
 class TestForcedPrunedFallback:
     """Regression: forcing ``pruned`` below the threshold must not error."""
 
-    def test_choose_packed_plan_falls_back(self):
+    def test_plan_with_slices_falls_back(self):
         private = grid_private(shape=(16, 16), m=4)  # 16 partitions
         assert private.n_partitions < PRUNE_MIN_PARTITIONS
         lows, highs = boxes_to_arrays(
@@ -432,10 +431,10 @@ class TestForcedPrunedFallback:
                 (16, 16), np.random.default_rng(0), n_random=5
             )
         )
-        assert (
-            choose_packed_plan(private.packed, lows, highs, force=PLAN_PRUNED)
-            == PLAN_BROADCAST
+        plan, slices = plan_with_slices(
+            private.packed, lows, highs, force=PLAN_PRUNED
         )
+        assert plan == PLAN_BROADCAST and slices is None
 
     def test_engine_reports_the_fallback(self):
         private = grid_private(shape=(16, 16), m=4)
@@ -462,10 +461,10 @@ class TestForcedPrunedFallback:
                 (256, 256), np.random.default_rng(2), n_random=5
             )
         )
-        assert (
-            choose_packed_plan(private.packed, lows, highs, force=PLAN_PRUNED)
-            == PLAN_PRUNED
+        plan, _ = plan_with_slices(
+            private.packed, lows, highs, force=PLAN_PRUNED
         )
+        assert plan == PLAN_PRUNED
         answer = Engine(private, EngineConfig(plan=PLAN_PRUNED)).answer(
             QueryRequest(lows, highs)
         )
@@ -475,7 +474,7 @@ class TestForcedPrunedFallback:
         private = grid_private(shape=(16, 16), m=4)
         one = np.zeros((1, 2), dtype=np.int64)
         with pytest.raises(QueryError, match="unknown packed query plan"):
-            choose_packed_plan(private.packed, one, one, force="sideways")
+            plan_with_slices(private.packed, one, one, force="sideways")
         with pytest.raises(QueryError, match="unknown packed query plan"):
             EngineConfig(plan="sideways")
 

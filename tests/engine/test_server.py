@@ -11,6 +11,7 @@ are **bit-identical** to in-process ``Engine.answer`` (drift exactly
 
 import asyncio
 import json
+import multiprocessing
 import time
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 
 from repro.core import PrivateFrequencyMatrix, packed_from_intervals
 from repro.core.exceptions import ValidationError
+from repro.core.sharding import PartitionShard, answer_sharded
 from repro.engine import (
     AsyncServingClient,
     Engine,
@@ -250,11 +252,13 @@ class TestBadRequests:
         assert bad_requests == 1
 
     @pytest.mark.parametrize(
-        "literal", ["1.7", "1.0", "1e2", "-0.5", "NaN", "Infinity", "-Infinity"]
+        "literal",
+        ["1.7", "1.0", "1e2", "-0.5", "NaN", "Infinity", "-Infinity"]
+        + ["true", "false", '"1"', '" 0 "'],
     )
     def test_non_integer_literals_are_400_and_counted(self, engine, literal):
-        # Before strict decoding, 1.7 was silently truncated to 1 and
-        # answered with 200.
+        # Before strict decoding, 1.7 was silently truncated to 1, true
+        # read as 1 and "1" parsed as 1, all answered with 200.
         body = (
             '{"lows": [[%s, 0]], "highs": [[5, 5]]}' % literal
         ).encode()
@@ -272,6 +276,28 @@ class TestBadRequests:
         assert literal in body["error"]
         assert counters["bad_requests"] == 1
         assert counters["answered_requests"] == 0
+
+    def test_integer_body_with_quotes_and_true_in_workload_answers(
+        self, engine
+    ):
+        # The workload string trips the cheap pre-check, so the bounds
+        # are walked element by element; they are integers, so 200.
+        body = (
+            b'{"lows": [[1, 0]], "highs": [[5, 5]], '
+            b'"workload": "true \\"story\\""}'
+        )
+
+        async def run():
+            async with serve(engine) as server:
+                return await raw_exchange(
+                    server.port, post_bytes("/v1/query", body)
+                )
+
+        status, _, payload = asyncio.run(run())
+        expected = engine.answer(QueryRequest([[1, 0]], [[5, 5]])).answers
+        assert status == 200
+        assert payload["answers"] == expected.tolist()
+        assert payload["workload"] == 'true "story"'
 
     def test_integer_body_still_answers(self, engine):
         body = b'{"lows": [[1, 0]], "highs": [[5, 5]]}'
@@ -524,6 +550,103 @@ class TestFailureMapping:
         assert health[0] == 200 and health[2] == {"status": "ok"}
         logged = [r for r in caplog.records if r.exc_info]
         assert logged and "kernel bug" in str(logged[0].exc_info[1])
+
+
+@pytest.fixture
+def resident_engine(private):
+    engine = Engine(
+        private, EngineConfig(n_shards=2, shard_executor="resident")
+    )
+    yield engine
+    engine.close()
+
+
+HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+
+
+class TestResidentPoolOverHttp:
+    """Real resident-pool failures, seen by HTTP clients."""
+
+    LOWS = [[0, 0], [10, 20], [64, 3]]
+    HIGHS = [[50, 60], [127, 127], [100, 90]]
+
+    def test_worker_crashing_twice_is_503_then_pool_recovers(
+        self, private, resident_engine, monkeypatch
+    ):
+        body = json.dumps({"lows": self.LOWS, "highs": self.HIGHS}).encode()
+        expected = answer_sharded(
+            private.packed,
+            np.asarray(self.LOWS),
+            np.asarray(self.HIGHS),
+            n_shards=2,
+            cost=resident_engine.config.plan_cost(),
+        ).answers
+
+        async def run():
+            async with serve(resident_engine) as server:
+                pool = resident_engine.shard_pool()
+                original = pool._restart_worker
+                primed = []
+
+                def crash_retry_once(shard_id):
+                    # The retry's replacement dies too; the revival on
+                    # the next request is left alone.
+                    original(shard_id)
+                    if not primed:
+                        primed.append(shard_id)
+                        pool._workers[shard_id].conn.send(("crash_next",))
+
+                monkeypatch.setattr(pool, "_restart_worker", crash_retry_once)
+                pool._workers[0].conn.send(("crash_next",))
+                request = post_bytes("/v1/query", body)
+                failed = await raw_exchange(server.port, request)
+                health = await raw_exchange(server.port, HEALTHZ)
+                answered = await raw_exchange(server.port, request)
+                return failed, health, answered, server.statz()["counters"]
+
+        failed, health, answered, counters = asyncio.run(run())
+        status, headers, payload = failed
+        assert status == 503
+        assert "retry-after" in headers
+        assert "crashed twice" in payload["error"]
+        assert counters["serving_errors"] == 1
+        assert health[0] == 200 and health[2] == {"status": "ok"}
+        assert answered[0] == 200
+        assert answered[2]["answers"] == expected.tolist()
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="workers inherit the patched kernel only when forked",
+    )
+    def test_worker_error_traceback_is_logged_not_sent(
+        self, private, monkeypatch, caplog
+    ):
+        def broken_partial(self, lows, highs, cost=None):
+            raise RuntimeError("kernel bug")
+
+        monkeypatch.setattr(PartitionShard, "partial", broken_partial)
+        engine = Engine(
+            private, EngineConfig(n_shards=2, shard_executor="resident")
+        )
+        body = json.dumps({"lows": self.LOWS, "highs": self.HIGHS}).encode()
+
+        async def run():
+            async with serve(engine) as server:
+                return await raw_exchange(
+                    server.port, post_bytes("/v1/query", body)
+                )
+
+        try:
+            with caplog.at_level("ERROR", logger="repro.engine.worker_pool"):
+                status, _, payload = asyncio.run(run())
+        finally:
+            engine.close()
+        assert status == 500
+        assert payload == {"error": "shard worker 0 failed batch 0"}
+        logged = [r.getMessage() for r in caplog.records]
+        assert any(
+            "Traceback" in m and "kernel bug" in m for m in logged
+        ), logged
 
 
 class TestStatzAndHealth:
