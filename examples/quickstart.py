@@ -3,9 +3,17 @@
 Run:  python examples/quickstart.py
 """
 
+import json
+
 import numpy as np
 
-from repro import FrequencyMatrix, get_sanitizer, mean_relative_error, random_workload
+from repro import (
+    FrequencyMatrix,
+    PrivateFrequencyMatrix,
+    get_sanitizer,
+    mean_relative_error,
+    random_workload,
+)
 
 # ----------------------------------------------------------------------
 # 1. Build a frequency matrix.  Any non-negative count array works; here a
@@ -53,7 +61,13 @@ print(f"MRE over {len(workload)} random queries: "
 
 # ----------------------------------------------------------------------
 # 5. The published artifact is just boxes + noisy counts — safe to share.
+#    An analyst reloads it (checking that the boxes tile the matrix
+#    exactly once) and gets the same answers as the custodian.
 # ----------------------------------------------------------------------
-payload = private.to_publishable()
+payload = json.loads(json.dumps(private.to_publishable()))
 print(f"publishable payload: {len(payload['partitions'])} partitions, "
       f"keys per partition: {sorted(payload['partitions'][0])}")
+reloaded = PrivateFrequencyMatrix.from_publishable(payload)
+assert np.array_equal(reloaded.answer_many(list(workload)), estimates)
+assert reloaded.answer(hotspot) == private.answer(hotspot)
+print(f"reloaded payload answers all {len(workload)} queries identically")

@@ -17,12 +17,10 @@ never mutated, and the output records the transformation in its metadata.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from .exceptions import ValidationError
-from .partition import Partition, Partitioning
+from .packed import PackedPartitioning
 from .private_matrix import PrivateFrequencyMatrix
 
 
@@ -43,12 +41,10 @@ def _rebuild(
             method=private.method,
             metadata=meta,
         )
-    parts: List[Partition] = [
-        Partition(p.box, float(c), p.true_count)
-        for p, c in zip(private.partitions, new_counts)
-    ]
-    return PrivateFrequencyMatrix(
-        Partitioning(parts, private.shape, validate=False),
+    packed = private.packed
+    return PrivateFrequencyMatrix.from_packed(
+        PackedPartitioning(packed.lo, packed.hi, new_counts, packed.shape,
+                           packed.true_counts, validate=False),
         private.domain,
         epsilon=private.epsilon,
         method=private.method,
@@ -59,7 +55,7 @@ def _rebuild(
 def _counts_of(private: PrivateFrequencyMatrix) -> np.ndarray:
     if private.is_dense_backed:
         return private.dense_array().ravel().copy()
-    return np.array([p.noisy_count for p in private.partitions])
+    return private.packed.noisy_counts.copy()
 
 
 def clip_nonnegative(private: PrivateFrequencyMatrix) -> PrivateFrequencyMatrix:

@@ -1,10 +1,9 @@
 """Array-backed partitionings and the vectorized range-query kernel.
 
 :class:`~repro.core.partition.Partitioning` stores one Python object per
-partition, which is the right representation for validation and
-serialization but the wrong one for answering thousands of range queries:
-the scalar path (`Partition.uniform_answer` in a loop) costs one Python
-call per (query, partition) pair.
+partition, the wrong representation for answering thousands of range
+queries: the scalar path (`Partition.uniform_answer` in a loop) costs one
+Python call per (query, partition) pair.
 
 :class:`PackedPartitioning` stores the same information as contiguous
 NumPy arrays — ``lo``/``hi`` index bounds of shape ``(k, d)`` plus
@@ -44,6 +43,7 @@ the reference implementation; the test suite asserts agreement within
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
@@ -61,9 +61,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: elements the four tile buffers (two narrow ints, the int32 product,
 #: its float64 copy) take under 1 MB and stay cache-resident.
 DEFAULT_TILE_ELEMENTS = 65_536
-
-#: Row-block size for the vectorized pairwise-disjointness check.
-_DISJOINT_BLOCK = 512
 
 
 #: Candidate bound dtypes of :class:`OverlapLayout`, narrowest first.
@@ -290,22 +287,30 @@ class PackedPartitioning:
             )
 
     def _validate_exact_cover(self) -> None:
-        """Cell-count identity plus pairwise disjointness, vectorized.
+        """Check the partitions tile the matrix exactly once.
 
         Equal total cell count and no pairwise overlap together imply an
-        exact cover (same argument as
-        :meth:`Partitioning._validate_exact_cover`, but block-broadcast
-        instead of a Python double loop).
+        exact cover.  Pairwise overlap is tested block-broadcast: each
+        block of rows is compared against all ``k`` partitions, with the
+        block sized so its ``(rows, k, d)`` intermediates stay under
+        :data:`DEFAULT_TILE_ELEMENTS` elements, as in the query kernel.
+        This is the library's only exact-cover check;
+        :class:`~repro.core.partition.Partitioning` delegates to it.
+
+        The matrix size is an exact Python int: a shape of ``2**63`` or
+        more cells, where the int64 ``n_cells`` could wrap, never matches
+        the (int64) covered count.
         """
-        total = int(np.prod(self._shape, dtype=np.int64))
+        total = math.prod(self._shape)
         covered = int(self._n_cells.sum())
         if covered != total:
             raise PartitioningError(
                 f"partitions cover {covered} cells, matrix has {total}"
             )
-        k = self.n_partitions
-        for start in range(0, k, _DISJOINT_BLOCK):
-            stop = min(start + _DISJOINT_BLOCK, k)
+        k, d = self._lo.shape
+        rows = max(1, DEFAULT_TILE_ELEMENTS // (k * d))
+        for start in range(0, k, rows):
+            stop = min(start + rows, k)
             # overlap[i, j] true when rows start+i and j intersect on every axis
             inter = np.logical_and(
                 self._lo[start:stop, None, :] <= self._hi[None, :, :],
@@ -408,9 +413,9 @@ class PackedPartitioning:
     def to_partitioning(self, *, validate: bool = False) -> "Partitioning":
         """Materialize :class:`~repro.core.partition.Partition` objects.
 
-        Only object-level consumers (per-partition iteration, external
-        validation with ``validate=True``) need this; the hot query path
-        never does.
+        Only object-level consumers (per-partition iteration, the scalar
+        reference ``answer``) need this; loading, validation and the hot
+        query path never do.
         """
         from .partition import Partition, Partitioning
 

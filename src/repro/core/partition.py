@@ -3,7 +3,7 @@
 A sanitization method outputs a set of non-overlapping axis-aligned boxes
 covering the whole matrix, each carrying a noisy count (Section 2.2 of the
 paper).  :class:`Partition` is one such box; :class:`Partitioning` is the
-validated complete set.
+complete set.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import numpy as np
 
 from .exceptions import PartitioningError
 from .frequency_matrix import Box, box_n_cells, full_box, validate_box
+from .packed import PackedPartitioning, boxes_to_arrays
 
 
 @dataclass(frozen=True)
@@ -93,10 +94,15 @@ class Partition:
 
 
 class Partitioning:
-    """A validated, complete, non-overlapping set of partitions.
+    """A complete, non-overlapping set of partitions, as Python objects.
 
     Completeness (every cell covered exactly once) is what keeps the Laplace
     sensitivity at 1: one individual's record falls in exactly one partition.
+    With ``validate=True`` the exact-cover check is delegated to
+    :class:`~repro.core.packed.PackedPartitioning`, which holds the
+    library's only implementation of it.  Private matrices store their
+    partitions packed; this object form is a view for per-partition
+    iteration and the scalar reference answer.
     """
 
     __slots__ = ("_partitions", "_shape")
@@ -115,32 +121,8 @@ class Partitioning:
         for p in self._partitions:
             validate_box(p.box, self._shape)
         if validate:
-            self._validate_exact_cover()
-
-    def _validate_exact_cover(self) -> None:
-        """Check the partitions tile the matrix exactly once.
-
-        Uses a cell-count identity plus pairwise-disjointness.  Equal total
-        cell count and no pairwise overlap together imply an exact cover.
-        Pairwise checking is O(k^2) in the number of partitions; it is only
-        run when ``validate=True`` (the default for externally-constructed
-        partitionings; methods that construct tilings by recursive splitting
-        may skip it).
-        """
-        total_cells = int(np.prod(self._shape, dtype=np.int64))
-        covered = sum(p.n_cells for p in self._partitions)
-        if covered != total_cells:
-            raise PartitioningError(
-                f"partitions cover {covered} cells, matrix has {total_cells}"
-            )
-        parts = self._partitions
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                if parts[i].overlap_cells(parts[j].box) > 0:
-                    raise PartitioningError(
-                        f"partitions {i} and {j} overlap: "
-                        f"{parts[i].box} vs {parts[j].box}"
-                    )
+            lows, highs = boxes_to_arrays([p.box for p in self._partitions])
+            PackedPartitioning(lows, highs, np.zeros(len(lows)), self._shape)
 
     # ------------------------------------------------------------------
     @property

@@ -4,20 +4,17 @@ A :class:`PrivateFrequencyMatrix` is exactly what Section 2.2 publishes: the
 boundaries of all partitions plus their noisy counts.  Range queries are
 answered under the per-partition uniformity assumption.
 
-Three storage backends are supported:
+Two storage backends are supported:
 
 * **packed** — a :class:`~repro.core.packed.PackedPartitioning` of
-  contiguous ``lo``/``hi``/count arrays (what the grid, tree and DAF
-  sanitizers emit).  Batches of queries are answered by the vectorized
-  broadcast kernel; :class:`~repro.core.partition.Partition` objects are
-  materialized lazily, only when per-partition iteration or object-level
-  serialization is requested.  (Exact-cover validation runs where it
-  always did: on externally supplied partitionings —
-  :meth:`PrivateFrequencyMatrix.from_publishable` and explicit
-  ``validate=True`` constructions — not on sanitizer-built tilings.)
-* **partition-backed** — an explicit
-  :class:`~repro.core.partition.Partitioning` (externally constructed or
-  deserialized outputs).  Packed arrays are derived lazily for querying.
+  contiguous ``lo``/``hi``/count arrays.  The grid, tree and DAF
+  sanitizers emit one, :meth:`PrivateFrequencyMatrix.from_publishable`
+  parses a published payload straight into one (and runs the exact-cover
+  check on it), and an explicit
+  :class:`~repro.core.partition.Partitioning` is packed on construction.
+  :class:`~repro.core.partition.Partition` objects are a view,
+  materialized lazily only for per-partition iteration and the scalar
+  reference :meth:`~PrivateFrequencyMatrix.answer`.
 * **dense-backed** — a noisy per-cell array (the IDENTITY baseline and the
   Privlet wavelet method publish one value per cell; materializing one
   :class:`Partition` object per cell would be wasteful).  Conceptually this
@@ -51,7 +48,7 @@ implementation; every engine is asserted against it by the test suite.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -109,10 +106,9 @@ class PrivateFrequencyMatrix:
     ):
         if not isinstance(partitioning, Partitioning):
             raise ValidationError("partitioning must be a Partitioning")
-        self._init_common(partitioning.shape, domain, epsilon, method, metadata)
-        self._partitioning: Partitioning | None = partitioning
-        self._packed: PackedPartitioning | None = None
-        self._dense_cache: np.ndarray | None = None
+        self._init_common(partitioning.shape, domain, epsilon, method, metadata,
+                          packed=PackedPartitioning.from_partitioning(partitioning))
+        self._partitioning = partitioning
 
     @classmethod
     def from_packed(
@@ -132,10 +128,8 @@ class PrivateFrequencyMatrix:
         if not isinstance(packed, PackedPartitioning):
             raise ValidationError("packed must be a PackedPartitioning")
         self = cls.__new__(cls)
-        self._init_common(packed.shape, domain, epsilon, method, metadata)
-        self._partitioning = None
-        self._packed = packed
-        self._dense_cache = None
+        self._init_common(packed.shape, domain, epsilon, method, metadata,
+                          packed=packed)
         return self
 
     @classmethod
@@ -155,10 +149,8 @@ class PrivateFrequencyMatrix:
         if not np.all(np.isfinite(noisy)):
             raise ValidationError("noisy array must be finite")
         self = cls.__new__(cls)
-        self._init_common(noisy.shape, domain, epsilon, method, metadata)
-        self._partitioning = None
-        self._packed = None
-        self._dense_cache = noisy.copy()
+        self._init_common(noisy.shape, domain, epsilon, method, metadata,
+                          dense=noisy.copy())
         return self
 
     def _init_common(
@@ -168,6 +160,9 @@ class PrivateFrequencyMatrix:
         epsilon: float,
         method: str,
         metadata: Mapping[str, object] | None,
+        *,
+        packed: PackedPartitioning | None = None,
+        dense: np.ndarray | None = None,
     ) -> None:
         if domain is None:
             domain = Domain.regular(shape)
@@ -182,6 +177,9 @@ class PrivateFrequencyMatrix:
         self._epsilon = float(epsilon)
         self._method = str(method)
         self._metadata: Dict[str, object] = dict(metadata or {})
+        self._packed = packed
+        self._partitioning: Partitioning | None = None
+        self._dense_cache = dense
         self._prefix_cache: PrefixSumTable | None = None
         self._engine_cache: "Engine | None" = None
 
@@ -189,36 +187,27 @@ class PrivateFrequencyMatrix:
     @property
     def is_dense_backed(self) -> bool:
         """True when the output is per-cell noisy counts (no partition list)."""
-        return self._partitioning is None and self._packed is None
+        return self._packed is None
 
     @property
     def partitioning(self) -> Partitioning:
-        """The partition list (raises for dense-backed outputs).
+        """The partition list as objects (raises for dense-backed outputs).
 
-        For packed-backed outputs the :class:`Partition` objects are
-        materialized on first access (without re-validating the tiling —
-        same contract as the sanitizers' ``validate=False``
-        constructions); querying never needs them.
+        A view of :attr:`packed`, built on first access without
+        re-validating the tiling; querying never needs it.
         """
         if self._partitioning is None:
-            if self._packed is None:
-                raise QueryError(
-                    "this private matrix is dense-backed (per-cell counts); "
-                    "it has no explicit partition list"
-                )
-            self._partitioning = self._packed.to_partitioning(validate=False)
+            self._partitioning = self.packed.to_partitioning()
         return self._partitioning
 
     @property
     def packed(self) -> PackedPartitioning:
-        """Array-backed view of the partitioning (raises for dense-backed)."""
+        """The partition list as arrays (raises for dense-backed outputs)."""
         if self._packed is None:
-            if self._partitioning is None:
-                raise QueryError(
-                    "this private matrix is dense-backed (per-cell counts); "
-                    "it has no explicit partition list"
-                )
-            self._packed = PackedPartitioning.from_partitioning(self._partitioning)
+            raise QueryError(
+                "this private matrix is dense-backed (per-cell counts); "
+                "it has no explicit partition list"
+            )
         return self._packed
 
     @property
@@ -254,8 +243,6 @@ class PrivateFrequencyMatrix:
         """Number of published regions (cells, for dense-backed outputs)."""
         if self._packed is not None:
             return self._packed.n_partitions
-        if self._partitioning is not None:
-            return len(self._partitioning)
         return int(np.prod(self._shape, dtype=np.int64))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -339,9 +326,8 @@ class PrivateFrequencyMatrix:
         """The DP-safe payload: boxes, noisy counts, method, epsilon.
 
         True counts are intentionally omitted.  Dense-backed outputs publish
-        the flattened per-cell noisy counts.  Packed-backed outputs
-        serialize straight from the arrays without materializing
-        :class:`Partition` objects.
+        the flattened per-cell noisy counts; the others serialize straight
+        from the packed arrays.
         """
         payload: Dict[str, object] = {
             "method": self._method,
@@ -366,16 +352,22 @@ class PrivateFrequencyMatrix:
 
     @classmethod
     def from_publishable(cls, payload: Mapping[str, object]) -> "PrivateFrequencyMatrix":
-        """Rebuild from :meth:`to_publishable` output."""
+        """Rebuild from :meth:`to_publishable` output.
+
+        Partition payloads are parsed straight into packed arrays and
+        checked for an exact cover.  Malformed structure raises
+        :class:`QueryError`; boxes that do not tile the matrix exactly
+        once raise :class:`PartitioningError`.
+        """
         try:
             shape = tuple(int(s) for s in payload["shape"])  # type: ignore[index]
+            common = {
+                "epsilon": float(payload.get("epsilon", 0.0)),  # type: ignore[arg-type]
+                "method": str(payload.get("method", "")),
+                "metadata": payload.get("metadata"),
+            }
         except (KeyError, TypeError, ValueError) as exc:
             raise QueryError(f"malformed publishable payload: {exc}") from exc
-        common = {
-            "epsilon": float(payload.get("epsilon", 0.0)),  # type: ignore[arg-type]
-            "method": str(payload.get("method", "")),
-            "metadata": payload.get("metadata"),
-        }
         if "cells" in payload:
             cells = np.asarray(payload["cells"], dtype=np.float64)
             if cells.size != int(np.prod(shape, dtype=np.int64)):
@@ -383,14 +375,21 @@ class PrivateFrequencyMatrix:
             return cls.from_dense_noisy(cells.reshape(shape), **common)  # type: ignore[arg-type]
         try:
             raw = payload["partitions"]  # type: ignore[index]
-            parts: List[Partition] = [
-                Partition(
-                    tuple((int(lo), int(hi)) for lo, hi in entry["box"]),
-                    float(entry["noisy_count"]),
-                )
-                for entry in raw  # type: ignore[union-attr]
-            ]
+            bounds = np.asarray([e["box"] for e in raw])  # type: ignore[union-attr]
+            noisy = np.asarray([e["noisy_count"] for e in raw])  # type: ignore[union-attr]
         except (KeyError, TypeError, ValueError) as exc:
             raise QueryError(f"malformed publishable payload: {exc}") from exc
-        partitioning = Partitioning(parts, shape, validate=True)
-        return cls(partitioning, **common)  # type: ignore[arg-type]
+        # NumPy infers the dtype, so a float, string or beyond-int64
+        # bound fails the kind check instead of being truncated or cast.
+        if (bounds.dtype.kind not in "iu" or bounds.ndim != 3
+                or bounds.shape[2] != 2
+                or noisy.dtype.kind not in "iuf" or noisy.ndim != 1):
+            raise QueryError(
+                "malformed publishable payload: partitions must be a "
+                "non-empty list of equal-length boxes of integer [lo, hi] "
+                "pairs, each with a numeric noisy_count"
+            )
+        if not np.all(np.isfinite(noisy)):
+            raise QueryError("malformed publishable payload: non-finite noisy_count")
+        packed = PackedPartitioning(bounds[..., 0], bounds[..., 1], noisy, shape)
+        return cls.from_packed(packed, **common)  # type: ignore[arg-type]

@@ -189,7 +189,6 @@ class EngineServer:
         host: str = "127.0.0.1",
         port: int = 0,
         off_loop: bool = True,
-        executor: ThreadPoolExecutor | None = None,
         max_batch_size: int | None = None,
         max_batch_latency: float | None = None,
         max_pending_requests: int = DEFAULT_MAX_PENDING_REQUESTS,
@@ -197,7 +196,6 @@ class EngineServer:
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
         request_timeout: float | None = DEFAULT_REQUEST_TIMEOUT,
         retry_after: float = DEFAULT_RETRY_AFTER,
-        heartbeat_interval: float = HEARTBEAT_INTERVAL,
     ):
         if max_pending_requests < 1:
             raise ValidationError(
@@ -225,12 +223,10 @@ class EngineServer:
         self._requested_port = int(port)
         self._max_batch_size = max_batch_size
         self._max_batch_latency = max_batch_latency
-        self._executor = executor
-        self._own_executor = off_loop and executor is None
-        self._heartbeat_interval = float(heartbeat_interval)
+        self._executor: ThreadPoolExecutor | None = None
         self._server: asyncio.AbstractServer | None = None
         self._batcher: AsyncBatchEngine | None = None
-        self.monitor = LoopLagMonitor(heartbeat_interval)
+        self.monitor = LoopLagMonitor()
         self._draining = False
         self._in_progress = 0
         self._started_at = 0.0
@@ -274,7 +270,7 @@ class EngineServer:
         """Bind and begin accepting connections; sets :attr:`port`."""
         if self._server is not None:
             raise RuntimeError("server already started")
-        if self.off_loop and self._executor is None:
+        if self.off_loop:
             # One worker is deliberate: ticks are answered in flush
             # order and numpy already uses the cores inside a kernel.
             self._executor = ThreadPoolExecutor(
@@ -284,7 +280,7 @@ class EngineServer:
             self.engine,
             max_batch_size=self._max_batch_size,
             max_batch_latency=self._max_batch_latency,
-            executor=self._executor if self.off_loop else None,
+            executor=self._executor,
         )
         # Spawn the resident shard-worker pool (when configured) before
         # accepting traffic: workers fork from this thread, not from a
@@ -313,10 +309,10 @@ class EngineServer:
         # In-progress requests either resolve with their tick or hit
         # their own timeout; both paths decrement the gauge.
         while self._in_progress > 0:
-            await asyncio.sleep(self._heartbeat_interval)
+            await asyncio.sleep(HEARTBEAT_INTERVAL)
         await self._batcher.drain()
         self.monitor.stop()
-        if self._own_executor and self._executor is not None:
+        if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
         # After the tick executor is gone no kernel can touch the pool;

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.frequency_matrix import FrequencyMatrix
-from ..core.partition import Partitioning
+from ..core.frequency_matrix import FrequencyMatrix, full_box
+from ..core.packed import PackedPartitioning, boxes_to_arrays
 from ..core.private_matrix import PrivateFrequencyMatrix
 from ..dp.budget import BudgetLedger
 from ..dp.mechanisms import laplace_noise
@@ -31,11 +31,8 @@ class Uniform(Sanitizer):
         epsilon = ledger.epsilon_total
         ledger.charge(epsilon, note="total count")
         noisy_total = matrix.total + laplace_noise(1.0, epsilon, rng)
-        partitioning = Partitioning.single(matrix.shape, noisy_total, matrix.total)
-        return PrivateFrequencyMatrix(
-            partitioning,
-            matrix.domain,
-            epsilon=epsilon,
-            method=self.name,
-            metadata={"n_partitions": 1},
-        )
+        lo, hi = boxes_to_arrays([full_box(matrix.shape)])
+        packed = PackedPartitioning(lo, hi, [noisy_total], matrix.shape,
+                                    [matrix.total], validate=False)
+        return self.publish_packed(packed, matrix, ledger,
+                                   metadata={"n_partitions": 1})

@@ -6,8 +6,12 @@ arbitrary partitionings — random recursive tilings in 1 to 4 dimensions,
 including empty and negative-count partitions and single-cell queries.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     PackedPartitioning,
@@ -148,6 +152,29 @@ class TestValidation:
         with pytest.raises(PartitioningError, match="outside"):
             PackedPartitioning(lows, highs, np.zeros(1), (8,))
 
+    def test_cell_count_wraparound_rejected(self):
+        # 2**64 cells: an int64 total and n_cells would both wrap to 0.
+        with pytest.raises(PartitioningError, match="cover"):
+            PackedPartitioning(
+                [[0, 0]], [[2**32 - 1, 2**32 - 1]], [1.0], (2**32, 2**32)
+            )
+
+    def test_validation_memory_is_bounded(self):
+        # The pairwise check broadcasts a block of rows against all k
+        # partitions; the block is sized so its intermediates stay near
+        # DEFAULT_TILE_ELEMENTS, not rows x k x d for a fixed row count.
+        shape = (11,) * 6
+        lows, highs = boxes_to_arrays(grid_boxes(shape, (4,) * 6))
+        assert len(lows) == 4096
+        noisy = np.zeros(len(lows))
+        tracemalloc.start()
+        try:
+            PackedPartitioning(lows, highs, noisy, shape)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_empty_rejected(self):
         with pytest.raises(PartitioningError, match="at least one"):
             PackedPartitioning(
@@ -172,6 +199,73 @@ class TestValidation:
             validate_box_arrays(good_lo, good_hi, (3, 3))
         with pytest.raises(QueryError, match="dimensions"):
             validate_box_arrays(good_lo, good_hi, (4, 4, 4))
+
+
+def paint(boxes, shape):
+    """How many boxes cover each cell."""
+    cover = np.zeros(shape, dtype=np.int64)
+    for box in boxes:
+        cover[tuple(slice(lo, hi + 1) for lo, hi in box)] += 1
+    return cover
+
+
+def perturb(boxes, shape, kind, rng):
+    """Widen one box by a cell (overlap), shrink one (gap), or shift one
+    by a cell (double cover with an equal total cell count).
+
+    Returns the boxes unchanged when no box admits the change.
+    """
+    moves = []
+    for i, box in enumerate(boxes):
+        for axis, (lo, hi) in enumerate(box):
+            if kind == "widen" and hi + 1 < shape[axis]:
+                moves.append((i, axis, (lo, hi + 1)))
+            elif kind == "widen" and lo > 0:
+                moves.append((i, axis, (lo - 1, hi)))
+            elif kind == "shrink" and hi > lo:
+                moves.append((i, axis, (lo, hi - 1)))
+            elif kind == "shift" and hi + 1 < shape[axis]:
+                moves.append((i, axis, (lo + 1, hi + 1)))
+    if not moves:
+        return boxes
+    i, axis, interval = moves[int(rng.integers(len(moves)))]
+    out = list(boxes)
+    out[i] = tuple(interval if a == axis else r for a, r in enumerate(boxes[i]))
+    return out
+
+
+@st.composite
+def tilings(draw):
+    """Grid or kd-style tilings, some perturbed off an exact cover."""
+    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        boxes = grid_boxes(shape, [int(rng.integers(1, s + 1)) for s in shape])
+    else:
+        boxes = random_tiling(shape, rng, n_splits=draw(st.integers(0, 20)))
+    kind = draw(st.sampled_from(["none", "widen", "shrink", "shift"]))
+    if kind != "none":
+        boxes = perturb(boxes, shape, kind, rng)
+    return shape, boxes
+
+
+class TestExactCoverOracle:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(tilings())
+    def test_accepts_exactly_the_exact_covers(self, case):
+        shape, boxes = case
+        exact = bool((paint(boxes, shape) == 1).all())
+        lows, highs = boxes_to_arrays(boxes)
+        noisy = np.zeros(len(boxes))
+        if exact:
+            PackedPartitioning(lows, highs, noisy, shape)
+            Partitioning([Partition(b, 0.0) for b in boxes], shape)
+        else:
+            with pytest.raises(PartitioningError):
+                PackedPartitioning(lows, highs, noisy, shape)
+            with pytest.raises(PartitioningError):
+                Partitioning([Partition(b, 0.0) for b in boxes], shape)
 
 
 class TestConversions:

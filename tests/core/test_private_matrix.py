@@ -1,17 +1,29 @@
 """Tests for repro.core.private_matrix."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core import (
+    PLAN_BROADCAST,
+    PLAN_DENSE,
+    PLAN_PRUNED,
+    PLAN_SHARDED,
     Domain,
+    FrequencyMatrix,
     Partition,
     Partitioning,
+    PartitioningError,
     PrivateFrequencyMatrix,
     QueryError,
     ValidationError,
+    boxes_to_arrays,
     full_box,
 )
+from repro.engine import Engine, EngineConfig
+from repro.methods import get_sanitizer
+from repro.queries import random_workload
 
 
 def two_partition_private(shape=(4, 4)):
@@ -176,3 +188,98 @@ class TestSerialization:
             PrivateFrequencyMatrix.from_publishable(
                 {"shape": [2, 2], "cells": [1.0, 2.0]}
             )
+
+
+def two_partition_payload(**changes):
+    """A valid publishable payload for a (4, 4) matrix, with overrides;
+    a value of ``None`` deletes the key."""
+    payload = {
+        "method": "test",
+        "epsilon": 0.5,
+        "shape": [4, 4],
+        "metadata": {},
+        "partitions": [
+            {"box": [[0, 1], [0, 3]], "noisy_count": 8.0},
+            {"box": [[2, 3], [0, 3]], "noisy_count": 4.0},
+        ],
+    }
+    payload.update(changes)
+    return {k: v for k, v in payload.items() if v is not None}
+
+
+def boxes(*bs):
+    return [{"box": b, "noisy_count": 1.0} for b in bs]
+
+
+#: Malformed payloads and the ReproError subclass each must raise.
+MALFORMED = {
+    "missing shape": (two_partition_payload(shape=None), QueryError),
+    "missing partitions": (two_partition_payload(partitions=None), QueryError),
+    "missing box": ([{"noisy_count": 1.0}], QueryError),
+    "ragged boxes": (boxes([[0, 1], [0, 3]], [[2, 3]]), QueryError),
+    "3-element pairs": (
+        boxes([[0, 1, 1], [0, 3, 3]], [[2, 3, 3], [0, 3, 3]]), QueryError
+    ),
+    "non-numeric count": (
+        [{"box": [[0, 3], [0, 3]], "noisy_count": "abc"}], QueryError
+    ),
+    "list count": (
+        [{"box": [[0, 3], [0, 3]], "noisy_count": [1.0]}], QueryError
+    ),
+    "null count": ([{"box": [[0, 3], [0, 3]], "noisy_count": None}], QueryError),
+    "NaN count": (
+        [{"box": [[0, 3], [0, 3]], "noisy_count": float("nan")}], QueryError
+    ),
+    "int64 overflow": (boxes([[0, 2**70], [0, 3]]), QueryError),
+    "float bound": (boxes([[0, 1.7], [0, 3]], [[2, 3], [0, 3]]), QueryError),
+    "empty list": ([], QueryError),
+    "wrong dimensionality": (boxes([[0, 3], [0, 3], [0, 0]]), PartitioningError),
+    "out of range": (boxes([[0, 1], [0, 3]], [[2, 4], [0, 3]]), PartitioningError),
+    "overlap": (boxes([[0, 1], [0, 3]], [[1, 2], [0, 3]]), PartitioningError),
+    "gap": (boxes([[0, 1], [0, 3]]), PartitioningError),
+}
+
+
+def source_release(method):
+    rng = np.random.default_rng(3)
+    cells = rng.integers(0, [6, 7, 5], size=(2_000, 3))
+    matrix = FrequencyMatrix.from_cells(cells, Domain.regular((6, 7, 5)))
+    return get_sanitizer(method).sanitize(matrix, 0.5, rng=1)
+
+
+class TestPublishableLoader:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_payload_raises(self, case):
+        payload, error = MALFORMED[case]
+        if isinstance(payload, list):
+            payload = two_partition_payload(partitions=payload)
+        with pytest.raises(error):
+            PrivateFrequencyMatrix.from_publishable(payload)
+
+    def test_loading_builds_no_partition_objects(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a Partition object was built")
+
+        monkeypatch.setattr(Partition, "__post_init__", refuse)
+        priv = PrivateFrequencyMatrix.from_publishable(two_partition_payload())
+        assert priv.answer_many([full_box((4, 4))])[0] == pytest.approx(12.0)
+        assert priv.to_publishable() == two_partition_payload()
+
+    @pytest.mark.parametrize("method", ["uniform", "kdtree", "daf_entropy"])
+    def test_reload_answers_and_payload_identical(self, method):
+        source = source_release(method)
+        payload = json.loads(json.dumps(source.to_publishable()))
+        reloaded = PrivateFrequencyMatrix.from_publishable(payload)
+        assert reloaded.to_publishable() == payload
+        lows, highs = boxes_to_arrays(
+            random_workload(source.shape, n_queries=200, rng=5)
+        )
+        for config in (
+            EngineConfig(plan=PLAN_DENSE),
+            EngineConfig(plan=PLAN_BROADCAST),
+            EngineConfig(plan=PLAN_PRUNED),
+            EngineConfig(plan=PLAN_SHARDED, n_shards=3),
+        ):
+            expected = Engine(source, config).answer_arrays(lows, highs)
+            got = Engine(reloaded, config).answer_arrays(lows, highs)
+            assert np.array_equal(got, expected), config
