@@ -5,11 +5,12 @@ endpoint, measured on the query-engine benchmark substrate:
 
 * **Amortization** — many concurrent clients answered through one
   micro-batched tick must beat the same clients hitting the same
-  endpoint one-by-one (``max_batch_size=1``: every request pays its own
-  tick — flush machinery plus a full engine invocation) by at least
-  ``SPEEDUP_FLOOR`` in amortized per-query latency.  This isolates
-  exactly what batching amortizes, is single-threaded (no core-count
-  skip marker needed), and is the ``speedup`` series the regression
+  endpoint one-by-one (``EngineConfig(max_batch_size=1)``: every
+  request pays its own tick — flush machinery plus a full engine
+  invocation) by at least ``SPEEDUP_FLOOR`` in amortized per-query
+  latency.  This isolates exactly what batching amortizes, is
+  single-threaded (no core-count skip marker needed), and is the
+  ``speedup`` series the regression
   gate tracks.  The wall-clock of a plain synchronous ``Engine.answer``
   loop is recorded alongside (``sync_speedup``) as untracked context —
   it mixes endpoint overhead into the baseline, so it is noisier.
@@ -89,13 +90,13 @@ def _client_requests(rng) -> list[QueryRequest]:
     return requests
 
 
-def _serve(engine: Engine, requests, max_batch_size: int):
+def _serve(private, requests, max_batch_size: int):
     """All clients through one endpoint; returns (answers, seconds, ticks)."""
+    config = EngineConfig(plan=PLAN, max_batch_size=max_batch_size)
+    engine = Engine(private, config)
 
     async def run():
-        batcher = AsyncBatchEngine(
-            engine, max_batch_size=max_batch_size, max_batch_latency=30.0
-        )
+        batcher = AsyncBatchEngine(engine)
         start = time.perf_counter()
         answers = await gather_answers(batcher, requests)
         elapsed = time.perf_counter() - start
@@ -116,11 +117,11 @@ def test_async_batching_amortization_and_exactness():
 
     # One-by-one through the endpoint: a tick per request.
     unbatched, unbatched_seconds, unbatched_ticks = _serve(
-        engine, requests, max_batch_size=1
+        private, requests, max_batch_size=1
     )
     # Micro-batched: every client lands in one tick.
     batched, batched_seconds, batched_ticks = _serve(
-        engine, requests, max_batch_size=N_CLIENTS
+        private, requests, max_batch_size=N_CLIENTS
     )
     # Context series: a synchronous answer loop outside the endpoint.
     start = time.perf_counter()

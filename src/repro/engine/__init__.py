@@ -4,7 +4,7 @@ The single public API for answering range-query batches against a
 sanitized :class:`~repro.core.PrivateFrequencyMatrix`:
 
 * :class:`EngineConfig` — every tuning knob (plan forcing, shard
-  layout, dense-switch and pruning thresholds, async flush thresholds)
+  layout, dense-switch and pruning thresholds, the async flush threshold)
   in one validated object, overridable from ``key=value`` strings and
   ``REPRO_ENGINE_*`` environment variables;
 * :class:`QueryRequest` / :class:`QueryAnswer` — typed request and

@@ -12,12 +12,20 @@ batch, and the answer vector is demultiplexed back to each client's
 future, which also receives the tick-level execution evidence (plan,
 shard plans, tick wall-clock).
 
-A tick flushes when either threshold of the
-:class:`~repro.engine.EngineConfig` is hit:
+Ticks are **self-clocking** (group commit): there is no flush timer.
 
-* **size** — ``max_batch_size`` requests are pending, or
-* **latency** — ``max_batch_latency`` seconds have passed since the
-  tick's first request arrived (so a lone client is never stranded).
+* With no tick in flight, the first pending request schedules a flush
+  for the end of the current event-loop iteration (``call_soon``), so
+  every request that arrives in the same iteration rides one tick.
+* While an off-loop tick is in flight, requests accumulate; the tick's
+  completion flushes them as the next tick.  Ticks therefore grow with
+  the load instead of with a latency budget, and a lone request never
+  waits on a clock.
+* ``max_batch_size`` (from the engine's
+  :class:`~repro.engine.EngineConfig`) pending requests flush at once.
+
+Inline (no-executor) ticks are never in flight, so on that path a tick
+is exactly the requests of one loop iteration.
 
 **Determinism.**  Batching changes *scheduling*, never *answers*: every
 kernel computes each query's sum in an order fixed by that query alone
@@ -60,7 +68,6 @@ from typing import Deque, Dict, List, Set, Tuple
 
 import numpy as np
 
-from ..core.exceptions import QueryError
 from ..core.packed import validate_box_arrays
 from .api import QueryAnswer, QueryRequest
 from .engine import Engine
@@ -84,46 +91,21 @@ class _Pending:
 class AsyncBatchEngine:
     """Accumulate concurrent requests into ticks; answer each tick once.
 
-    Wraps a synchronous :class:`~repro.engine.Engine`; flush thresholds
-    come from the engine's config unless overridden here, and an
+    Wraps a synchronous :class:`~repro.engine.Engine`; the one flush
+    threshold is the engine config's ``max_batch_size``, and an
     optional ``executor`` moves each tick's kernel off the event loop
     (see the module docstring).  Use from a single event loop::
 
         engine = Engine(private, EngineConfig(plan="broadcast"))
-        batcher = AsyncBatchEngine(engine, max_batch_size=64)
+        batcher = AsyncBatchEngine(engine)
         answer = await batcher.answer(QueryRequest(lows, highs))
     """
 
-    def __init__(
-        self,
-        engine: Engine,
-        *,
-        max_batch_size: int | None = None,
-        max_batch_latency: float | None = None,
-        executor: Executor | None = None,
-    ):
-        config = engine.config
+    def __init__(self, engine: Engine, *, executor: Executor | None = None):
         self._engine = engine
         self._executor = executor
-        self.max_batch_size = (
-            config.max_batch_size if max_batch_size is None
-            else int(max_batch_size)
-        )
-        self.max_batch_latency = (
-            config.max_batch_latency if max_batch_latency is None
-            else float(max_batch_latency)
-        )
-        if self.max_batch_size < 1:
-            raise QueryError(
-                f"max_batch_size must be >= 1, got {self.max_batch_size}"
-            )
-        if self.max_batch_latency < 0:
-            raise QueryError(
-                f"max_batch_latency must be >= 0, got "
-                f"{self.max_batch_latency}"
-            )
         self._pending: List[_Pending] = []
-        self._flush_handle: asyncio.TimerHandle | None = None
+        self._flush_scheduled = False
         self._inflight: Set["asyncio.Task[None]"] = set()
         self._ticks = 0
         self._answered_queries = 0
@@ -184,12 +166,13 @@ class AsyncBatchEngine:
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[QueryAnswer]" = loop.create_future()
         self._pending.append(_Pending(request, future))
-        if len(self._pending) >= self.max_batch_size:
+        if len(self._pending) >= self._engine.config.max_batch_size:
             self._flush()
-        elif self._flush_handle is None:
-            self._flush_handle = loop.call_later(
-                self.max_batch_latency, self._flush
-            )
+        elif not (self._inflight or self._flush_scheduled):
+            # An in-flight tick flushes what queued behind it when its
+            # kernel returns (``_run_tick_off_loop``).
+            self._flush_scheduled = True
+            loop.call_soon(self._flush)
         return await future
 
     async def answer_arrays(
@@ -216,9 +199,7 @@ class AsyncBatchEngine:
         thread and demuxes); without one it runs inline, blocking the
         loop for the duration of the kernel.
         """
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
+        self._flush_scheduled = False
         batch = self._pending
         self._pending = []
         live = [p for p in batch if not p.future.done()]
@@ -233,7 +214,6 @@ class AsyncBatchEngine:
                 self._run_tick_off_loop(live, request)
             )
             self._inflight.add(task)
-            task.add_done_callback(self._inflight.discard)
             return
         try:
             tick = self._engine.answer(request)
@@ -245,7 +225,12 @@ class AsyncBatchEngine:
     async def _run_tick_off_loop(
         self, live: List[_Pending], request: QueryRequest
     ) -> None:
-        """Run one tick's kernel in the executor, then demux on-loop."""
+        """Run one tick's kernel in the executor, then demux on-loop.
+
+        Self-clocking: the moment the kernel returns, what queued behind
+        this tick is dispatched as the next one, before the demux, so
+        the next kernel overlaps this tick's response work on the loop.
+        """
         loop = asyncio.get_running_loop()
         try:
             tick = await loop.run_in_executor(
@@ -254,6 +239,10 @@ class AsyncBatchEngine:
         except Exception as exc:  # noqa: BLE001 - forwarded to clients
             self._fail(live, exc)
             return
+        finally:
+            self._inflight.discard(asyncio.current_task())
+            if self._pending and not self._inflight:
+                self._flush()
         self._demux(live, tick)
 
     @staticmethod

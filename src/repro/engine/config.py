@@ -1,7 +1,7 @@
 """`EngineConfig`: the one tuning knob of the query-serving engine.
 
 Every setting of the query path — plan forcing, the shard layout, the
-dense-switch and pruning thresholds, the async flush thresholds — lives
+dense-switch and pruning thresholds, the async flush threshold — lives
 in one validated, immutable object that travels with an
 :class:`~repro.engine.Engine`:
 
@@ -13,8 +13,9 @@ in one validated, immutable object that travels with an
   pruned-vs-broadcast pair-cost rule
   (:class:`~repro.core.interval_index.PlanCost`) on every path,
   including per-shard planning;
-* **async serving** — ``max_batch_size`` / ``max_batch_latency`` are
-  the :class:`~repro.engine.AsyncBatchEngine` tick-flush knobs.
+* **async serving** — ``max_batch_size`` caps an
+  :class:`~repro.engine.AsyncBatchEngine` tick; ticks are otherwise
+  self-clocking (no flush timer, see :mod:`repro.engine.async_batch`).
 
 Defaults come from the module constants in
 :mod:`repro.core.private_matrix` and :mod:`repro.core.interval_index`.
@@ -22,12 +23,13 @@ Overrides can come from keyword arguments, from ``key=value`` strings
 (:meth:`EngineConfig.from_string`, the CLI ``--engine-config`` format),
 or from ``REPRO_ENGINE_<FIELD>`` environment variables
 (:meth:`EngineConfig.from_env`), checked in that order of precedence.
+An unknown ``REPRO_ENGINE_*`` name is an error, not a silent no-op.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Mapping
 
 from ..core.exceptions import QueryError, ValidationError
@@ -69,7 +71,6 @@ _STRING_FIELDS: Dict[str, type] = {
     "prune_overhead_pairs": float,
     "prune_safety_factor": float,
     "max_batch_size": int,
-    "max_batch_latency": float,
 }
 
 
@@ -104,10 +105,9 @@ class EngineConfig:
     prune_min_partitions / prune_overhead_pairs / prune_safety_factor:
         The pruned-vs-broadcast pair-cost rule (see
         :func:`~repro.core.interval_index.candidate_cost_plan`).
-    max_batch_size / max_batch_latency:
-        :class:`~repro.engine.AsyncBatchEngine` flush thresholds: a
-        tick flushes when this many requests are pending, or when the
-        oldest pending request has waited this many seconds.
+    max_batch_size:
+        :class:`~repro.engine.AsyncBatchEngine` flush threshold: a tick
+        flushes at once when this many requests are pending.
     """
 
     plan: str | None = None
@@ -119,7 +119,6 @@ class EngineConfig:
     prune_overhead_pairs: float = PRUNE_OVERHEAD_PAIRS
     prune_safety_factor: float = PRUNE_SAFETY_FACTOR
     max_batch_size: int = 256
-    max_batch_latency: float = 0.002
 
     def __post_init__(self) -> None:
         if self.plan is not None and self.plan not in ENGINE_PLANS:
@@ -155,10 +154,6 @@ class EngineConfig:
         if self.max_batch_size < 1:
             raise ValidationError(
                 f"max_batch_size must be >= 1, got {self.max_batch_size}"
-            )
-        if self.max_batch_latency < 0:
-            raise ValidationError(
-                f"max_batch_latency must be >= 0, got {self.max_batch_latency}"
             )
 
     # ------------------------------------------------------------------
@@ -240,17 +235,23 @@ class EngineConfig:
 
         E.g. ``REPRO_ENGINE_PLAN=sharded REPRO_ENGINE_N_SHARDS=4``.
         Unset variables keep ``base``'s values; empty strings are
-        treated as unset.
+        treated as unset.  A non-empty ``REPRO_ENGINE_*`` variable that
+        names no settable field (a typo, or a deleted knob) raises
+        :class:`ValidationError` instead of being silently ignored.
         """
         base = base if base is not None else cls()
         environ = os.environ if environ is None else environ
+        known = {ENV_PREFIX + name.upper(): name for name in _STRING_FIELDS}
         pairs = []
-        for field in fields(cls):
-            if field.name not in _STRING_FIELDS:
+        for var, raw in environ.items():
+            if not raw or not var.startswith(ENV_PREFIX):
                 continue
-            raw = environ.get(ENV_PREFIX + field.name.upper())
-            if raw:
-                pairs.append(f"{field.name}={raw}")
+            if var not in known:
+                raise ValidationError(
+                    f"unknown engine-config variable {var!r}; settable "
+                    f"fields: {', '.join(sorted(_STRING_FIELDS))}"
+                )
+            pairs.append(f"{known[var]}={raw}")
         if not pairs:
             return base
         return cls.from_string(",".join(pairs), base=base)

@@ -26,9 +26,13 @@ flushed tick's engine invocation is dispatched through
 event loop keeps accepting connections, parsing requests, forming the
 next tick, and firing timeouts while a heavy kernel runs.  Threads give
 real overlap because numpy releases the GIL inside the kernels — no
-pickling, no copies.  ``off_loop=False`` runs kernels inline on the
-loop (the PR-5 behavior), kept both as a comparison baseline for the
-responsiveness benchmark and for single-threaded debugging.
+pickling, no copies.  Ticks are self-clocking: requests that arrive
+while a tick's kernel runs become the next tick the moment it
+completes, so tick size follows the load and no timer delays a lone
+request.  ``off_loop=False`` runs kernels inline on the loop.  It stays
+because the responsiveness benchmark needs an on-loop server to
+measure the lag the executor removes, and because one thread is the
+simplest setting in which to debug a tick.
 
 **Flow control.**  Three protections keep an overloaded server honest
 instead of unbounded: a queue-depth cap (`max_pending_requests`)
@@ -76,6 +80,10 @@ DEFAULT_REQUEST_TIMEOUT = 30.0
 
 #: Seconds suggested to a 503-rejected client via ``Retry-After``.
 DEFAULT_RETRY_AFTER = 1.0
+
+#: Seconds a closing connection gets to flush its last response on
+#: shutdown before it is aborted.
+CLOSE_GRACE = 1.0
 
 #: Heartbeat period of the loop-lag monitor.
 HEARTBEAT_INTERVAL = 0.005
@@ -189,8 +197,6 @@ class EngineServer:
         host: str = "127.0.0.1",
         port: int = 0,
         off_loop: bool = True,
-        max_batch_size: int | None = None,
-        max_batch_latency: float | None = None,
         max_pending_requests: int = DEFAULT_MAX_PENDING_REQUESTS,
         max_batch_queries: int = DEFAULT_MAX_BATCH_QUERIES,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
@@ -221,8 +227,6 @@ class EngineServer:
         self.request_timeout = request_timeout
         self.retry_after = float(retry_after)
         self._requested_port = int(port)
-        self._max_batch_size = max_batch_size
-        self._max_batch_latency = max_batch_latency
         self._executor: ThreadPoolExecutor | None = None
         self._server: asyncio.AbstractServer | None = None
         self._batcher: AsyncBatchEngine | None = None
@@ -231,7 +235,10 @@ class EngineServer:
         self._in_progress = 0
         self._started_at = 0.0
         self._latencies: Deque[float] = deque(maxlen=LATENCY_WINDOW)
-        self._connections: set[asyncio.StreamWriter] = set()
+        # Each open connection's writer and the task handling it.
+        self._connections: Dict[
+            asyncio.StreamWriter, "asyncio.Task[None]"
+        ] = {}
         self._counters: Dict[str, int] = {
             "connections_total": 0,
             "requests_total": 0,
@@ -276,12 +283,7 @@ class EngineServer:
             self._executor = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="repro-tick"
             )
-        self._batcher = AsyncBatchEngine(
-            self.engine,
-            max_batch_size=self._max_batch_size,
-            max_batch_latency=self._max_batch_latency,
-            executor=self._executor,
-        )
+        self._batcher = AsyncBatchEngine(self.engine, executor=self._executor)
         # Spawn the resident shard-worker pool (when configured) before
         # accepting traffic: workers fork from this thread, not from a
         # tick thread mid-request, and the first query pays no spawn
@@ -321,8 +323,19 @@ class EngineServer:
         close = getattr(self.engine, "close", None)
         if close is not None:
             close()
+        # Closing a keep-alive connection ends its handler at the next
+        # read; awaiting the handlers leaves no task for the loop's
+        # teardown to cancel (and log) mid-close.  A peer that stops
+        # reading would hold its close open, so after a grace period
+        # the stragglers are aborted.
+        handlers = tuple(self._connections.values())
         for writer in tuple(self._connections):
             writer.close()
+        if handlers:
+            _, stuck = await asyncio.wait(handlers, timeout=CLOSE_GRACE)
+            for writer in tuple(self._connections):
+                writer.transport.abort()
+            await asyncio.gather(*stuck, return_exceptions=True)
 
     async def serve_until(self, stop: "asyncio.Event | None" = None) -> None:
         """Start, run until ``stop`` is set (or cancelled), then drain."""
@@ -347,7 +360,7 @@ class EngineServer:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._connections.add(writer)
+        self._connections[writer] = asyncio.current_task()
         self._counters["connections_total"] += 1
         try:
             while True:
@@ -410,7 +423,7 @@ class EngineServer:
         ):
             self._counters["client_disconnects"] += 1
         finally:
-            self._connections.discard(writer)
+            self._connections.pop(writer, None)
             writer.close()
             try:
                 await writer.wait_closed()

@@ -1,4 +1,4 @@
-"""AsyncBatchEngine: concurrency equivalence, flush triggers, cancellation.
+"""AsyncBatchEngine: concurrency equivalence, flush policy, cancellation.
 
 The headline guarantee: answers produced through the micro-batching
 endpoint are **bit-identical** to one-by-one `Engine.answer` calls —
@@ -9,6 +9,7 @@ pinned by the config, the serving determinism lever).
 """
 
 import asyncio
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -61,6 +62,52 @@ def client_requests(n_clients, rng, q_low=1, q_high=6):
     return requests
 
 
+def assert_exact(engine, requests, answers):
+    for request, answer in zip(requests, answers):
+        serial = engine.answer(request)
+        assert float(np.abs(serial.answers - answer.answers).max()) == 0.0
+
+
+class GatedEngine:
+    """Engine stand-in whose ``answer`` blocks until ``gate`` is set.
+
+    Behind a one-thread executor it holds a tick in flight for as long
+    as a test needs, so the flush policy is pinned by structure (what
+    is pending while which tick runs), not by wall-clock time.
+    """
+
+    def __init__(self, engine):
+        self._engine = engine
+        self.config = engine.config
+        self.private = engine.private
+        self.gate = threading.Event()
+        self.entered = threading.Event()
+        self.tick_queries = []
+
+    def answer(self, request):
+        self.entered.set()
+        assert self.gate.wait(timeout=10.0), "gate never opened"
+        self.tick_queries.append(request.n_queries)
+        return self._engine.answer(request)
+
+    async def held(self):
+        """Wait until a tick is blocked inside :meth:`answer`."""
+        assert await asyncio.to_thread(self.entered.wait, 10.0)
+
+
+def record_timers(loop):
+    """Record every timer armed on ``loop`` (all of them go via call_at)."""
+    armed = []
+    call_at = loop.call_at
+
+    def recording_call_at(when, *args, **kwargs):
+        armed.append(when)
+        return call_at(when, *args, **kwargs)
+
+    loop.call_at = recording_call_at
+    return armed
+
+
 @pytest.fixture(scope="module")
 def private():
     return grid_private()
@@ -82,14 +129,13 @@ class TestConcurrencyEquivalence:
             prune_min_partitions=(
                 10**9 if plan == PLAN_SHARDED else EngineConfig().prune_min_partitions
             ),
+            max_batch_size=24,
         )
         engine = Engine(private, config)
         requests = client_requests(24, np.random.default_rng(1))
 
         async def run():
-            batcher = AsyncBatchEngine(
-                engine, max_batch_size=24, max_batch_latency=30.0
-            )
+            batcher = AsyncBatchEngine(engine)
             return await gather_answers(batcher, requests), batcher.stats
 
         answers, stats = asyncio.run(run())
@@ -103,15 +149,15 @@ class TestConcurrencyEquivalence:
             assert answer.plan == serial.plan
 
     def test_many_ticks_still_exact(self, private):
-        engine = Engine(private, EngineConfig(plan=PLAN_BROADCAST))
+        engine = Engine(
+            private, EngineConfig(plan=PLAN_BROADCAST, max_batch_size=7)
+        )
         requests = client_requests(30, np.random.default_rng(2))
 
         async def run():
-            # Short latency so the 30 % 7 residue tick flushes on the
-            # timer instead of stalling the gather.
-            batcher = AsyncBatchEngine(
-                engine, max_batch_size=7, max_batch_latency=0.05
-            )
+            # Four size-7 ticks, then the 30 % 7 residue flushes at the
+            # end of the loop iteration.
+            batcher = AsyncBatchEngine(engine)
             return await gather_answers(batcher, requests), batcher.stats
 
         answers, stats = asyncio.run(run())
@@ -127,51 +173,34 @@ class TestConcurrencyEquivalence:
 
 class TestFlushTriggers:
     def test_flush_on_size_does_not_wait_for_timeout(self, private):
-        engine = Engine(private, EngineConfig(plan=PLAN_BROADCAST))
+        engine = Engine(
+            private, EngineConfig(plan=PLAN_BROADCAST, max_batch_size=4)
+        )
         requests = client_requests(4, np.random.default_rng(3))
 
         async def run():
-            # A latency budget far beyond the test timeout: only the
-            # size trigger can flush.
-            batcher = AsyncBatchEngine(
-                engine, max_batch_size=4, max_batch_latency=60.0
-            )
-            answers = await asyncio.wait_for(
-                gather_answers(batcher, requests), timeout=5.0
-            )
-            return answers, batcher.stats
+            batcher = AsyncBatchEngine(engine)
+            tasks = [
+                asyncio.ensure_future(batcher.answer(r)) for r in requests
+            ]
+            await asyncio.sleep(0)  # every request enqueues this iteration
+            # The fourth request flushed inside answer(), before the
+            # end-of-iteration flush could run.
+            assert batcher.stats["ticks"] == 1
+            assert batcher.pending_requests == 0
+            return await asyncio.gather(*tasks), batcher.stats
 
         answers, stats = asyncio.run(run())
         assert stats["ticks"] == 1 and len(answers) == 4
 
-    def test_flush_on_timeout_serves_partial_tick(self, private):
-        engine = Engine(private, EngineConfig(plan=PLAN_BROADCAST))
-        requests = client_requests(2, np.random.default_rng(4))
-
-        async def run():
-            # Size trigger unreachable: only the latency timer fires.
-            batcher = AsyncBatchEngine(
-                engine, max_batch_size=10_000, max_batch_latency=0.05
-            )
-            loop = asyncio.get_running_loop()
-            start = loop.time()
-            answers = await asyncio.wait_for(
-                gather_answers(batcher, requests), timeout=5.0
-            )
-            return answers, batcher.stats, loop.time() - start
-
-        answers, stats, elapsed = asyncio.run(run())
-        assert stats["ticks"] == 1 and len(answers) == 2
-        assert elapsed >= 0.05  # the tick waited for the latency budget
-
     def test_drain_flushes_immediately(self, private):
-        engine = Engine(private, EngineConfig(plan=PLAN_BROADCAST))
+        engine = Engine(
+            private, EngineConfig(plan=PLAN_BROADCAST, max_batch_size=10_000)
+        )
         [request] = client_requests(1, np.random.default_rng(5))
 
         async def run():
-            batcher = AsyncBatchEngine(
-                engine, max_batch_size=10_000, max_batch_latency=60.0
-            )
+            batcher = AsyncBatchEngine(engine)
             task = asyncio.ensure_future(batcher.answer(request))
             await asyncio.sleep(0)  # let the request enqueue
             assert batcher.pending_requests == 1
@@ -184,23 +213,145 @@ class TestFlushTriggers:
             == 0.0
         )
 
-    def test_invalid_flush_thresholds_rejected(self, private):
-        engine = Engine(private)
-        with pytest.raises(QueryError, match="max_batch_size"):
-            AsyncBatchEngine(engine, max_batch_size=0)
-        with pytest.raises(QueryError, match="max_batch_latency"):
-            AsyncBatchEngine(engine, max_batch_latency=-1)
+
+class TestSelfClocking:
+    """Group-commit flushing: no timer, ticks form behind in-flight ticks."""
+
+    def test_lone_request_answered_without_a_timer(self, private):
+        engine = Engine(private, EngineConfig(plan=PLAN_BROADCAST))
+        [request] = client_requests(1, np.random.default_rng(20))
+
+        async def run():
+            armed = record_timers(asyncio.get_running_loop())
+            batcher = AsyncBatchEngine(engine)
+            task = asyncio.ensure_future(batcher.answer(request))
+            # Enqueue, end-of-iteration flush, wake-up: three iterations.
+            for _ in range(3):
+                await asyncio.sleep(0)
+            assert task.done(), "a lone request waited on a clock"
+            return task.result(), armed
+
+        answer, armed = asyncio.run(run())
+        assert armed == []
+        assert_exact(engine, [request], [answer])
+
+    def test_lone_request_dispatched_off_loop_without_a_timer(
+        self, private
+    ):
+        engine = Engine(private, EngineConfig(plan=PLAN_BROADCAST))
+        gated = GatedEngine(engine)
+        [request] = client_requests(1, np.random.default_rng(21))
+
+        async def run():
+            armed = record_timers(asyncio.get_running_loop())
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                batcher = AsyncBatchEngine(gated, executor=pool)
+                task = asyncio.ensure_future(batcher.answer(request))
+                # Enqueue, end-of-iteration flush, dispatch.
+                for _ in range(3):
+                    await asyncio.sleep(0)
+                assert batcher.pending_requests == 0
+                assert batcher.inflight_ticks == 1
+                timers = list(armed)
+                gated.gate.set()
+                return await task, timers
+
+        answer, armed = asyncio.run(run())
+        assert armed == []
+        assert_exact(engine, [request], [answer])
+
+    def test_arrivals_behind_a_held_tick_form_one_next_tick(self, private):
+        engine = Engine(private, EngineConfig(plan=PLAN_BROADCAST))
+        gated = GatedEngine(engine)
+        requests = client_requests(4, np.random.default_rng(22))
+
+        async def run():
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                batcher = AsyncBatchEngine(gated, executor=pool)
+                tasks = [asyncio.ensure_future(batcher.answer(requests[0]))]
+                await gated.held()
+                for request in requests[1:]:  # spaced well past any timer
+                    tasks.append(
+                        asyncio.ensure_future(batcher.answer(request))
+                    )
+                    await asyncio.sleep(0.01)
+                assert batcher.pending_requests == 3
+                gated.gate.set()
+                return await asyncio.gather(*tasks), batcher.stats
+
+        answers, stats = asyncio.run(run())
+        assert stats["ticks"] == 2
+        assert gated.tick_queries == [
+            requests[0].n_queries,
+            sum(r.n_queries for r in requests[1:]),
+        ]
+        assert_exact(engine, requests, answers)
+
+    def test_cancelled_while_behind_a_held_tick_is_dropped(self, private):
+        engine = Engine(private, EngineConfig(plan=PLAN_BROADCAST))
+        gated = GatedEngine(engine)
+        requests = client_requests(4, np.random.default_rng(23))
+
+        async def run():
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                batcher = AsyncBatchEngine(gated, executor=pool)
+                first = asyncio.ensure_future(batcher.answer(requests[0]))
+                await gated.held()
+                waiting = [
+                    asyncio.ensure_future(batcher.answer(r))
+                    for r in requests[1:]
+                ]
+                await asyncio.sleep(0)  # all three are pending
+                waiting[1].cancel()
+                gated.gate.set()
+                kept = await asyncio.gather(first, waiting[0], waiting[2])
+                return kept, waiting[1], batcher.stats
+
+        kept, quitter, stats = asyncio.run(run())
+        assert quitter.cancelled()
+        assert stats["dropped_requests"] == 1
+        assert stats["answered_requests"] == 3
+        assert stats["ticks"] == 2
+        assert_exact(engine, [requests[0], requests[1], requests[3]], kept)
+
+    def test_drain_answers_held_and_pending_requests(self, private):
+        engine = Engine(private, EngineConfig(plan=PLAN_BROADCAST))
+        gated = GatedEngine(engine)
+        requests = client_requests(3, np.random.default_rng(24))
+
+        async def run():
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                batcher = AsyncBatchEngine(gated, executor=pool)
+                tasks = [asyncio.ensure_future(batcher.answer(requests[0]))]
+                await gated.held()
+                tasks += [
+                    asyncio.ensure_future(batcher.answer(r))
+                    for r in requests[1:]
+                ]
+                await asyncio.sleep(0)
+                drain = asyncio.ensure_future(batcher.drain())
+                await asyncio.sleep(0.02)
+                assert not drain.done()  # the held tick is still running
+                gated.gate.set()
+                await drain
+                assert all(t.done() for t in tasks)
+                assert batcher.inflight_ticks == 0
+                assert batcher.pending_requests == 0
+                return [t.result() for t in tasks]
+
+        answers = asyncio.run(run())
+        assert_exact(engine, requests, answers)
 
 
 class TestCancellationAndErrors:
     def test_cancelled_client_does_not_corrupt_the_tick(self, private):
-        engine = Engine(private, EngineConfig(plan=PLAN_BROADCAST))
+        engine = Engine(
+            private, EngineConfig(plan=PLAN_BROADCAST, max_batch_size=3)
+        )
         requests = client_requests(3, np.random.default_rng(6))
 
         async def run():
-            batcher = AsyncBatchEngine(
-                engine, max_batch_size=3, max_batch_latency=60.0
-            )
+            batcher = AsyncBatchEngine(engine)
             first = asyncio.ensure_future(batcher.answer(requests[0]))
             second = asyncio.ensure_future(batcher.answer(requests[1]))
             await asyncio.sleep(0)
@@ -223,7 +374,9 @@ class TestCancellationAndErrors:
             )
 
     def test_malformed_request_fails_its_caller_only(self, private):
-        engine = Engine(private, EngineConfig(plan=PLAN_BROADCAST))
+        engine = Engine(
+            private, EngineConfig(plan=PLAN_BROADCAST, max_batch_size=2)
+        )
         good = client_requests(1, np.random.default_rng(7))[0]
         bad = QueryRequest(
             np.array([[0, 0]], dtype=np.int64),
@@ -231,9 +384,7 @@ class TestCancellationAndErrors:
         )
 
         async def run():
-            batcher = AsyncBatchEngine(
-                engine, max_batch_size=2, max_batch_latency=0.05
-            )
+            batcher = AsyncBatchEngine(engine)
             good_task = asyncio.ensure_future(batcher.answer(good))
             await asyncio.sleep(0)
             with pytest.raises(QueryError, match="outside matrix shape"):
@@ -247,7 +398,9 @@ class TestCancellationAndErrors:
         )
 
     def test_engine_failure_propagates_to_all_tick_clients(self, private):
-        engine = Engine(private, EngineConfig(plan=PLAN_BROADCAST))
+        engine = Engine(
+            private, EngineConfig(plan=PLAN_BROADCAST, max_batch_size=2)
+        )
 
         class Boom(RuntimeError):
             pass
@@ -262,9 +415,7 @@ class TestCancellationAndErrors:
         requests = client_requests(2, np.random.default_rng(8))
 
         async def run():
-            batcher = AsyncBatchEngine(
-                ExplodingEngine(), max_batch_size=2, max_batch_latency=60.0
-            )
+            batcher = AsyncBatchEngine(ExplodingEngine())
             results = await asyncio.gather(
                 *(batcher.answer(r) for r in requests),
                 return_exceptions=True,
@@ -280,7 +431,9 @@ class TestCancellationAndErrors:
         # QueryRequest.from_boxes([]) builds — are answered inline
         # without entering (or stalling) a tick, matching the sync
         # engine's empty-batch contract.
-        engine = Engine(private, EngineConfig(plan=PLAN_BROADCAST))
+        engine = Engine(
+            private, EngineConfig(plan=PLAN_BROADCAST, max_batch_size=1)
+        )
         empty = QueryRequest(
             np.empty((0, width), dtype=np.int64),
             np.empty((0, width), dtype=np.int64),
@@ -288,9 +441,7 @@ class TestCancellationAndErrors:
         [other] = client_requests(1, np.random.default_rng(9))
 
         async def run():
-            batcher = AsyncBatchEngine(
-                engine, max_batch_size=1, max_batch_latency=60.0
-            )
+            batcher = AsyncBatchEngine(engine)
             empty_answer = await batcher.answer(empty)
             assert batcher.pending_requests == 0  # never enqueued
             other_answer = await batcher.answer(other)
@@ -307,11 +458,11 @@ class TestCancellationAndErrors:
         )
 
     def test_from_boxes_empty_served_like_sync(self, private):
-        engine = Engine(private)
+        engine = Engine(private, EngineConfig(max_batch_size=4))
         request = QueryRequest.from_boxes([])
 
         async def run():
-            batcher = AsyncBatchEngine(engine, max_batch_size=4)
+            batcher = AsyncBatchEngine(engine)
             return await batcher.answer(request)
 
         answer = asyncio.run(run())
@@ -324,17 +475,14 @@ class TestOffLoopExecutor:
     """The ``executor`` option: kernels off the loop, same contract."""
 
     def test_off_loop_answers_bit_identical(self, private):
-        engine = Engine(private, EngineConfig(plan=PLAN_BROADCAST))
+        engine = Engine(
+            private, EngineConfig(plan=PLAN_BROADCAST, max_batch_size=4)
+        )
         requests = client_requests(16, np.random.default_rng(10))
 
         async def run():
             with ThreadPoolExecutor(max_workers=1) as pool:
-                batcher = AsyncBatchEngine(
-                    engine,
-                    max_batch_size=4,
-                    max_batch_latency=0.02,
-                    executor=pool,
-                )
+                batcher = AsyncBatchEngine(engine, executor=pool)
                 answers = await gather_answers(batcher, requests)
                 await batcher.drain()
                 return answers, batcher.stats
@@ -353,7 +501,9 @@ class TestOffLoopExecutor:
     def test_loop_stays_responsive_during_off_loop_tick(self, private):
         # The point of the executor: a heartbeat coroutine keeps beating
         # while a (deliberately slow) kernel runs in the worker thread.
-        engine = Engine(private, EngineConfig(plan=PLAN_BROADCAST))
+        engine = Engine(
+            private, EngineConfig(plan=PLAN_BROADCAST, max_batch_size=1)
+        )
 
         class SlowEngine:
             config = engine.config
@@ -376,9 +526,7 @@ class TestOffLoopExecutor:
                     beats += 1
 
             with ThreadPoolExecutor(max_workers=1) as pool:
-                batcher = AsyncBatchEngine(
-                    SlowEngine(), max_batch_size=1, executor=pool
-                )
+                batcher = AsyncBatchEngine(SlowEngine(), executor=pool)
                 ticker = asyncio.ensure_future(heartbeat())
                 answer = await batcher.answer(request)
                 done.set()
@@ -395,17 +543,14 @@ class TestOffLoopExecutor:
         )
 
     def test_drain_awaits_inflight_off_loop_ticks(self, private):
-        engine = Engine(private, EngineConfig(plan=PLAN_BROADCAST))
+        engine = Engine(
+            private, EngineConfig(plan=PLAN_BROADCAST, max_batch_size=10_000)
+        )
         requests = client_requests(3, np.random.default_rng(12))
 
         async def run():
             with ThreadPoolExecutor(max_workers=1) as pool:
-                batcher = AsyncBatchEngine(
-                    engine,
-                    max_batch_size=10_000,
-                    max_batch_latency=60.0,
-                    executor=pool,
-                )
+                batcher = AsyncBatchEngine(engine, executor=pool)
                 tasks = [
                     asyncio.ensure_future(batcher.answer(r)) for r in requests
                 ]
@@ -428,7 +573,9 @@ class TestOffLoopExecutor:
             )
 
     def test_off_loop_engine_failure_propagates(self, private):
-        engine = Engine(private, EngineConfig(plan=PLAN_BROADCAST))
+        engine = Engine(
+            private, EngineConfig(plan=PLAN_BROADCAST, max_batch_size=2)
+        )
 
         class Boom(RuntimeError):
             pass
@@ -444,9 +591,7 @@ class TestOffLoopExecutor:
 
         async def run():
             with ThreadPoolExecutor(max_workers=1) as pool:
-                batcher = AsyncBatchEngine(
-                    ExplodingEngine(), max_batch_size=2, executor=pool
-                )
+                batcher = AsyncBatchEngine(ExplodingEngine(), executor=pool)
                 return await asyncio.gather(
                     *(batcher.answer(r) for r in requests),
                     return_exceptions=True,
@@ -456,7 +601,9 @@ class TestOffLoopExecutor:
         assert all(isinstance(r, Boom) for r in results)
 
     def test_cancellation_during_off_loop_tick_drops_one_client(self, private):
-        engine = Engine(private, EngineConfig(plan=PLAN_BROADCAST))
+        engine = Engine(
+            private, EngineConfig(plan=PLAN_BROADCAST, max_batch_size=2)
+        )
 
         class SlowEngine:
             config = engine.config
@@ -470,9 +617,7 @@ class TestOffLoopExecutor:
 
         async def run():
             with ThreadPoolExecutor(max_workers=1) as pool:
-                batcher = AsyncBatchEngine(
-                    SlowEngine(), max_batch_size=2, executor=pool
-                )
+                batcher = AsyncBatchEngine(SlowEngine(), executor=pool)
                 keeper = asyncio.ensure_future(batcher.answer(requests[0]))
                 quitter = asyncio.ensure_future(batcher.answer(requests[1]))
                 await asyncio.sleep(0.02)  # tick is now off-loop

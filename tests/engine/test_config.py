@@ -1,5 +1,9 @@
 """EngineConfig: validation, string/env overrides, cost-rule threading."""
 
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from repro.core import PlanCost, QueryError, ValidationError
@@ -50,7 +54,6 @@ class TestDefaultsAndValidation:
         ("dense_switch_max_cells", -1),
         ("prune_min_partitions", -5),
         ("max_batch_size", 0),
-        ("max_batch_latency", -0.1),
     ])
     def test_numeric_fields_validated(self, field, value):
         with pytest.raises(ValidationError, match=field):
@@ -77,14 +80,13 @@ class TestStringOverrides:
     def test_parse_types(self):
         overrides = EngineConfig.parse_overrides(
             "plan=sharded, n_shards=4, prune_safety_factor=2.5,"
-            "max_batch_size=32, max_batch_latency=0.01"
+            "max_batch_size=32"
         )
         assert overrides == {
             "plan": "sharded",
             "n_shards": 4,
             "prune_safety_factor": 2.5,
             "max_batch_size": 32,
-            "max_batch_latency": 0.01,
         }
 
     def test_from_string_layers_on_base(self):
@@ -144,12 +146,26 @@ class TestEnvOverrides:
         environ = {
             "REPRO_ENGINE_PLAN": "sharded",
             "REPRO_ENGINE_N_SHARDS": "5",
-            "REPRO_ENGINE_MAX_BATCH_LATENCY": "0.5",
+            "REPRO_ENGINE_MAX_BATCH_SIZE": "64",
         }
         config = EngineConfig.from_env(environ=environ)
         assert config.plan == "sharded"
         assert config.n_shards == 5
-        assert config.max_batch_latency == 0.5
+        assert config.max_batch_size == 64
+
+    @pytest.mark.parametrize("name", [
+        "REPRO_ENGINE_MAX_BATCH_LATECNY",  # a typo
+        "REPRO_ENGINE_MAX_BATCH_LATENCY",  # a deleted knob
+        "REPRO_ENGINE_plan",  # names are upper case
+    ])
+    def test_unknown_env_var_rejected(self, name):
+        with pytest.raises(ValidationError, match="settable fields") as exc:
+            EngineConfig.from_env(environ={name: "5"})
+        assert name in str(exc.value)
+
+    def test_empty_unknown_env_var_is_unset(self):
+        environ = {"REPRO_ENGINE_MAX_BATCH_LATECNY": "", "HOME": "/"}
+        assert EngineConfig.from_env(environ=environ) == EngineConfig()
 
     def test_empty_and_absent_vars_keep_base(self):
         base = EngineConfig(n_shards=2)
@@ -161,3 +177,18 @@ class TestEnvOverrides:
     def test_real_environ_consulted(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE_PRUNE_SAFETY_FACTOR", "3.5")
         assert EngineConfig.from_env().prune_safety_factor == 3.5
+
+
+class TestDocumentedFields:
+    def test_serving_doc_table_lists_exactly_the_fields(self):
+        # docs/SERVING.md's EngineConfig table must name every field
+        # with its env var, and nothing else, so a deleted knob cannot
+        # linger in the docs.
+        doc = Path(__file__).resolve().parents[2] / "docs" / "SERVING.md"
+        section = doc.read_text().split("### Engine knobs")[1]
+        section = section.split("\n#")[0]
+        rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \|", section, re.M)
+        assert sorted(rows) == sorted(
+            (f.name, "REPRO_ENGINE_" + f.name.upper())
+            for f in fields(EngineConfig)
+        )

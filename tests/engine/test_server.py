@@ -11,7 +11,9 @@ are **bit-identical** to in-process ``Engine.answer`` (drift exactly
 
 import asyncio
 import json
+import logging
 import multiprocessing
+import socket
 import time
 
 import numpy as np
@@ -141,13 +143,14 @@ class TestExactness:
             assert answer.plan == serial.plan
             assert answer.workload == request.workload
 
-    def test_concurrent_clients_share_ticks_exactly(self, engine):
+    def test_concurrent_clients_share_ticks_exactly(self, private):
+        engine = Engine(
+            private, EngineConfig(plan="broadcast", max_batch_size=12)
+        )
         requests = client_requests(12, np.random.default_rng(2))
 
         async def run():
-            async with serve(
-                engine, max_batch_size=12, max_batch_latency=0.05
-            ) as server:
+            async with serve(engine) as server:
 
                 async def one(request):
                     async with AsyncServingClient(port=server.port) as c:
@@ -378,15 +381,15 @@ class TestFlowControl:
         assert status == 413
         assert body["max_body_bytes"] == 64
 
-    def test_queue_full_is_503_with_retry_after(self, engine):
+    def test_queue_full_is_503_with_retry_after(self, private):
+        engine = Engine(
+            private, EngineConfig(plan="broadcast", max_batch_size=1)
+        )
         slow = SlowEngine(engine, delay=0.3)
 
         async def run():
             async with serve(
-                slow,
-                max_pending_requests=1,
-                max_batch_size=1,
-                retry_after=2.5,
+                slow, max_pending_requests=1, retry_after=2.5
             ) as server:
                 async with AsyncServingClient(port=server.port) as first:
                     request = client_requests(1, np.random.default_rng(3))[0]
@@ -410,13 +413,14 @@ class TestFlowControl:
             == 0.0
         )
 
-    def test_slow_tick_times_out_as_504(self, engine):
+    def test_slow_tick_times_out_as_504(self, private):
+        engine = Engine(
+            private, EngineConfig(plan="broadcast", max_batch_size=1)
+        )
         slow = SlowEngine(engine, delay=0.5)
 
         async def run():
-            async with serve(
-                slow, request_timeout=0.05, max_batch_size=1
-            ) as server:
+            async with serve(slow, request_timeout=0.05) as server:
                 async with AsyncServingClient(port=server.port) as client:
                     with pytest.raises(ServingError) as excinfo:
                         await client.query([[0, 0]], [[1, 1]])
@@ -428,14 +432,15 @@ class TestFlowControl:
         assert error.payload["timeout_seconds"] == 0.05
         assert stats["counters"]["timeouts"] == 1
 
-    def test_client_disconnect_mid_tick_leaves_tick_unharmed(self, engine):
+    def test_client_disconnect_mid_tick_leaves_tick_unharmed(self, private):
+        engine = Engine(
+            private, EngineConfig(plan="broadcast", max_batch_size=2)
+        )
         slow = SlowEngine(engine, delay=0.2)
         survivor, doomed = client_requests(2, np.random.default_rng(4))
 
         async def run():
-            async with serve(
-                slow, max_batch_size=2, max_batch_latency=30.0
-            ) as server:
+            async with serve(slow) as server:
                 async with AsyncServingClient(port=server.port) as client:
                     # The doomed client joins the tick, then vanishes
                     # before its answer can be written back.
@@ -658,7 +663,10 @@ class TestStatzAndHealth:
 
         assert asyncio.run(run())["status"] == "ok"
 
-    def test_statz_counters_monotone_under_concurrent_load(self, engine):
+    def test_statz_counters_monotone_under_concurrent_load(self, private):
+        engine = Engine(
+            private, EngineConfig(plan="broadcast", max_batch_size=4)
+        )
         requests = client_requests(10, np.random.default_rng(5))
         monotone = [
             "connections_total",
@@ -669,9 +677,7 @@ class TestStatzAndHealth:
         ]
 
         async def run():
-            async with serve(
-                engine, max_batch_size=4, max_batch_latency=0.02
-            ) as server:
+            async with serve(engine) as server:
                 async with AsyncServingClient(port=server.port) as probe:
                     snapshots = [await probe.statz()]
 
@@ -715,12 +721,15 @@ class TestStatzAndHealth:
 
 
 class TestLifecycle:
-    def test_graceful_drain_finishes_inflight_then_refuses(self, engine):
+    def test_graceful_drain_finishes_inflight_then_refuses(self, private):
+        engine = Engine(
+            private, EngineConfig(plan="broadcast", max_batch_size=1)
+        )
         slow = SlowEngine(engine, delay=0.2)
         request = client_requests(1, np.random.default_rng(6))[0]
 
         async def run():
-            server = serve(slow, max_batch_size=1)
+            server = serve(slow)
             await server.start()
             client = AsyncServingClient(port=server.port)
             task = asyncio.ensure_future(client.query_request(request))
@@ -740,6 +749,79 @@ class TestLifecycle:
             float(np.abs(engine.answer(request).answers - answer.answers).max())
             == 0.0
         )
+
+    def test_drain_with_keep_alive_clients_logs_nothing(
+        self, private, caplog
+    ):
+        # Two keep-alive clients stay attached through shutdown, one of
+        # them with a request in flight.  The drain answers it and leaves
+        # no connection handler for the loop's teardown to cancel (each
+        # one used to log "Exception in callback ... CancelledError").
+        slow = SlowEngine(
+            Engine(private, EngineConfig(plan="broadcast")), delay=0.2
+        )
+        request = client_requests(1, np.random.default_rng(15))[0]
+
+        async def run():
+            server = serve(slow)
+            await server.start()
+            idle = AsyncServingClient(port=server.port)
+            busy = AsyncServingClient(port=server.port)
+            await idle.healthz()
+            await busy.healthz()
+            task = asyncio.ensure_future(busy.query_request(request))
+            while server._in_progress < 1:
+                await asyncio.sleep(0.005)
+            await server.shutdown()
+            # Every handler ran to its end inside shutdown(): none is
+            # left for the loop's teardown.
+            assert not server._connections
+            return await task, (idle, busy)  # never closed client-side
+
+        with caplog.at_level(logging.ERROR):
+            answer, _ = asyncio.run(run())
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+        assert (
+            float(np.abs(slow.answer(request).answers - answer.answers).max())
+            == 0.0
+        )
+
+    def test_shutdown_aborts_a_peer_that_stopped_reading(
+        self, private, monkeypatch, caplog
+    ):
+        # A peer that never reads keeps its response stuck in the send
+        # buffer, so closing its connection alone would never finish.
+        monkeypatch.setattr("repro.engine.server.CLOSE_GRACE", 0.05)
+        engine = Engine(private, EngineConfig(plan="dense"))
+        q = 5000  # a ~100 KB answer: past the transport's high-water mark
+        body = json.dumps(
+            {"lows": [[0, 0]] * q, "highs": [[127, 127]] * q}
+        ).encode()
+
+        async def run():
+            server = serve(engine)
+            await server.start()
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.connect(("127.0.0.1", server.port))
+            sock.setblocking(False)
+            while not server._connections:
+                await asyncio.sleep(0.005)
+            [server_writer] = server._connections
+            server_writer.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+            )
+            loop = asyncio.get_running_loop()
+            await loop.sock_sendall(sock, post_bytes("/v1/query", body))
+            while not server_writer.transport.get_write_buffer_size():
+                await asyncio.sleep(0.005)
+            await asyncio.wait_for(server.shutdown(), 5.0)
+            assert not server._connections
+            sock.close()
+
+        with caplog.at_level(logging.ERROR):
+            asyncio.run(run())
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
 
     def test_draining_server_refuses_queries_and_health(self, engine):
         async def run():
