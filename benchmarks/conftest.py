@@ -13,7 +13,9 @@ while preserving every qualitative result.
 
 from __future__ import annotations
 
+import json
 import os
+import platform
 from pathlib import Path
 from typing import Dict, List, Mapping, Sequence
 
@@ -34,6 +36,20 @@ def bench_artifact(name: str) -> Path:
     """``bench-out/BENCH_<name>.json``, creating the directory."""
     BENCH_OUT.mkdir(exist_ok=True)
     return BENCH_OUT / f"BENCH_{name}.json"
+
+
+def write_bench_artifact(name: str, payload: Mapping[str, object]) -> None:
+    """Write ``payload`` to ``bench-out/BENCH_<name>.json``, stamped with
+    the machine it was measured on."""
+    machine = {
+        "usable_cores": usable_cores(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+    }
+    bench_artifact(name).write_text(
+        json.dumps({**payload, "machine": machine}, indent=1)
+    )
 
 
 @pytest.fixture(scope="session")

@@ -28,12 +28,12 @@ Results are written to ``bench-out/BENCH_async_batching.json``;
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 
 import numpy as np
 
-from repro.core import PLAN_DENSE, PrivateFrequencyMatrix, packed_from_intervals
+from repro.core import PLAN_DENSE
+from repro.datagen import grid_substrate
 from repro.engine import (
     AsyncBatchEngine,
     Engine,
@@ -41,9 +41,8 @@ from repro.engine import (
     QueryRequest,
     gather_answers,
 )
-from repro.methods._grid import axis_intervals
 
-from .conftest import bench_artifact
+from .conftest import write_bench_artifact
 
 SHAPE = (256, 256)
 GRID_M = 64  # 64 x 64 = 4096 partitions
@@ -60,17 +59,6 @@ SPEEDUP_FLOOR = 2.0
 #: answers) and the route whose per-invocation fixed cost the tick
 #: amortizes best at this scale.
 PLAN = PLAN_DENSE
-
-
-def _substrate() -> PrivateFrequencyMatrix:
-    rng = np.random.default_rng(0)
-    intervals = [axis_intervals(s, GRID_M) for s in SHAPE]
-    k = GRID_M * GRID_M
-    noisy = rng.poisson(40.0, size=k).astype(float) + rng.laplace(
-        0, 2.0, size=k
-    )
-    packed = packed_from_intervals(intervals, noisy, SHAPE)
-    return PrivateFrequencyMatrix.from_packed(packed, method="bench")
 
 
 def _client_requests(rng) -> list[QueryRequest]:
@@ -106,7 +94,7 @@ def _serve(private, requests, max_batch_size: int):
 
 
 def test_async_batching_amortization_and_exactness():
-    private = _substrate()
+    private = grid_substrate(SHAPE, GRID_M, seed=0)
     engine = Engine(private, EngineConfig(plan=PLAN))
     requests = _client_requests(np.random.default_rng(1))
     n_queries = sum(len(r) for r in requests)
@@ -159,7 +147,7 @@ def test_async_batching_amortization_and_exactness():
         "async_max_abs_diff": async_max_abs_diff,
         "sync_max_abs_diff": sync_max_abs_diff,
     }
-    bench_artifact("async_batching").write_text(json.dumps(payload, indent=1))
+    write_bench_artifact("async_batching", payload)
     print(
         f"\n{N_CLIENTS} clients x {QUERIES_PER_CLIENT} queries, plan={PLAN}: "
         f"unbatched {1e3 * unbatched_seconds:.1f}ms ({unbatched_ticks} "

@@ -20,7 +20,6 @@ across commits.
 
 from __future__ import annotations
 
-import json
 import time
 
 import numpy as np
@@ -30,7 +29,7 @@ from repro.datagen import gaussian_matrix
 from repro.experiments import default_method_specs, run_methods
 from repro.queries import random_workload
 
-from .conftest import bench_artifact, usable_cores
+from .conftest import usable_cores, write_bench_artifact
 
 #: The 4-trial grid of the acceptance criterion.
 N_TRIALS = 4
@@ -111,7 +110,7 @@ def test_parallel_trials_speedup():
         # narrow, and downstream gates would read it as a regression.
         payload["speedup"] = speedup
         payload["meets_target"] = speedup >= SPEEDUP_TARGET
-    bench_artifact("parallel_trials").write_text(json.dumps(payload, indent=1))
+    write_bench_artifact("parallel_trials", payload)
     print(
         f"\nserial {serial_seconds:.2f}s, parallel({N_JOBS}) "
         f"{parallel_seconds:.2f}s -> {speedup:.2f}x on {cores} core(s)"

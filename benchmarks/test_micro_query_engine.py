@@ -23,18 +23,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import (
-    PLAN_PRUNED,
-    PrivateFrequencyMatrix,
-    boxes_to_arrays,
-    packed_from_intervals,
-)
+from repro.core import PLAN_PRUNED
 from repro.core.interval_index import PRUNE_OVERHEAD_PAIRS, plan_with_slices
+from repro.datagen import grid_substrate
 from repro.engine import Engine, QueryRequest
-from repro.methods._grid import axis_intervals
 from repro.queries import random_workload
 
-from .conftest import bench_artifact
+from .conftest import bench_artifact, write_bench_artifact
 
 SHAPE = (256, 256)
 GRID_M = 64  # 64 x 64 = 4096 partitions
@@ -54,17 +49,12 @@ def merge_artifact(update):
         except ValueError:
             payload = {}
     payload.update(update)
-    artifact.write_text(json.dumps(payload, indent=1))
+    write_bench_artifact("query_engine", payload)
 
 
 @pytest.fixture(scope="module")
 def private_256():
-    rng = np.random.default_rng(0)
-    intervals = [axis_intervals(s, GRID_M) for s in SHAPE]
-    k = GRID_M * GRID_M
-    noisy = rng.poisson(40.0, size=k).astype(float) + rng.laplace(0, 2.0, size=k)
-    packed = packed_from_intervals(intervals, noisy, SHAPE)
-    return PrivateFrequencyMatrix.from_packed(packed, method="bench", epsilon=1.0)
+    return grid_substrate(SHAPE, GRID_M, seed=0)
 
 
 @pytest.fixture(scope="module")

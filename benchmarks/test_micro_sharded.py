@@ -32,16 +32,14 @@ ceilings across commits.
 
 from __future__ import annotations
 
-import json
 import time
 
 import numpy as np
 
-from repro.core import PrivateFrequencyMatrix, packed_from_intervals
+from repro.datagen import grid_substrate
 from repro.engine import Engine, EngineConfig, QueryRequest
-from repro.methods._grid import axis_intervals
 
-from .conftest import bench_artifact, usable_cores
+from .conftest import usable_cores, write_bench_artifact
 
 SHAPE = (512, 512)
 GRID_M = 96  # 96 x 96 = 9216 partitions
@@ -60,17 +58,6 @@ SPEEDUP_TARGET = 2.0
 SPEEDUP_FLOOR = 1.3
 
 
-def _substrate() -> PrivateFrequencyMatrix:
-    rng = np.random.default_rng(0)
-    intervals = [axis_intervals(s, GRID_M) for s in SHAPE]
-    k = GRID_M * GRID_M
-    noisy = rng.poisson(40.0, size=k).astype(float) + rng.laplace(
-        0, 2.0, size=k
-    )
-    packed = packed_from_intervals(intervals, noisy, SHAPE)
-    return PrivateFrequencyMatrix.from_packed(packed, method="bench")
-
-
 def _round_batches(rng: np.random.Generator):
     """``ROUNDS`` distinct mixed-size query batches (fixed seeds)."""
     batches = []
@@ -85,7 +72,7 @@ def _round_batches(rng: np.random.Generator):
 
 
 def test_sharded_skip_exactness_and_resident_speedup():
-    private = _substrate()
+    private = grid_substrate(SHAPE, GRID_M, seed=0)
     packed = private.packed
     rng = np.random.default_rng(1)
 
@@ -189,7 +176,7 @@ def test_sharded_skip_exactness_and_resident_speedup():
         # speedup; see the module docstring.
         payload["speedup"] = speedup
         payload["meets_target"] = speedup >= SPEEDUP_TARGET
-    bench_artifact("sharded").write_text(json.dumps(payload, indent=1))
+    write_bench_artifact("sharded", payload)
     print(
         f"\nskip rate {skip_rate:.2f} ({skip_result.skipped_shards}/"
         f"{SKIP_SHARDS} shards), max |sharded - broadcast| "

@@ -38,7 +38,7 @@ import time
 from typing import List
 
 from .core.frequency_matrix import FrequencyMatrix
-from .datagen import get_city, gaussian_matrix, grid_substrate, zipf_matrix
+from .datagen import get_city, gaussian_matrix, zipf_matrix
 from .engine import Engine, EngineConfig, EngineServer
 from .experiments import ALL_ARTIFACTS, get_scale
 from .methods import available_methods, get_sanitizer
@@ -160,32 +160,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_engine(args: argparse.Namespace) -> Engine:
-    """The engine ``serve`` fronts: sanitized dataset or bench substrate."""
+def cmd_serve(args: argparse.Namespace) -> int:
+    """Run the HTTP serving layer until SIGINT/SIGTERM, then drain."""
     config = _engine_config(args)
-    if args.bench_substrate is not None:
-        private = grid_substrate(
-            shape=(args.bench_shape,) * 2,
-            m=args.bench_substrate,
-            seed=args.seed,
-        )
-        print(
-            f"bench substrate: shape={private.shape}, "
-            f"k={private.n_partitions} partitions",
-            file=sys.stderr,
-        )
-        return Engine(private, config)
     matrix = _build_dataset(args)
     print(f"dataset: shape={matrix.shape}, N={matrix.total:,.0f}",
           file=sys.stderr)
     sanitizer = get_sanitizer(args.method)
     private = sanitizer.sanitize(matrix, args.epsilon, rng=args.seed + 1)
-    return Engine(private, config)
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the HTTP serving layer until SIGINT/SIGTERM, then drain."""
-    engine = _serve_engine(args)
+    engine = Engine(private, config)
     server = EngineServer(
         engine,
         host=args.host,
@@ -205,7 +188,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             except NotImplementedError:  # pragma: no cover - non-Unix
                 pass
         await server.start()
-        # The loadtest harness parses this line to find the bound port.
+        # With --port 0, callers parse this line for the bound port.
         print(f"serving on {server.url} (off_loop={server.off_loop})",
               flush=True)
         try:
@@ -283,14 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-request deadline in seconds (504 past it)")
     p_srv.add_argument("--max-batch-queries", type=int, default=100_000,
                        help="largest query batch one POST may carry (413)")
-    p_srv.add_argument("--bench-substrate", type=int, default=None,
-                       metavar="M",
-                       help="serve a deterministic M-per-dimension "
-                            "uniform-grid substrate (k=M^2 partitions) "
-                            "instead of sanitizing a dataset — for load "
-                            "tests that verify exactness out-of-process")
-    p_srv.add_argument("--bench-shape", type=int, default=256,
-                       help="square side of the bench substrate matrix")
     _add_engine_config_arg(p_srv)
 
     return parser

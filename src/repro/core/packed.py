@@ -170,10 +170,19 @@ def validate_box_arrays(
 
     Validates a whole batch of boxes in O(n·d) NumPy ops instead of one
     Python-level check per box, and returns them normalized to int64.
+    Bounds must be integer arrays: float, bool or object bounds are
+    rejected rather than truncated (an empty batch may have any dtype).
     """
     shape = tuple(int(s) for s in shape)
-    lows = np.asarray(lows, dtype=np.int64)
-    highs = np.asarray(highs, dtype=np.int64)
+    lows = np.asarray(lows)
+    highs = np.asarray(highs)
+    for bounds in (lows, highs):
+        if bounds.size and bounds.dtype.kind not in "iu":
+            raise QueryError(
+                f"box bounds must be integers, got dtype {bounds.dtype}"
+            )
+    lows = lows.astype(np.int64, copy=False)
+    highs = highs.astype(np.int64, copy=False)
     if lows.ndim != 2 or lows.shape != highs.shape:
         raise QueryError(
             f"box arrays must both have shape (n, ndim), got "

@@ -1,12 +1,10 @@
-"""Deterministic serving substrates for benchmarks and load tests.
+"""Deterministic serving substrates for the micro benchmarks.
 
-The serving benchmark needs two things a sanitizer run cannot cheaply
+The serving benchmarks need two things a sanitizer run cannot cheaply
 guarantee: a *known, reproducible* partition count (so the broadcast
-kernel's per-tick cost — ``O(q · k · d)`` — is controlled by flags, not
-by what a sanitizer happened to emit), and *bit-identical* rebuilds
-across processes (so ``tools/loadtest.py`` can reconstruct the exact
-engine a separately-booted ``repro serve`` process holds and verify
-HTTP answers against in-process ``Engine.answer`` at drift 0.0).
+kernel's per-tick cost — ``O(q · k · d)`` — is set by the benchmark,
+not by what a sanitizer happened to emit), and *bit-identical*
+rebuilds (so every benchmark run answers against the same matrix).
 
 :func:`grid_substrate` provides both: an ``m × m`` uniform-grid
 :class:`~repro.core.PrivateFrequencyMatrix` (``k = m**d`` partitions)
@@ -42,8 +40,7 @@ def grid_substrate(
 
     ``k = m ** len(shape)`` partitions with ``Poisson(mean_count) +
     Laplace(0, noise_scale)`` counts drawn from a fresh
-    ``default_rng(seed)`` — the same substrate family the async/query
-    micro-benchmarks build inline.
+    ``default_rng(seed)``.
     """
     shape = tuple(int(s) for s in shape)
     if any(s < 1 for s in shape):

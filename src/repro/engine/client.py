@@ -10,7 +10,7 @@ answer is bit-identical to the in-process one:
   :class:`http.client.HTTPConnection` with keep-alive.  The right tool
   for scripts, tests, and anything not already inside an event loop.
 * :class:`AsyncServingClient` — asyncio, one persistent connection per
-  client over ``asyncio.open_connection``.  The load-test harness runs
+  client over ``asyncio.open_connection``.  The serving benchmark runs
   dozens of these concurrently; because the server micro-batches, their
   requests coalesce into shared ticks exactly like in-process
   ``AsyncBatchEngine`` callers.

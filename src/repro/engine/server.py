@@ -159,11 +159,6 @@ class LoopLagMonitor:
             self._task.cancel()
             self._task = None
 
-    def reset(self) -> None:
-        """Forget recorded lag (e.g. between load-test phases)."""
-        self.max_lag = 0.0
-        self.beats = 0
-
     async def _run(self) -> None:
         loop = asyncio.get_running_loop()
         while True:

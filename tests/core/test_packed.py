@@ -199,6 +199,13 @@ class TestValidation:
             validate_box_arrays(good_lo, good_hi, (3, 3))
         with pytest.raises(QueryError, match="dimensions"):
             validate_box_arrays(good_lo, good_hi, (4, 4, 4))
+        # Non-integer bounds are rejected, not truncated.
+        for lo, hi in (
+            ([[0.9, 0.9]], [[3.99, 3.99]]),
+            (good_lo, [[True, False]]),
+        ):
+            with pytest.raises(QueryError, match="integers"):
+                validate_box_arrays(lo, hi, (4, 4))
 
 
 def paint(boxes, shape):

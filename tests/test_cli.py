@@ -40,6 +40,8 @@ class TestParser:
         assert args.engine_config is None
         with pytest.raises(SystemExit):  # serve simulates no clients
             build_parser().parse_args(["serve", "--clients", "8"])
+        with pytest.raises(SystemExit):  # and serves only sanitized data
+            build_parser().parse_args(["serve", "--bench-substrate", "8"])
 
     def test_serve_network_flags(self):
         args = build_parser().parse_args(
@@ -53,14 +55,6 @@ class TestParser:
         assert defaults.off_loop is True
         assert defaults.max_pending == 1024
         assert defaults.request_timeout == 30.0
-
-    def test_serve_bench_substrate_flags(self):
-        args = build_parser().parse_args(
-            ["serve", "--bench-substrate", "16", "--bench-shape", "64"]
-        )
-        assert args.bench_substrate == 16
-        assert args.bench_shape == 64
-        assert build_parser().parse_args(["serve"]).bench_substrate is None
 
     def test_engine_config_flag_everywhere(self):
         for command in ("sanitize", "figure", "compare", "serve"):
@@ -178,7 +172,7 @@ class TestCommands:
             [
                 sys.executable, "-m", "repro", "serve",
                 "--host", "127.0.0.1", "--port", "0",
-                "--bench-substrate", "8", "--bench-shape", "32",
+                "--dataset", "gaussian", "--n-points", "2000",
                 "--engine-config", "plan=broadcast",
             ],
             stdout=subprocess.PIPE,

@@ -10,7 +10,7 @@ gate deliberately never compares wall-clock fields.
 
 Usage (what the CI ``bench-gate`` job runs; also works locally)::
 
-    # The benchmarks and the loadtest write fresh artifacts to the
+    # The micro benchmarks write fresh artifacts to the
     # gitignored bench-out/; start from an empty one, so stale values
     # cannot pose as fresh ones, then compare against the committed
     # baselines at the repository root.
@@ -19,8 +19,8 @@ Usage (what the CI ``bench-gate`` job runs; also works locally)::
         benchmarks/test_micro_query_engine.py \
         benchmarks/test_micro_parallel_trials.py \
         benchmarks/test_micro_sharded.py \
-        benchmarks/test_micro_async_batching.py -q
-    python tools/loadtest.py --ci --no-enforce
+        benchmarks/test_micro_async_batching.py \
+        benchmarks/test_micro_serving.py -q
     python tools/bench_gate.py --baseline . --fresh bench-out
 
 Test runs never rewrite the committed baselines.  Refreshing one is an
@@ -46,15 +46,16 @@ Rules
   one-by-one through the async serving endpoint; single-threaded, so
   never core-skipped) and the ``async_max_abs_diff`` exactness ceiling
   (the benchmark itself asserts it is exactly 0).
-* ``BENCH_serving.json`` — written by ``tools/loadtest.py`` against a
-  live HTTP server.  ``responsiveness_ratio`` (on-loop vs off-loop max
-  event-loop lag under heavy ticks) is held to an *absolute* floor of
-  5.0 rather than a baseline-relative window: the off-loop guarantee
-  is a product property, not a machine-relative one, and it holds even
-  on one core because NumPy releases the GIL inside the kernel.
+* ``BENCH_serving.json`` — written by ``benchmarks/test_micro_serving.py``
+  against in-process HTTP servers.  ``responsiveness_ratio`` (on-loop
+  vs off-loop max event-loop lag under heavy ticks) is held to an
+  *absolute* floor of 5.0 rather than a baseline-relative window: the
+  off-loop guarantee is a product property, not a machine-relative
+  one, and it holds even on one core because NumPy releases the GIL
+  inside the kernel.
   ``serving_max_abs_diff`` (HTTP answers vs in-process
   ``Engine.answer``) is an exactness ceiling like the others — the
-  JSON transport is ``repr``-exact, so the loadtest records exactly 0.
+  JSON transport is ``repr``-exact, so the benchmark records exactly 0.
 * A key present in the baseline but missing from a fresh artifact (or a
   missing fresh artifact) fails the gate — silently dropping a tracked
   series is itself a regression.  This applies to exactness series as
