@@ -22,6 +22,7 @@ from typing import Dict, List, Mapping, Sequence
 import numpy as np
 import pytest
 
+from perfbench.release import fingerprint
 from repro.experiments import get_scale
 
 
@@ -45,6 +46,7 @@ def write_bench_artifact(name: str, payload: Mapping[str, object]) -> None:
         "usable_cores": usable_cores(),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas": fingerprint()["blas"],
         "platform": platform.platform(),
     }
     bench_artifact(name).write_text(

@@ -7,10 +7,12 @@ points, with the distinction that the matrix dimension count increases."
 
 A trajectory recording ``k`` points therefore becomes one entry of a
 ``2k``-dimensional frequency matrix.  Because ``g^(2k)`` dense cells
-explode quickly, construction goes through a sparse accumulator and the
-per-endpoint resolution is chosen (or validated) against a dense-cell
-budget — the same coarsening the paper's own ``d = 4, 6`` experiments
-imply (Section 6.2 sets per-dimension width to ``N^(1/d)``).
+explode quickly, the per-endpoint resolution is chosen (or validated)
+against a dense-cell budget — the same coarsening the paper's own
+``d = 4, 6`` experiments imply (Section 6.2 sets per-dimension width to
+``N^(1/d)``).  Within that budget :meth:`ODMatrixBuilder.build` counts
+with one ``bincount``; :meth:`ODMatrixBuilder.build_sparse` keeps a dict
+for domains too large to densify.
 """
 
 from __future__ import annotations
@@ -55,8 +57,15 @@ def auto_resolution(
             f"cell budget {cell_budget} cannot fit even a 2-cell grid "
             f"for {n_frames} frames"
         )
-    g = int(np.floor(cell_budget ** (1.0 / (2 * n_frames))))
-    return max(2, g)
+    exponent = 2 * n_frames
+    g = int(cell_budget ** (1.0 / exponent))
+    # The float root can land one off at exact powers (11**6 ** (1/6) is
+    # 10.999...); settle it in integers.
+    while g**exponent > cell_budget:
+        g -= 1
+    while (g + 1) ** exponent <= cell_budget:
+        g += 1
+    return g
 
 
 class ODMatrixBuilder:
@@ -73,7 +82,8 @@ class ODMatrixBuilder:
     frames:
         Which recorded points to include, as indices into the trajectory's
         point list (default: all).  E.g. ``[0, -1]`` builds the classical
-        4-D OD matrix from a dataset that also recorded stops.
+        4-D OD matrix from a dataset that also recorded stops.  A frame
+        outside ``[-k, k)`` for ``k`` recorded points is an error.
     cell_budget:
         Dense-cell ceiling used both for ``resolution=None`` and to
         validate explicit resolutions.
@@ -97,6 +107,12 @@ class ODMatrixBuilder:
     def _resolve(self, dataset: TrajectoryDataset) -> Tuple[List[int], int]:
         k = dataset.n_points_each
         frames = self.frames if self.frames is not None else list(range(k))
+        bad = [f for f in frames if not -k <= f < k]
+        if bad:
+            raise ValidationError(
+                f"frames {bad} outside [-{k}, {k}) for trajectories "
+                f"recording {k} points"
+            )
         frames = [f % k for f in frames]
         if len(frames) < 2:
             raise ValidationError("an OD matrix needs at least 2 frames")
@@ -116,32 +132,43 @@ class ODMatrixBuilder:
     def domain(self, dataset: TrajectoryDataset) -> Domain:
         """The OD matrix domain: (x, y) per selected frame."""
         frames, g = self._resolve(dataset)
+        return self._domain(dataset, frames, g)
+
+    def _domain(
+        self, dataset: TrajectoryDataset, frames: List[int], g: int
+    ) -> Domain:
         names = frame_names(dataset.n_points_each)
+        coarse = self.grid.coarsen(g, g)
         dims: List[DimensionSpec] = []
         for f in frames:
-            coarse = self.grid.coarsen(g, g)
             dims.append(coarse.x_spec(f"{names[f]}_x"))
             dims.append(coarse.y_spec(f"{names[f]}_y"))
         return Domain(tuple(dims))
 
-    # ------------------------------------------------------------------
-    def build_sparse(self, dataset: TrajectoryDataset) -> SparseFrequencyMatrix:
-        """Accumulate into a sparse matrix (always memory-safe)."""
+    def _cells(self, dataset: TrajectoryDataset) -> Tuple[np.ndarray, Domain]:
+        """Each trajectory's selected points as one row of
+        ``2 * len(frames)`` cell indices, and the domain they index."""
         frames, g = self._resolve(dataset)
-        coarse = self.grid.coarsen(g, g)
         pts = dataset.recorded_points(frames)  # (n, len(frames), 2)
         n, nf, _ = pts.shape
-        cells = coarse.to_cells(pts.reshape(n * nf, 2)).reshape(n, nf, 2)
-        flat = cells.reshape(n, 2 * nf)
-        out = SparseFrequencyMatrix(
-            tuple([g] * (2 * nf)), self.domain(dataset)
-        )
-        out.increment_many(flat)
+        coarse = self.grid.coarsen(g, g)
+        cells = coarse.to_cells(pts.reshape(n * nf, 2)).reshape(n, 2 * nf)
+        return cells, self._domain(dataset, frames, g)
+
+    # ------------------------------------------------------------------
+    def build_sparse(self, dataset: TrajectoryDataset) -> SparseFrequencyMatrix:
+        """Accumulate into a sparse dict (for domains too large to densify)."""
+        cells, domain = self._cells(dataset)
+        out = SparseFrequencyMatrix(domain.shape, domain)
+        out.increment_many(cells)
         return out
 
     def build(self, dataset: TrajectoryDataset) -> FrequencyMatrix:
-        """Accumulate and densify (resolution guarantees this fits)."""
-        return self.build_sparse(dataset).to_dense(limit=self.cell_budget)
+        """Accumulate into a dense matrix with one ``bincount``.  The
+        resolution is held to ``cell_budget`` dense cells (see
+        :meth:`_resolve`), so this fits."""
+        cells, domain = self._cells(dataset)
+        return FrequencyMatrix.from_cells(cells, domain)
 
 
 def classical_od_matrix(

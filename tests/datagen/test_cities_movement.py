@@ -76,6 +76,51 @@ class TestCityProfiles:
         assert np.array_equal(a, b)
 
 
+def _reference_sample_points(city, n_points, gen):
+    """``CityModel.sample_points`` as first written: ``gen.shuffle`` on the
+    2-D rows, which swaps them one at a time."""
+    n_background = int(round(n_points * city.background_fraction))
+    n_clustered = n_points - n_background
+    assignment = gen.choice(
+        len(city.centers), size=n_clustered, p=city.center_weights()
+    )
+    means = np.array([[c.x, c.y] for c in city.centers])
+    stds = np.array([c.std_km for c in city.centers])
+    pts = means[assignment] + gen.normal(
+        0.0, 1.0, size=(n_clustered, 2)
+    ) * stds[assignment][:, None]
+    background = gen.uniform(0.0, city.side_km, size=(n_background, 2))
+    all_pts = np.concatenate([pts, background], axis=0)
+    np.clip(all_pts, 0.0, np.nextafter(city.side_km, 0.0), out=all_pts)
+    gen.shuffle(all_pts)
+    return all_pts
+
+
+# 0.9 of 3 points rounds to 3 background points and no clustered ones.
+_BACKGROUND_ONLY = CityModel(
+    "background_only", (ActivityCenter(5.0, 5.0, 1.0, 1.0),),
+    background_fraction=0.9, side_km=10.0,
+)
+
+
+class TestSamplePointsMatchesRowShuffle:
+    """The permutation-indexed shuffle is the row shuffle, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "name, n_points",
+        [(name, n) for name in CITY_NAMES for n in (1, 1_001, 50_000)]
+        + [(_BACKGROUND_ONLY.name, 3)],
+    )
+    def test_same_points_and_generator_state(self, name, n_points):
+        city = _BACKGROUND_ONLY if name == _BACKGROUND_ONLY.name else get_city(name)
+        gen, ref_gen = np.random.default_rng(99), np.random.default_rng(99)
+        pts = city.sample_points(n_points, gen)
+        expected = _reference_sample_points(city, n_points, ref_gen)
+        assert pts.shape == (n_points, 2)
+        assert np.array_equal(pts, expected)
+        assert gen.random() == ref_gen.random()
+
+
 class TestMovementSimulator:
     def test_dataset_shape(self):
         ds = simulate_od_dataset(get_city("denver"), 500, n_stops=2, rng=0)

@@ -51,6 +51,22 @@ class TestAutoResolution:
         with pytest.raises(ValidationError):
             auto_resolution(4, cell_budget=100)
 
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("n_frames", [2, 3, 4])
+    def test_exact_powers_and_neighbours(self, n_frames, offset):
+        exponent = 2 * n_frames
+        for g in range(2, 60):
+            budget = g**exponent + offset
+            if budget < 2**exponent:
+                continue
+            expected = g if offset >= 0 else g - 1
+            assert auto_resolution(n_frames, budget) == expected, (g, budget)
+
+    def test_served_budget(self):
+        # The served 6-D release: 11**6 = 1 771 561 <= 2M < 12**6.
+        assert auto_resolution(3, 2_000_000) == 11
+        assert auto_resolution(3, 11**6) == 11
+
 
 class TestODMatrixBuilder:
     def test_classical_od_4d(self, grid, dataset):
@@ -80,13 +96,27 @@ class TestODMatrixBuilder:
         assert fm.data[1, 2, 9, 9] == 1.0
         assert fm.total == 1.0
 
-    def test_sparse_matches_dense(self, grid, dataset):
-        builder = ODMatrixBuilder(grid, resolution=6)
-        sparse = builder.build_sparse(dataset)
-        dense = builder.build(dataset)
-        assert sparse.total == dense.total
-        for idx, count in sparse.items():
-            assert dense.data[idx] == count
+    def test_sparse_matches_dense(self, grid, rng):
+        # 0/1/2 stops x all frames or origin-dest x explicit or auto
+        # resolution (auto on a small budget keeps the 8-D case small).
+        for n_stops in (0, 1, 2):
+            ds = TrajectoryDataset(
+                rng.uniform(0.0, 10.0, size=(500, n_stops + 2, 2))
+            )
+            for frames in (None, [0, -1]):
+                for resolution, cell_budget in ((5, 2_000_000), (None, 100_000)):
+                    case = (n_stops, frames, resolution)
+                    builder = ODMatrixBuilder(
+                        grid, resolution=resolution, frames=frames,
+                        cell_budget=cell_budget,
+                    )
+                    dense = builder.build(ds)
+                    from_sparse = builder.build_sparse(ds).to_dense()
+                    assert dense.data.dtype == np.float64, case
+                    assert from_sparse.data.dtype == np.float64, case
+                    assert np.array_equal(dense.data, from_sparse.data), case
+                    assert dense.domain == from_sparse.domain, case
+                    assert dense.total == 500.0, case
 
     def test_frames_subset(self, grid, dataset):
         builder = ODMatrixBuilder(grid, resolution=8, frames=[0, -1])
@@ -107,6 +137,24 @@ class TestODMatrixBuilder:
         builder = ODMatrixBuilder(grid, resolution=8, frames=[0])
         with pytest.raises(ValidationError):
             builder.build(dataset)
+
+    @pytest.mark.parametrize("frames", [[0, 7], [0, -4], [3, 0]])
+    def test_rejects_out_of_range_frames(self, grid, dataset, frames):
+        # The dataset records 3 points, so the valid frames are [-3, 3);
+        # wrapping would turn [0, 7] into origin x stop1.
+        builder = ODMatrixBuilder(grid, resolution=8, frames=frames)
+        with pytest.raises(ValidationError, match="outside"):
+            builder.build(dataset)
+        with pytest.raises(ValidationError, match="outside"):
+            builder.build_sparse(dataset)
+        with pytest.raises(ValidationError, match="outside"):
+            builder.domain(dataset)
+
+    def test_negative_frames_in_range(self, grid, dataset):
+        ends = ODMatrixBuilder(grid, resolution=8, frames=[-3, -1]).build(dataset)
+        od = ODMatrixBuilder(grid, resolution=8, frames=[0, 2]).build(dataset)
+        assert np.array_equal(ends.data, od.data)
+        assert ends.domain.names == ("origin_x", "origin_y", "dest_x", "dest_y")
 
     def test_rejects_bad_resolution(self, grid):
         with pytest.raises(ValidationError):
