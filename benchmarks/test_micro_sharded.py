@@ -9,8 +9,8 @@ these):
   (observable skip counter) and the merged answers must still match the
   one-node broadcast kernel within 1e-9.
 * **Resident amortized speedup** — the headline.  A
-  :class:`~repro.engine.ShardWorkerPool` is spawned **once** (workers
-  attach shared-memory shards; the spawn cost is recorded separately)
+  :class:`~repro.engine.ShardWorkerPool` is spawned **once** (each
+  worker receives its shard; the spawn cost is recorded separately)
   and then answers ``R`` rounds of batches; the amortized per-round
   time must beat serial shard evaluation by a hard floor, but only on
   a machine with at least ``N_SHARDS`` usable cores.  On narrower
@@ -20,8 +20,8 @@ these):
   sub-1x record would only trip the regression gate).
 
 Pool answers must be **bit-identical** to serial sharded evaluation
-(the workers read the very same shard arrays through shm and the merge
-order is fixed), so ``resident_max_abs_diff`` is asserted at exactly
+(the workers answer on the very same cached shards and the merge order
+is fixed), so ``resident_max_abs_diff`` is asserted at exactly
 0.0 — not a tolerance — on every machine.
 
 Results are written to ``bench-out/BENCH_sharded.json``;
@@ -104,8 +104,8 @@ def test_sharded_skip_exactness_and_resident_speedup():
         private, EngineConfig(n_shards=N_SHARDS, shard_executor="resident")
     )
     # Warm the serial path's per-shard index caches; the resident pool
-    # shares them (the shm layout is copied out of the same cached
-    # split), so neither side's measurement pays the index build.
+    # shares them (its workers receive the same cached split), so
+    # neither side's measurement pays the index build.
     serial_engine.answer(QueryRequest(*batches[0]))
 
     start = time.perf_counter()
@@ -115,7 +115,7 @@ def test_sharded_skip_exactness_and_resident_speedup():
     ]
     serial_seconds = time.perf_counter() - start
 
-    # Spawn once — workers attach the shm segment and stay resident.
+    # Spawn once — workers receive their shards and stay resident.
     # The spawn is *outside* the round timing (that is the amortized
     # claim) but recorded in the artifact so its cost stays visible.
     start = time.perf_counter()
@@ -137,8 +137,8 @@ def test_sharded_skip_exactness_and_resident_speedup():
         np.abs(serial_rounds[0].answers - broadcast).max()
     )
     sharded_max_abs_diff = max(skip_diff, merged_diff)
-    # Pool vs serial is bit-identity, not a tolerance: same shard
-    # arrays (via shm), same per-shard kernels, same fixed merge order.
+    # Pool vs serial is bit-identity, not a tolerance: same cached
+    # shards, same per-shard kernels, same fixed merge order.
     resident_max_abs_diff = max(
         float(np.abs(r.answers - s.answers).max()) if r.answers.size else 0.0
         for r, s in zip(resident_rounds, serial_rounds)
@@ -165,7 +165,6 @@ def test_sharded_skip_exactness_and_resident_speedup():
         "resident_seconds": resident_seconds,
         "spawn_seconds": spawn_seconds,
         "worker_restarts": pool_stats["restarts"],
-        "segment_bytes": pool_stats["segment_bytes"],
         "speedup_target": SPEEDUP_TARGET,
         "speedup_floor": SPEEDUP_FLOOR,
         "floor_enforced": threshold_enforced,

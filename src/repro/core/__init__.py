@@ -55,14 +55,12 @@ from .sharding import (
     shard_bounds,
     split_shards,
 )
-from .shm import AttachedShard, ShmShardLayout, ShmShardSpec
 from .partition import Partition, Partitioning, grid_boxes, split_interval
 from .prefix_sum import PrefixSumTable
 from .private_matrix import PrivateFrequencyMatrix
 from .sparse import SparseFrequencyMatrix
 
 __all__ = [
-    "AttachedShard",
     "BudgetError",
     "Box",
     "DEFAULT_N_SHARDS",
@@ -88,8 +86,6 @@ __all__ = [
     "ReproError",
     "SHARD_SKIPPED",
     "ShardedAnswer",
-    "ShmShardLayout",
-    "ShmShardSpec",
     "SparseFrequencyMatrix",
     "ValidationError",
     "answer_sharded",

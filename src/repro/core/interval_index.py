@@ -129,31 +129,6 @@ class IntervalIndex:
             self._lo_sorted.append(np.ascontiguousarray(lo[order, a]))
             self._run_max_hi.append(np.maximum.accumulate(hi[order, a]))
 
-    @classmethod
-    def from_buffers(
-        cls,
-        packed: "PackedPartitioning",
-        order: np.ndarray,
-        lo_sorted: List[np.ndarray],
-        run_max_hi: List[np.ndarray],
-    ) -> "IntervalIndex":
-        """Rebuild an index from already-computed backing buffers.
-
-        The zero-copy construction path of the shared-memory shard
-        layout (:mod:`repro.core.shm`): a worker process attaches the
-        ``(d, k)`` ``order`` array and the per-dimension ``lo_sorted`` /
-        ``run_max_hi`` arrays the parent built once, instead of
-        re-sorting — so the attached index is buffer-identical to the
-        parent's, not merely value-equal.  No validation: the caller
-        owns consistency with ``packed``.
-        """
-        index = object.__new__(cls)
-        index._packed = packed
-        index._order = order
-        index._lo_sorted = list(lo_sorted)
-        index._run_max_hi = list(run_max_hi)
-        return index
-
     @property
     def packed(self) -> "PackedPartitioning":
         return self._packed

@@ -477,8 +477,8 @@ class PackedPartitioning:
         """The narrow ``(d, k)`` kernel layout (built once, cached).
 
         Derived data only: it is dropped on pickling and rebuilt lazily
-        on first use, so neither a pickled shard nor a shared-memory
-        segment carries it.
+        on first use, so a shard pickled to a spawned worker does not
+        carry it.
         """
         if self._layout is None:
             self._layout = OverlapLayout(self._lo, self._hi, self._shape,

@@ -95,8 +95,9 @@ class PartitionShard:
     Holds its own :class:`~repro.core.packed.PackedPartitioning` built
     from the parent's array slices (no exact-cover validation — a shard
     deliberately covers only part of the matrix) and lazily builds its
-    own interval index.  Picklable, so a shard can be shipped to a
-    worker process and answer batches there.
+    own interval index.  The resident pool hands each worker its shard
+    as a process argument: a forked worker inherits it, a spawned one
+    unpickles it (interval index included).
     """
 
     __slots__ = ("start", "stop", "packed")
@@ -118,31 +119,6 @@ class PartitionShard:
             None if true is None else true[start:stop],
             validate=False,
         )
-
-    @classmethod
-    def from_packed(
-        cls, packed: PackedPartitioning, start: int, stop: int
-    ) -> "PartitionShard":
-        """Wrap an already-sliced sub-partitioning as a shard.
-
-        Used by the shared-memory attach path
-        (:meth:`repro.core.shm.ShmShardSpec.attach`), where the shard's
-        :class:`~repro.core.packed.PackedPartitioning` is rebuilt from
-        zero-copy segment views rather than sliced from a parent.
-        ``start``/``stop`` only label the shard's position on the
-        parent partition axis; ``packed`` must already hold exactly
-        those rows.
-        """
-        if stop - start != packed.n_partitions:
-            raise QueryError(
-                f"shard range [{start}, {stop}) does not match the "
-                f"{packed.n_partitions} supplied partitions"
-            )
-        shard = object.__new__(cls)
-        shard.start = int(start)
-        shard.stop = int(stop)
-        shard.packed = packed
-        return shard
 
     @property
     def n_partitions(self) -> int:

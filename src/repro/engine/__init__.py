@@ -20,9 +20,8 @@ sanitized :class:`~repro.core.PrivateFrequencyMatrix`:
   backpressure, timeouts, and graceful drain;
 * :class:`ShardWorkerPool` — the resident shard-worker pool behind
   ``EngineConfig(shard_executor="resident")``: one persistent process
-  per partition shard attached zero-copy to a shared-memory segment,
-  with crash restart and exactly-once segment cleanup (see
-  ``docs/WORKERS.md``);
+  per partition shard, handed its shard at start, with crash restart
+  and idempotent shutdown (see ``docs/WORKERS.md``);
 * :class:`ServingClient` / :class:`AsyncServingClient` — matching HTTP
   clients that rebuild full :class:`QueryAnswer` objects; non-2xx
   answers raise :class:`ServingError`.

@@ -153,19 +153,24 @@ class AsyncBatchEngine:
         """Enqueue one client's batch; resolves when its tick is answered.
 
         Bounds are validated *before* enqueueing, so a malformed request
-        raises in its own caller instead of poisoning the whole tick.
-        A zero-query request is answered inline (there is nothing to
-        amortize, and its possibly ``(0, 0)``-shaped arrays must not
-        enter a tick's concatenation), matching the synchronous engine.
+        raises in its own caller instead of poisoning the whole tick,
+        and the tick gets them normalized to int64: valid requests of
+        different integer dtypes (say ``uint64`` and ``int64``) would
+        otherwise concatenate to float64.  A zero-query request is
+        answered inline (there is nothing to amortize, and its possibly
+        ``(0, 0)``-shaped arrays must not enter a tick's
+        concatenation), matching the synchronous engine.
         """
         if request.n_queries == 0:
             return self._engine.answer(request)
-        validate_box_arrays(
+        lows, highs = validate_box_arrays(
             request.lows, request.highs, self._engine.private.shape
         )
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[QueryAnswer]" = loop.create_future()
-        self._pending.append(_Pending(request, future))
+        self._pending.append(
+            _Pending(QueryRequest(lows, highs, request.workload), future)
+        )
         if len(self._pending) >= self._engine.config.max_batch_size:
             self._flush()
         elif not (self._inflight or self._flush_scheduled):

@@ -53,8 +53,8 @@ ENV_PREFIX = "REPRO_ENGINE_"
 
 #: The shard-execution modes ``shard_executor`` accepts.  ``"serial"``
 #: answers the shards in-process; ``"resident"`` routes through a
-#: persistent :class:`~repro.engine.ShardWorkerPool` over shared-memory
-#: shards.
+#: persistent :class:`~repro.engine.ShardWorkerPool`, one worker process
+#: per shard.
 SHARD_EXECUTORS = ("serial", "resident")
 
 #: Fields settable from strings (CLI ``--engine-config`` / env vars),
@@ -96,8 +96,7 @@ class EngineConfig:
         (in-process, same as ``None`` with ``n_shards`` set) or
         ``"resident"`` (a persistent
         :class:`~repro.engine.ShardWorkerPool` whose per-shard worker
-        processes attach shared-memory shards and survive across
-        requests).
+        processes hold their shard and survive across requests).
     dense_switch_factor / dense_switch_max_cells:
         The dense prefix-sum switch: densify when ``q * k`` exceeds
         ``dense_switch_factor * n_cells`` and the matrix has at most

@@ -111,6 +111,19 @@ class _NonIntegerLiteral(Exception):
     """
 
 
+class _LineTooLong(Exception):
+    """A request or header line past the stream reader's limit (64 KiB)."""
+
+
+async def _readline(reader: asyncio.StreamReader) -> bytes:
+    """``reader.readline()``, raising :class:`_LineTooLong` for an
+    over-limit line instead of ``StreamReader``'s bare ``ValueError``."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise _LineTooLong from None
+
+
 def _reject_literal(text: str):
     raise _NonIntegerLiteral(text)
 
@@ -313,8 +326,8 @@ class EngineServer:
             self._executor.shutdown(wait=True)
             self._executor = None
         # After the tick executor is gone no kernel can touch the pool;
-        # stop its workers and unlink the shm segment (idempotent, and
-        # a no-op for non-resident executors).
+        # stop and reap its workers (idempotent, and a no-op for
+        # non-resident executors).
         close = getattr(self.engine, "close", None)
         if close is not None:
             close()
@@ -359,19 +372,28 @@ class EngineServer:
         self._counters["connections_total"] += 1
         try:
             while True:
-                request_line = await reader.readline()
-                if not request_line:
-                    break
-                parts = request_line.decode("latin-1").strip().split()
-                if len(parts) != 3:
+                try:
+                    request_line = await _readline(reader)
+                    if not request_line:
+                        break
+                    parts = request_line.decode("latin-1").strip().split()
+                    if len(parts) != 3:
+                        self._counters["bad_requests"] += 1
+                        await self._respond(
+                            writer, 400, {"error": "malformed request line"},
+                            close=True,
+                        )
+                        break
+                    method, target, version = parts
+                    headers = await self._read_headers(reader)
+                except _LineTooLong:
                     self._counters["bad_requests"] += 1
                     await self._respond(
-                        writer, 400, {"error": "malformed request line"},
+                        writer, 400,
+                        {"error": "request line or header line too long"},
                         close=True,
                     )
                     break
-                method, target, version = parts
-                headers = await self._read_headers(reader)
                 if headers is None:
                     break
                 try:
@@ -431,7 +453,7 @@ class EngineServer:
     ) -> "Dict[str, str] | None":
         headers: Dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            line = await _readline(reader)
             if line in (b"\r\n", b"\n"):
                 return headers
             if not line:

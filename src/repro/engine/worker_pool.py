@@ -1,4 +1,4 @@
-"""Resident shard-worker pool: persistent processes over shm shards.
+"""Resident shard-worker pool: persistent processes, one per shard.
 
 ``BENCH_sharded.json`` showed why per-call fan-out loses: every
 ``ProcessPoolTrialExecutor`` round pays process spawn plus pickling the
@@ -6,11 +6,13 @@ full shard arrays, which swamps the kernel time it was supposed to
 parallelize.  :class:`ShardWorkerPool` fixes the cost model by making
 both prices one-time:
 
-* **Arrays** — the shards' packed ``lo``/``hi``/``noisy_counts`` and
-  interval-index buffers live in one shared-memory segment
-  (:class:`~repro.core.shm.ShmShardLayout`), built once per matrix.
-  Workers attach zero-copy views; a restarted worker re-attaches the
-  *still-live* segment instead of receiving a fresh copy.
+* **Arrays** — each worker receives its
+  :class:`~repro.core.sharding.PartitionShard` (packed
+  ``lo``/``hi``/``noisy_counts`` plus the built interval index) as a
+  process argument, once per worker life.  Under fork the child
+  inherits the parent's arrays, so nothing is copied; under spawn the
+  shard is pickled once.  A restarted worker gets the parent's cached
+  shard again.
 * **Processes** — one worker per shard, spawned once, answering query
   batches over one duplex pipe per worker life until shutdown.  Per
   request only the ``(q, d)`` bound arrays and the ``(q,)`` partial
@@ -27,11 +29,11 @@ Protocol frames (full tables in ``docs/WORKERS.md``)::
 
 Determinism: a worker executes the *same*
 :meth:`~repro.core.sharding.PartitionShard.partial` the serial path
-runs, over buffer-identical arrays, with the same
+runs, over the same shard arrays and interval index, with the same
 :class:`~repro.core.interval_index.PlanCost`; the parent merges
 partials as a fixed-order sum in shard order.  Workers never consult
 (or re-derive) any RNG state — a shard answer is pure arithmetic over
-the shm arrays — so pool answers are **bit-identical** to
+the shard's arrays — so pool answers are **bit-identical** to
 ``shard_executor="serial"``, and the equivalence suite asserts exactly
 that (``==``, not a tolerance).
 
@@ -55,9 +57,8 @@ Lifecycle: spawn + ready handshake (:meth:`ShardWorkerPool.__init__`),
 automatic restart of a crashed worker with the in-flight batch retried
 once (:meth:`ShardWorkerPool.answer`), then a clean
 :class:`~repro.engine.ServingError`; :meth:`ShardWorkerPool.shutdown`
-is idempotent and unlinks the segment exactly once.  A
-:func:`weakref.finalize` net tears down workers and segment if a pool
-is dropped without shutdown.
+is idempotent and reaps every worker.  A :func:`weakref.finalize` net
+tears the workers down if a pool is dropped without shutdown.
 """
 
 from __future__ import annotations
@@ -75,8 +76,7 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 import numpy as np
 
 from ..core.interval_index import PlanCost
-from ..core.sharding import SHARD_SKIPPED, ShardedAnswer
-from ..core.shm import ShmShardLayout, ShmShardSpec
+from ..core.sharding import SHARD_SKIPPED, PartitionShard, ShardedAnswer
 from .client import ServingError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -84,8 +84,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _log = logging.getLogger(__name__)
 
-#: Seconds a freshly spawned worker gets to attach its shard and send
-#: the ``ready`` handshake before the pool declares it failed.
+#: Seconds a freshly spawned worker gets to start up and send the
+#: ``ready`` handshake before the pool declares it failed.
 WARMUP_TIMEOUT = 60.0
 
 #: Seconds the pool waits for one shard's partial before declaring the
@@ -99,10 +99,11 @@ _CRASH_EXIT_CODE = 117
 
 
 def _preferred_context() -> multiprocessing.context.BaseContext:
-    """Fork where available (cheap spawn, POSIX), else spawn.
+    """Fork where available (POSIX), else spawn.
 
-    Either way the shard arrays arrive via the shm segment, not via
-    inherited memory — fork only saves the interpreter+numpy import.
+    Under fork a worker inherits its shard's arrays and interval index
+    from the parent; under spawn the shard is pickled once per worker
+    life.
     """
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
@@ -111,20 +112,19 @@ def _preferred_context() -> multiprocessing.context.BaseContext:
 
 
 def _worker_main(
-    spec: ShmShardSpec,
+    shard: PartitionShard,
     shard_id: int,
     cost: PlanCost | None,
     conn,
 ) -> None:
-    """One resident worker: attach the shm shard, answer until told to stop.
+    """One resident worker: answer batches on ``shard`` until told to stop.
 
     Module-level so the spawn start method can import it by name.  The
     body deliberately touches no RNG (global or otherwise): everything
-    it computes is a deterministic function of the shm arrays and the
-    batch bounds, which is what makes pool answers bit-identical to
+    it computes is a deterministic function of the shard's arrays and
+    the batch bounds, which is what makes pool answers bit-identical to
     serial execution.
     """
-    attached = spec.attach(shard_id)
     crash_next = False
     try:
         conn.send(("ready", shard_id, os.getpid()))
@@ -145,9 +145,7 @@ def _worker_main(
                 if crash_next:
                     os._exit(_CRASH_EXIT_CODE)
                 try:
-                    partial, plan = attached.shard.partial(
-                        lows, highs, cost
-                    )
+                    partial, plan = shard.partial(lows, highs, cost)
                 except BaseException:
                     conn.send(
                         (
@@ -160,7 +158,6 @@ def _worker_main(
                 else:
                     conn.send(("done", shard_id, batch_id, partial, plan))
     finally:
-        attached.close()
         conn.close()
 
 
@@ -201,15 +198,14 @@ class _Worker:
         return None
 
 
-def _finalize_pool(layout: ShmShardLayout, workers: List[_Worker]) -> None:
-    """GC safety net: kill workers, then release the segment."""
+def _finalize_pool(workers: List[_Worker]) -> None:
+    """GC safety net: kill and reap the workers, close their pipes."""
     for worker in workers:
         if worker.process.is_alive():
             worker.process.terminate()
     for worker in workers:
         worker.process.join(timeout=5.0)
         worker.conn.close()
-    layout.close()
 
 
 class ShardWorkerPool:
@@ -218,9 +214,9 @@ class ShardWorkerPool:
     Parameters
     ----------
     packed:
-        The partition-backed matrix to shard (its cached
-        ``split_shards`` result seeds the shm layout, so pool and
-        serial execution share the very same shard arrays).
+        The partition-backed matrix to shard.  Its cached
+        ``split_shards`` result is what the workers receive, so pool
+        and serial execution share the very same shards.
     n_shards:
         Worker/shard count (clipped to the partition count, like every
         sharded path).  ``None`` uses
@@ -244,8 +240,12 @@ class ShardWorkerPool:
         *,
         cost: PlanCost | None = None,
     ):
-        self._layout = ShmShardLayout(packed, n_shards)
-        self._spec = self._layout.spec
+        self._shards = packed.split_shards(n_shards)
+        for shard in self._shards:
+            # Built once here: forked workers inherit the index and
+            # spawned ones unpickle it, so none of them re-sorts.
+            shard.packed.interval_index()
+        self._bounds = tuple((s.start, s.stop) for s in self._shards)
         self._cost = cost
         self._ctx = _preferred_context()
         self._lock = threading.Lock()
@@ -257,10 +257,10 @@ class ShardWorkerPool:
         # list, so it always sees the current processes.
         self._workers: List[_Worker] = []
         self._finalizer = weakref.finalize(
-            self, _finalize_pool, self._layout, self._workers
+            self, _finalize_pool, self._workers
         )
         try:
-            for shard_id in range(self._spec.n_shards):
+            for shard_id in range(self.n_shards):
                 self._workers.append(self._spawn_worker(shard_id))
             for worker in self._workers:
                 self._await_ready(worker)
@@ -273,19 +273,15 @@ class ShardWorkerPool:
     # ------------------------------------------------------------------
     @property
     def n_shards(self) -> int:
-        return self._spec.n_shards
+        return len(self._shards)
 
     @property
     def bounds(self) -> Tuple[Tuple[int, int], ...]:
-        return self._spec.bounds
+        return self._bounds
 
     @property
     def closed(self) -> bool:
         return self._closed
-
-    @property
-    def layout(self) -> ShmShardLayout:
-        return self._layout
 
     @property
     def restarts(self) -> int:
@@ -305,7 +301,6 @@ class ShardWorkerPool:
             "worker_batches": [w.batches for w in self._workers],
             "worker_restarts": [w.restarts for w in self._workers],
             "pids": [w.process.pid for w in self._workers],
-            "segment_bytes": self._layout.nbytes,
             "closed": self._closed,
         }
 
@@ -319,7 +314,7 @@ class ShardWorkerPool:
         with this pool's shard layout: identical bounds, identical
         per-shard plans, and a merge that sums partials in shard order,
         so the answers are bit-identical to serial execution.  A worker
-        found dead is restarted from the live shm segment before
+        found dead is restarted from the parent's cached shard before
         dispatch; a worker dying mid-batch triggers one restart + retry
         of that shard's batch, after which the failure surfaces as a
         :class:`~repro.engine.ServingError` (status 503).  Every
@@ -378,13 +373,11 @@ class ShardWorkerPool:
     # Lifecycle
     # ------------------------------------------------------------------
     def shutdown(self, timeout: float = 10.0) -> None:
-        """Graceful stop: drain workers, unlink the segment exactly once.
+        """Graceful stop: drain the workers, reap them, close their pipes.
 
         Idempotent — a second call returns immediately.  Workers get a
         ``stop`` frame and ``timeout`` seconds to exit before being
-        terminated; the segment is unlinked afterwards either way (the
-        layout's own guard makes the unlink exactly-once even against
-        the GC finalizer).
+        terminated.
         """
         with self._lock:
             if self._closed:
@@ -406,7 +399,6 @@ class ShardWorkerPool:
                     worker.process.join(timeout=5.0)
                 worker.conn.close()
             self._finalizer.detach()  # cleanup is done; drop the net
-            self._layout.close()
 
     def __enter__(self) -> "ShardWorkerPool":
         return self
@@ -417,7 +409,7 @@ class ShardWorkerPool:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ShardWorkerPool(shards={self.n_shards}, "
-            f"segment={self._layout.name!r}, closed={self._closed})"
+            f"closed={self._closed})"
         )
 
     # ------------------------------------------------------------------
@@ -433,7 +425,7 @@ class ShardWorkerPool:
         conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_worker_main,
-            args=(self._spec, shard_id, self._cost, child_conn),
+            args=(self._shards[shard_id], shard_id, self._cost, child_conn),
             name=f"repro-shard-{shard_id}",
             daemon=True,
         )
@@ -461,7 +453,7 @@ class ShardWorkerPool:
         )
 
     def _restart_worker(self, shard_id: int) -> None:
-        """Replace a dead worker, re-attaching the still-live segment.
+        """Replace a dead worker, re-spawned from the parent's cached shard.
 
         A fresh pipe per life: a frame half-written by the previous
         incarnation can never be read as an answer from the new one.

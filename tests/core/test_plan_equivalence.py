@@ -11,11 +11,11 @@ queries, single cells, and shard counts exceeding the partition count.
 
 The sixth column is the resident shard-worker pool
 (``shard_executor="resident"``, :class:`~repro.engine.ShardWorkerPool`):
-worker processes answering over shared-memory shards must be
+worker processes answering on their own shards must be
 **bit-identical** to serial sharded evaluation — asserted with
-``assert_array_equal``, not a tolerance — because the workers read the
-very same shard arrays through shm, do no RNG work of their own, and
-the parent merges partials in fixed shard order.  The CI resident leg
+``assert_array_equal``, not a tolerance — because the workers receive
+the very same cached shards the serial path reads, do no RNG work of
+their own, and the parent merges partials in fixed shard order.  The CI resident leg
 re-runs this module with ``REPRO_ENGINE_SHARD_EXECUTOR=resident`` (see
 ``test_env_forced_executor_is_exercised``).
 
@@ -337,10 +337,10 @@ class TestShardExecutors:
 
 
 class TestResidentPool:
-    """Sixth column: the resident shm worker pool ≡ serial, bit for bit.
+    """Sixth column: the resident worker pool ≡ serial, bit for bit.
 
-    Workers answer over shared-memory views of the *same* shard arrays
-    the serial path reads and never touch RNG state, so the comparison
+    Workers answer on the *same* shards (arrays and interval index) the
+    serial path reads and never touch RNG state, so the comparison
     is exact equality (``assert_array_equal``) — any nonzero diff means
     a worker re-derived something it should have shared.
     """

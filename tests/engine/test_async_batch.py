@@ -397,6 +397,30 @@ class TestCancellationAndErrors:
             == 0.0
         )
 
+    def test_mixed_integer_dtypes_share_a_tick(self, private):
+        # uint64 and int64 bounds are each valid, but concatenated raw
+        # they promote to float64 and the tick would fail both callers.
+        engine = Engine(
+            private, EngineConfig(plan=PLAN_BROADCAST, max_batch_size=2)
+        )
+        signed, other = client_requests(2, np.random.default_rng(9))
+        unsigned = QueryRequest(
+            other.lows.astype(np.uint64),
+            other.highs.astype(np.uint64),
+            workload=other.workload,
+        )
+        requests = [signed, unsigned]
+
+        async def run():
+            batcher = AsyncBatchEngine(engine)
+            answers = await gather_answers(batcher, requests)
+            return batcher, answers
+
+        batcher, answers = asyncio.run(run())
+        assert batcher.stats["ticks"] == 1
+        assert answers[1].workload == other.workload
+        assert_exact(engine, requests, answers)
+
     def test_engine_failure_propagates_to_all_tick_clients(self, private):
         engine = Engine(
             private, EngineConfig(plan=PLAN_BROADCAST, max_batch_size=2)

@@ -337,6 +337,37 @@ class TestBadRequests:
         assert status == 400
         assert headers.get("connection") == "close"
 
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /" + b"a" * (70 * 1024) + b" HTTP/1.1\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * (70 * 1024)
+            + b"\r\n\r\n",
+        ],
+        ids=["request_line", "header_line"],
+    )
+    def test_line_over_reader_limit_is_400_and_counted(
+        self, engine, caplog, request_bytes
+    ):
+        # Past the StreamReader's 64 KiB line limit readline raises
+        # ValueError; it must become a 400, not a dropped connection.
+        async def run():
+            async with serve(engine) as server:
+                response = await raw_exchange(server.port, request_bytes)
+                async with AsyncServingClient(port=server.port) as client:
+                    health = await client.request("GET", "/healthz")
+                counters = server.statz()["counters"]
+            return response, health, counters
+
+        with caplog.at_level(logging.ERROR):
+            (status, headers, body), health, counters = asyncio.run(run())
+        assert status == 400
+        assert body["error"] == "request line or header line too long"
+        assert headers.get("connection") == "close"
+        assert counters["bad_requests"] == 1
+        assert health[0] == 200
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+
     def test_unknown_route_is_404_and_wrong_method_is_405(self, engine):
         async def run():
             async with serve(engine) as server:

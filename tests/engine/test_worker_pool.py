@@ -6,32 +6,34 @@ execution across partitioning families and shard counts.  This module
 covers everything that can go *wrong* around that path:
 
 * a worker killed hard (``SIGKILL``) between batches is restarted from
-  the still-live shm segment and the next batch is still exact;
+  the parent's cached shard and the next batch is still exact;
 * a worker dying **mid-batch** triggers restart + one retry of the
   in-flight batch; a second death surfaces as a clean
   :class:`~repro.engine.ServingError` (503) instead of a hang;
 * a restart that itself fails surfaces as :class:`ServingError`;
 * a failure still drains every other shard's reply, and a worker that
   misses its deadline is killed and revived on the next batch;
-* shutdown is idempotent, unlinks the shared-memory segment exactly
-  once, and later ``answer`` calls fail with :class:`ServingError`;
-* no path leaks a segment or trips the ``resource_tracker`` — verified
+* the pool is bit-identical to serial sharded evaluation under both
+  the ``fork`` and the ``spawn`` start method;
+* shutdown is idempotent, reaps every worker and closes its pipe, and
+  later ``answer`` calls fail with :class:`ServingError`;
+* no path leaks a process or trips the ``resource_tracker`` — verified
   end-to-end in a subprocess whose stderr must stay silent.
 """
 
+import multiprocessing
 import os
 import signal
 import subprocess
 import sys
 import threading
 import time
-from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core import QueryError, ShmShardLayout, boxes_to_arrays, full_box
+from repro.core import boxes_to_arrays, full_box
 from repro.core.sharding import SHARD_SKIPPED, answer_sharded
 from repro.engine import (
     Engine,
@@ -118,6 +120,14 @@ def _wait_dead(process, timeout=5.0):
         time.sleep(0.01)
 
 
+def _assert_reaped(pool):
+    """Every worker has exited and been joined; every pipe is closed."""
+    for worker in pool._workers:
+        assert not worker.process.is_alive()
+        assert worker.process.exitcode is not None
+        assert worker.conn.closed
+
+
 class TestLifecycle:
     def test_answers_are_bit_identical_and_workers_persist(
         self, private, pool
@@ -145,9 +155,28 @@ class TestLifecycle:
         stats = pool.stats()
         assert stats["n_workers"] == 3 and stats["alive"] == 3
         assert stats["queue_depth"] == 0 and not stats["closed"]
-        assert stats["segment_bytes"] > 0
         assert len(stats["pids"]) == 3
         assert all(isinstance(p, int) for p in stats["pids"])
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_pool_matches_serial_under_start_method(private, monkeypatch, method):
+    """Forked workers inherit their shard, spawned ones unpickle it;
+    either way the pool answers bit for bit like ``answer_sharded``."""
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"start method {method!r} unavailable")
+    monkeypatch.setattr(
+        worker_pool,
+        "_preferred_context",
+        lambda: multiprocessing.get_context(method),
+    )
+    lows, highs = _batch()
+    serial = _serial(private, lows, highs)
+    with ShardWorkerPool(private.packed, 3) as pool:
+        result = pool.answer(lows, highs)
+    np.testing.assert_array_equal(result.answers, serial.answers)
+    assert result.plans == serial.plans
+    assert result.bounds == serial.bounds
 
 
 class TestCrashRecovery:
@@ -302,15 +331,12 @@ class TestPipeInvariants:
 class TestShutdown:
     def test_double_shutdown_is_idempotent(self, private):
         pool = ShardWorkerPool(private.packed, 3)
-        segment = pool.layout.name
         lows, highs = _batch(10)
         pool.answer(lows, highs)
         pool.shutdown()
-        pool.shutdown()  # second call: no error, no double-unlink
+        pool.shutdown()  # second call: no error, nothing left to stop
         assert pool.closed
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=segment)
-        assert all(not w.process.is_alive() for w in pool._workers)
+        _assert_reaped(pool)
 
     def test_answer_after_shutdown_is_serving_error(self, private):
         pool = ShardWorkerPool(private.packed, 2)
@@ -323,11 +349,9 @@ class TestShutdown:
 
     def test_context_manager_shuts_down(self, private):
         with ShardWorkerPool(private.packed, 2) as pool:
-            segment = pool.layout.name
             assert pool.stats()["alive"] == 2
         assert pool.closed
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=segment)
+        _assert_reaped(pool)
 
     def test_engine_close_resets_and_pool_respawns(self, private):
         engine = Engine(
@@ -349,47 +373,6 @@ class TestShutdown:
             assert second is not first and not second.closed
         finally:
             engine.close()
-
-
-class TestShmLayout:
-    def test_attach_out_of_range_rejected(self, private):
-        layout = ShmShardLayout(private.packed, 3)
-        try:
-            with pytest.raises(QueryError, match="shard id"):
-                layout.spec.attach(3)
-            with pytest.raises(QueryError, match="shard id"):
-                layout.spec.attach(-1)
-        finally:
-            layout.close()
-
-    def test_attached_views_are_readonly_and_zero_copy(self, private):
-        layout = ShmShardLayout(private.packed, 2)
-        try:
-            attached = layout.spec.attach(0)
-            shard = attached.shard
-            assert not shard.packed.lo.flags.writeable
-            with pytest.raises(ValueError):
-                shard.packed.lo[0, 0] = 99
-            # Same values as the parent's own shard split.
-            parent = private.packed.split_shards(2)[0]
-            np.testing.assert_array_equal(shard.packed.lo, parent.packed.lo)
-            np.testing.assert_array_equal(
-                shard.packed.noisy_counts, parent.packed.noisy_counts
-            )
-            attached.close()
-            attached.close()  # idempotent
-        finally:
-            layout.close()
-
-    def test_layout_close_is_exactly_once(self, private):
-        layout = ShmShardLayout(private.packed, 2)
-        name = layout.name
-        assert not layout.unlinked
-        layout.close()
-        assert layout.unlinked
-        layout.close()  # second close: no FileNotFoundError, no error
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
 
 
 class TestNoResourceLeaks:
@@ -432,7 +415,7 @@ for context in (preferred, lambda: multiprocessing.get_context("spawn")):
 worker_pool._preferred_context = preferred
 
 # One pool deliberately dropped without shutdown: the GC finalizer
-# must clean it (workers + segment) without tracker noise either.
+# must clean it (workers and pipes) without tracker noise either.
 leaked = ShardWorkerPool(private.packed, 2)
 leaked.answer(lows, highs)
 del leaked
@@ -456,10 +439,8 @@ print("LIFECYCLE-OK")
             f"stderr:\n{proc.stderr}"
         )
         assert "LIFECYCLE-OK" in proc.stdout
-        # The whole point of the untracked attach + exactly-once
-        # unlink: neither "leaked shared_memory" warnings nor
-        # resource_tracker tracebacks on any path, including kill -9
-        # and a pool cleaned up by the GC.
+        # Neither leak warnings nor resource_tracker tracebacks on any
+        # path, including kill -9 and a pool cleaned up by the GC.
         assert "leaked" not in proc.stderr.lower(), proc.stderr
         assert "resource_tracker" not in proc.stderr, proc.stderr
         assert "Traceback" not in proc.stderr, proc.stderr

@@ -91,3 +91,54 @@ class TestLinkChecking:
         result = run_checker(tmp_path / "absent.md")
         assert result.returncode == 1
         assert "no such file" in result.stdout
+
+
+class TestCodePaths:
+    """README.md and docs/ must not name repo paths that are gone."""
+
+    def _repo(self, tmp_path):
+        (tmp_path / "src" / "pkg").mkdir(parents=True)
+        (tmp_path / "src" / "pkg" / "kept.py").write_text("")
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_kept.py").write_text("")
+        (tmp_path / "docs").mkdir()
+        return tmp_path
+
+    def test_deleted_module_in_readme_and_docs_fails(self, tmp_path):
+        root = self._repo(tmp_path)
+        (root / "README.md").write_text("See `src/pkg/gone.py`.\n")
+        (root / "docs" / "GUIDE.md").write_text(
+            "# Guide\n\nRun `tests/test_gone.py -q`.\n"
+        )
+        result = run_checker("--root", root)
+        assert result.returncode == 1
+        assert "README.md:1: missing path -> src/pkg/gone.py" in result.stdout
+        assert "GUIDE.md:3: missing path -> tests/test_gone.py" in result.stdout
+
+    def test_existing_paths_globs_and_suffixes_pass(self, tmp_path):
+        root = self._repo(tmp_path)
+        (root / "README.md").write_text(
+            "`src/pkg/` `src/pkg/kept.py:12` `tests/test_*.py` "
+            "`tests/test_kept.py::TestA::test_b` "
+            "`src/pkg/kept.py --flag value`\n"
+        )
+        result = run_checker("--root", root)
+        assert result.returncode == 0, result.stdout
+
+    def test_change_logs_and_code_fences_are_exempt(self, tmp_path):
+        root = self._repo(tmp_path)
+        (root / "CHANGES.md").write_text("Deleted `src/pkg/gone.py`.\n")
+        (root / "ROADMAP.md").write_text("Was `tools/old.py`.\n")
+        (root / "README.md").write_text(
+            "```\n`src/pkg/gone.py`\n```\n`no/such/dir.py`\n"
+        )
+        result = run_checker("--root", root)
+        assert result.returncode == 0, result.stdout
+
+    def test_unmatched_glob_fails(self, tmp_path):
+        root = self._repo(tmp_path)
+        (root / "README.md").write_text("`tests/bench_*.py`\n")
+        result = run_checker("--root", root)
+        assert result.returncode == 1
+        assert "missing path -> tests/bench_*.py" in result.stdout
+
