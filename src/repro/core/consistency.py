@@ -86,15 +86,17 @@ def rescale_to_total(
             "cannot rescale: current counts sum to a non-positive value; "
             "clip first or use project_nonnegative_total"
         )
-    factor = target_total / current
-    if not np.isfinite(factor):
+    # A tiny current sum overflows the factor or the scaled counts (and
+    # an infinite factor times a zero count is NaN); the finiteness
+    # check below reports either, so NumPy need not warn first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = counts * (target_total / current)
+    if not np.all(np.isfinite(scaled)):
         raise ValidationError(
             f"cannot rescale: current sum {current:g} is too small for "
             f"target {target_total:g}"
         )
-    return _rebuild(
-        private, counts * factor, f"rescale_to_total({target_total:g})",
-    )
+    return _rebuild(private, scaled, f"rescale_to_total({target_total:g})")
 
 
 def project_nonnegative_total(

@@ -86,12 +86,11 @@ class PlanCost:
     """The pruned-vs-broadcast cost rule's tunable constants.
 
     One value object threads the rule through every planning path —
-    the single-node planner (:func:`plan_with_slices`), the per-shard
-    planner (:meth:`repro.core.sharding.PartitionShard.partial`), and
-    the engine facade's :class:`~repro.engine.EngineConfig` — so a
-    calibration override tunes them all at once.  The defaults are the
-    historical module constants; plain frozen data, so it pickles with
-    shard tasks.
+    the single-node planner (:func:`plan_with_slices`) and the
+    per-shard planner (:meth:`repro.core.sharding.PartitionShard.partial`).
+    The engine passes none, so every path it runs plans with
+    :data:`DEFAULT_PLAN_COST`, built from the module constants above;
+    plain frozen data, so it pickles with shard tasks.
     """
 
     min_partitions: int = PRUNE_MIN_PARTITIONS

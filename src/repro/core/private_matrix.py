@@ -20,28 +20,13 @@ Two storage backends are supported:
   :class:`Partition` object per cell would be wasteful).  Conceptually this
   is the partitioning into singleton cells.
 
-Batch answering (:meth:`PrivateFrequencyMatrix.answer_many`) plans each
-batch across three strategies with a cost model: the broadcast kernel does
-``O(q × k × d)`` work; reconstructing the dense matrix and building a
-prefix-sum table does ``O(cells)`` once and then ``O(2^d)`` per query — so
-when ``q × k`` exceeds a multiple of the cell count (and the matrix fits in
-memory) the dense route wins; and when the per-dimension interval index
-(:mod:`repro.core.interval_index`) estimates that most partitions cannot
-overlap the batch's queries, the index-pruned gather skips them.  A fourth
-plan, ``sharded`` (:mod:`repro.core.sharding`), splits the partition axis
-into contiguous shards that each answer the whole batch (skipping shards
-whose candidate bound is empty) and merges the partial sums; it is selected
-by configuration (``EngineConfig(n_shards=...)``) rather than the
-cost model, being an execution layout for partition lists that outgrow one
-node.
-
-All of that routing lives in the :mod:`repro.engine` facade: an
-:class:`~repro.engine.Engine` bound to an
-:class:`~repro.engine.EngineConfig` is the public query surface
-(:meth:`answer_many` routes through a cached default-config engine, and
-the plan chosen for a batch is observable via
+Batch answering (:meth:`PrivateFrequencyMatrix.answer_many`) routes
+through a cached default-config :class:`~repro.engine.Engine`, which
+plans each batch across the dense, broadcast, pruned and sharded
+strategies; the planner and its thresholds are documented there.  The
+plan chosen for a batch is observable via
 :meth:`~repro.engine.Engine.plan_queries` or the engine's
-:class:`~repro.engine.QueryAnswer`).  The scalar
+:class:`~repro.engine.QueryAnswer`.  The scalar
 :meth:`~PrivateFrequencyMatrix.answer` loop is kept as the reference
 implementation; every engine is asserted against it by the test suite.
 """
@@ -61,13 +46,6 @@ from .prefix_sum import PrefixSumTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine import Engine
-
-#: Matrices larger than this are never densified for querying.
-DENSE_SWITCH_MAX_CELLS = 50_000_000
-
-#: The dense prefix-sum engine is used when ``n_queries * n_partitions``
-#: exceeds this multiple of the cell count.
-DENSE_SWITCH_FACTOR = 4
 
 
 class PrivateFrequencyMatrix:
@@ -270,11 +248,11 @@ class PrivateFrequencyMatrix:
         """Answer a workload of box queries, vectorized.
 
         Boxes are validated once up front (not per partition per query),
-        then routed by a default-config :class:`~repro.engine.Engine`
-        through the cost model described in the module docstring: the
-        packed broadcast kernel, the interval-index pruned gather, or a
-        dense prefix-sum reconstruction when ``n_queries × n_partitions``
-        would dwarf the cell count.
+        then routed by a default-config :class:`~repro.engine.Engine`,
+        whose cost model picks the packed broadcast kernel, the
+        interval-index pruned gather, or a dense prefix-sum
+        reconstruction when ``n_queries × n_partitions`` would dwarf the
+        cell count.
         """
         boxes = list(boxes)
         if not boxes:

@@ -3,10 +3,10 @@
 The single public API for answering range-query batches against a
 sanitized :class:`~repro.core.PrivateFrequencyMatrix`:
 
-* :class:`EngineConfig` — every tuning knob (plan forcing, shard
-  layout, dense-switch and pruning thresholds, the async flush threshold)
-  in one validated object, overridable from ``key=value`` strings and
-  ``REPRO_ENGINE_*`` environment variables;
+* :class:`EngineConfig` — the settings callers choose (plan forcing,
+  shard layout, the async flush threshold) in one validated object,
+  overridable from ``key=value`` strings and ``REPRO_ENGINE_*``
+  environment variables; the planner's thresholds are module constants;
 * :class:`QueryRequest` / :class:`QueryAnswer` — typed request and
   response carrying the batch, the plan that ran, per-shard evidence,
   and timing;

@@ -17,6 +17,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from ..core.exceptions import QueryError
 from ..core.frequency_matrix import Box
 from ..core.packed import boxes_to_arrays
 from ..core.sharding import SHARD_SKIPPED
@@ -28,6 +29,8 @@ class QueryRequest:
 
     ``lows``/``highs`` are ``(q, d)`` integer arrays (anything
     array-like; the engine validates them against its matrix's shape).
+    A scalar bound raises :class:`~repro.core.exceptions.QueryError`
+    here: it has no query count.
     ``workload`` is a free-form tag echoed back on the answer — the
     evaluator uses it to name the workload set, a serving client can
     use it to correlate responses.
@@ -40,6 +43,10 @@ class QueryRequest:
     def __post_init__(self) -> None:
         object.__setattr__(self, "lows", np.asarray(self.lows))
         object.__setattr__(self, "highs", np.asarray(self.highs))
+        if self.lows.ndim == 0 or self.highs.ndim == 0:
+            raise QueryError(
+                "lows/highs must be (q, d) arrays, got a scalar bound"
+            )
 
     @classmethod
     def from_boxes(

@@ -1,24 +1,22 @@
-"""`EngineConfig`: the one tuning knob of the query-serving engine.
+"""`EngineConfig`: the one tuning object of the query-serving engine.
 
-Every setting of the query path — plan forcing, the shard layout, the
-dense-switch and pruning thresholds, the async flush threshold — lives
-in one validated, immutable object that travels with an
-:class:`~repro.engine.Engine`:
+The settings callers choose live in one validated, immutable object
+that travels with an :class:`~repro.engine.Engine`:
 
 * **routing** — ``plan`` pins a strategy (``dense`` / ``broadcast`` /
   ``pruned`` / ``sharded``); ``n_shards`` / ``shard_executor`` select
   and parameterize the sharded layout;
-* **cost model** — ``dense_switch_factor`` / ``dense_switch_max_cells``
-  govern the prefix-sum switch, and the ``prune_*`` fields feed the
-  pruned-vs-broadcast pair-cost rule
-  (:class:`~repro.core.interval_index.PlanCost`) on every path,
-  including per-shard planning;
 * **async serving** — ``max_batch_size`` caps an
   :class:`~repro.engine.AsyncBatchEngine` tick; ticks are otherwise
   self-clocking (no flush timer, see :mod:`repro.engine.async_batch`).
 
-Defaults come from the module constants in
-:mod:`repro.core.private_matrix` and :mod:`repro.core.interval_index`.
+The planner's thresholds are not settings: every plan gives the same
+answer, so they choose speed only and are module constants next to the
+code that applies them (``DENSE_SWITCH_*`` in
+:mod:`repro.engine.engine`, ``PRUNE_*`` in
+:mod:`repro.core.interval_index`; ``tools/calibrate.py`` suggests new
+values for them).
+
 Overrides can come from keyword arguments, from ``key=value`` strings
 (:meth:`EngineConfig.from_string`, the CLI ``--engine-config`` format),
 or from ``REPRO_ENGINE_<FIELD>`` environment variables
@@ -34,15 +32,12 @@ from typing import Dict, Mapping
 
 from ..core.exceptions import QueryError, ValidationError
 from ..core.interval_index import (
+    DEFAULT_PLAN_COST,
     PACKED_PLANS,
     PLAN_DENSE,
     PLAN_SHARDED,
-    PRUNE_MIN_PARTITIONS,
-    PRUNE_OVERHEAD_PAIRS,
-    PRUNE_SAFETY_FACTOR,
     PlanCost,
 )
-from ..core.private_matrix import DENSE_SWITCH_FACTOR, DENSE_SWITCH_MAX_CELLS
 
 #: Plan names accepted by :attr:`EngineConfig.plan` (``None`` = let the
 #: cost model choose).
@@ -65,11 +60,6 @@ _STRING_FIELDS: Dict[str, type] = {
     "plan": str,
     "n_shards": int,
     "shard_executor": str,
-    "dense_switch_factor": float,
-    "dense_switch_max_cells": int,
-    "prune_min_partitions": int,
-    "prune_overhead_pairs": float,
-    "prune_safety_factor": float,
     "max_batch_size": int,
 }
 
@@ -97,13 +87,6 @@ class EngineConfig:
         ``"resident"`` (a persistent
         :class:`~repro.engine.ShardWorkerPool` whose per-shard worker
         processes hold their shard and survive across requests).
-    dense_switch_factor / dense_switch_max_cells:
-        The dense prefix-sum switch: densify when ``q * k`` exceeds
-        ``dense_switch_factor * n_cells`` and the matrix has at most
-        ``dense_switch_max_cells`` cells.
-    prune_min_partitions / prune_overhead_pairs / prune_safety_factor:
-        The pruned-vs-broadcast pair-cost rule (see
-        :func:`~repro.core.interval_index.candidate_cost_plan`).
     max_batch_size:
         :class:`~repro.engine.AsyncBatchEngine` flush threshold: a tick
         flushes at once when this many requests are pending.
@@ -112,11 +95,6 @@ class EngineConfig:
     plan: str | None = None
     n_shards: int | None = None
     shard_executor: str | None = None
-    dense_switch_factor: float = DENSE_SWITCH_FACTOR
-    dense_switch_max_cells: int = DENSE_SWITCH_MAX_CELLS
-    prune_min_partitions: int = PRUNE_MIN_PARTITIONS
-    prune_overhead_pairs: float = PRUNE_OVERHEAD_PAIRS
-    prune_safety_factor: float = PRUNE_SAFETY_FACTOR
     max_batch_size: int = 256
 
     def __post_init__(self) -> None:
@@ -143,13 +121,6 @@ class EngineConfig:
                 f"unknown shard_executor {self.shard_executor!r}; expected "
                 f"one of {', '.join(repr(m) for m in SHARD_EXECUTORS)}"
             )
-        for attr in ("dense_switch_factor", "prune_overhead_pairs",
-                     "prune_safety_factor"):
-            if getattr(self, attr) <= 0:
-                raise ValidationError(f"{attr} must be positive")
-        for attr in ("dense_switch_max_cells", "prune_min_partitions"):
-            if getattr(self, attr) < 0:
-                raise ValidationError(f"{attr} must be non-negative")
         if self.max_batch_size < 1:
             raise ValidationError(
                 f"max_batch_size must be >= 1, got {self.max_batch_size}"
@@ -162,12 +133,8 @@ class EngineConfig:
         return self.n_shards is not None or self.shard_executor is not None
 
     def plan_cost(self) -> PlanCost:
-        """This config's pruned-vs-broadcast cost rule, for the planner."""
-        return PlanCost(
-            min_partitions=self.prune_min_partitions,
-            overhead_pairs=self.prune_overhead_pairs,
-            safety_factor=self.prune_safety_factor,
-        )
+        """The pruned-vs-broadcast cost rule every path plans with."""
+        return DEFAULT_PLAN_COST
 
     def with_overrides(self, **kwargs) -> "EngineConfig":
         """A copy with ``kwargs`` replaced (re-validated)."""

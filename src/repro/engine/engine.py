@@ -4,7 +4,7 @@
 an :class:`~repro.engine.EngineConfig` and answers
 :class:`~repro.engine.QueryRequest` batches through four strategies —
 dense prefix sums, tiled broadcast, index-pruned gather, partition-axis
-sharding — with every tuning decision read from the config.  It is the
+sharding — with every caller-facing choice read from the config.  It is the
 *only* query path: ``PrivateFrequencyMatrix.answer_many`` routes
 through a default-config engine, and
 :class:`~repro.engine.AsyncBatchEngine` answers each tick with exactly
@@ -20,8 +20,13 @@ Routing lives in one place, :meth:`Engine._route`, which both
    have no partition list to shard) fall through to their dense route
    instead of erroring, so one config serves a mixed method set;
 3. otherwise the cost model picks: dense prefix sums once ``q × k``
-   dwarfs the cell count, else pruned-vs-broadcast by the interval
-   index's candidate bound.
+   exceeds :data:`DENSE_SWITCH_FACTOR` times the cell count (and the
+   matrix has at most :data:`DENSE_SWITCH_MAX_CELLS` cells), else
+   pruned-vs-broadcast by the interval index's candidate bound and
+   :data:`~repro.core.interval_index.DEFAULT_PLAN_COST`.
+
+The thresholds are module constants, not config fields: every plan
+gives the same answer, so they choose speed only.
 
 Every answer records the plan that actually ran and, for sharded
 execution, the per-shard evidence — so callers aggregate execution
@@ -55,6 +60,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: An interval-index candidate-slice pass: ``(slice_start, slice_stop)``.
 Slices = Tuple[np.ndarray, np.ndarray]
+
+#: Matrices larger than this are never densified for querying.
+DENSE_SWITCH_MAX_CELLS = 50_000_000
+
+#: The dense prefix-sum engine is used when ``n_queries * n_partitions``
+#: exceeds this multiple of the cell count.
+DENSE_SWITCH_FACTOR = 4
 
 
 class Engine:
@@ -123,9 +135,7 @@ class Engine:
                 from .worker_pool import ShardWorkerPool
 
                 self._pool = ShardWorkerPool(
-                    self._private.packed,
-                    self._config.n_shards,
-                    cost=self._config.plan_cost(),
+                    self._private.packed, self._config.n_shards
                 )
             return self._pool
 
@@ -169,14 +179,13 @@ class Engine:
     # Planning
     # ------------------------------------------------------------------
     def _dense_wins(self, n_queries: int) -> bool:
-        """The config-tuned dense prefix-sum switch."""
-        cfg = self._config
+        """The dense prefix-sum switch."""
         private = self._private
         n_cells = int(np.prod(private.shape, dtype=np.int64))
         return private.is_dense_backed or (
-            n_cells <= cfg.dense_switch_max_cells
+            n_cells <= DENSE_SWITCH_MAX_CELLS
             and n_queries * private.n_partitions
-            > cfg.dense_switch_factor * n_cells
+            > DENSE_SWITCH_FACTOR * n_cells
         )
 
     def plan_queries(self, lows: np.ndarray, highs: np.ndarray) -> str:
@@ -207,13 +216,13 @@ class Engine:
         plan = cfg.plan
         if plan is None and cfg.wants_sharding and not private.is_dense_backed:
             plan = PLAN_SHARDED
-        n_queries = int(np.asarray(lows).shape[0])
-        if n_queries == 0 and (
+        # A 0-d bound is no batch at all: validation rejects it below.
+        if np.ndim(lows) and len(lows) == 0 and (
             plan != PLAN_SHARDED or private.is_dense_backed
         ):
             return plan or PLAN_BROADCAST, None, lows, highs
         lows, highs = validate_box_arrays(lows, highs, private.shape)
-        if plan is None and self._dense_wins(n_queries):
+        if plan is None and self._dense_wins(len(lows)):
             plan = PLAN_DENSE
         if plan == PLAN_DENSE:
             return plan, None, lows, highs
@@ -226,9 +235,7 @@ class Engine:
             return plan, None, lows, highs
         # The cost model, or a forced broadcast/pruned (a forced pruned
         # degrades to broadcast below the threshold).
-        plan, slices = plan_with_slices(
-            private.packed, lows, highs, force=plan, cost=cfg.plan_cost()
-        )
+        plan, slices = plan_with_slices(private.packed, lows, highs, force=plan)
         return plan, slices, lows, highs
 
     # ------------------------------------------------------------------
@@ -277,11 +284,7 @@ class Engine:
                 sharded = self.shard_pool().answer(lows, highs)
             else:
                 sharded = answer_sharded(
-                    private.packed,
-                    lows,
-                    highs,
-                    n_shards=self._config.n_shards,
-                    cost=self._config.plan_cost(),
+                    private.packed, lows, highs, n_shards=self._config.n_shards
                 )
             return sharded.answers, sharded
         if len(lows) == 0:

@@ -36,8 +36,9 @@ simplest setting in which to debug a tick.
 
 **Flow control.**  Three protections keep an overloaded server honest
 instead of unbounded: a queue-depth cap (`max_pending_requests`)
-answered with **503 + Retry-After** before the request touches the
-batcher; a per-request batch-size cap (`max_batch_queries`) answered
+answered with **503 + Retry-After** (:data:`RETRY_AFTER` seconds)
+before the request touches the batcher; a per-request batch-size cap
+(`max_batch_queries`) and body cap (:data:`MAX_BODY_BYTES`) answered
 with **413**; and a per-request timeout answered with **504** whose
 ``asyncio.wait_for`` cancellation drops the request from its tick
 without disturbing tick-mates (the AsyncBatchEngine cancellation
@@ -73,13 +74,13 @@ DEFAULT_MAX_PENDING_REQUESTS = 1024
 DEFAULT_MAX_BATCH_QUERIES = 100_000
 
 #: Largest request body in bytes (larger answers 413).
-DEFAULT_MAX_BODY_BYTES = 64 * 1024 * 1024
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 #: Per-request serving deadline (exceeded answers 504).
 DEFAULT_REQUEST_TIMEOUT = 30.0
 
 #: Seconds suggested to a 503-rejected client via ``Retry-After``.
-DEFAULT_RETRY_AFTER = 1.0
+RETRY_AFTER = 1.0
 
 #: Seconds a closing connection gets to flush its last response on
 #: shutdown before it is aborted.
@@ -96,7 +97,6 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
-    408: "Request Timeout",
     413: "Payload Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -207,9 +207,7 @@ class EngineServer:
         off_loop: bool = True,
         max_pending_requests: int = DEFAULT_MAX_PENDING_REQUESTS,
         max_batch_queries: int = DEFAULT_MAX_BATCH_QUERIES,
-        max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
         request_timeout: float | None = DEFAULT_REQUEST_TIMEOUT,
-        retry_after: float = DEFAULT_RETRY_AFTER,
     ):
         if max_pending_requests < 1:
             raise ValidationError(
@@ -231,9 +229,7 @@ class EngineServer:
         self.off_loop = bool(off_loop)
         self.max_pending_requests = int(max_pending_requests)
         self.max_batch_queries = int(max_batch_queries)
-        self.max_body_bytes = int(max_body_bytes)
         self.request_timeout = request_timeout
-        self.retry_after = float(retry_after)
         self._requested_port = int(port)
         self._executor: ThreadPoolExecutor | None = None
         self._server: asyncio.AbstractServer | None = None
@@ -407,13 +403,13 @@ class EngineServer:
                         close=True,
                     )
                     break
-                if length > self.max_body_bytes:
+                if length > MAX_BODY_BYTES:
                     self._counters["rejected_oversized"] += 1
                     await self._respond(
                         writer, 413,
                         {
                             "error": "request body too large",
-                            "max_body_bytes": self.max_body_bytes,
+                            "max_body_bytes": MAX_BODY_BYTES,
                         },
                         close=True,
                     )
@@ -509,7 +505,7 @@ class EngineServer:
         return 404, {"error": f"no route for {path!r}"}, None
 
     def _retry_header(self) -> List[str]:
-        return [f"Retry-After: {self.retry_after:g}"]
+        return [f"Retry-After: {RETRY_AFTER:g}"]
 
     async def _query(self, body: bytes) -> Tuple[int, dict, "List[str] | None"]:
         self._counters["requests_total"] += 1
@@ -563,14 +559,15 @@ class EngineServer:
                         raise ValueError(
                             f"got the non-integer {json.dumps(bad)}"
                         )
-        except (TypeError, ValueError, OverflowError) as exc:
+            request = QueryRequest(lows, highs, workload=workload)
+        except (TypeError, ValueError, OverflowError, QueryError) as exc:
             self._counters["bad_requests"] += 1
             return (
                 400,
                 {"error": f"lows/highs must be (q, d) integer arrays ({exc})"},
                 None,
             )
-        n_queries = int(lows.shape[0]) if lows.ndim >= 1 else 0
+        n_queries = request.n_queries
         if n_queries > self.max_batch_queries:
             self._counters["rejected_oversized"] += 1
             return (
@@ -593,7 +590,6 @@ class EngineServer:
                 },
                 self._retry_header(),
             )
-        request = QueryRequest(lows, highs, workload=workload)
         loop = asyncio.get_running_loop()
         self._in_progress += 1
         start = loop.time()

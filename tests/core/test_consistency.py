@@ -1,5 +1,7 @@
 """Tests for repro.core.consistency post-processing."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,18 @@ class TestRescaleToTotal:
         private = private_with_counts([-1.0, -2.0])
         with pytest.raises(ValidationError):
             rescale_to_total(private, 5.0)
+
+    @pytest.mark.parametrize("counts", [
+        [1e-310],  # a denormal sum overflows the factor
+        [1e4, -1e4, 1e-300],  # a finite factor overflows a count
+        [0.0, 1e-310],  # an infinite factor times zero is NaN
+    ])
+    def test_tiny_sum_rejected_without_warning(self, counts):
+        private = private_with_counts(counts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="too small"):
+                rescale_to_total(private, 1e5)
 
     def test_rejects_nonfinite_target(self):
         private = private_with_counts([1.0])

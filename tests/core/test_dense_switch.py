@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from repro.core import PrivateFrequencyMatrix, packed_from_intervals
-from repro.core.private_matrix import DENSE_SWITCH_FACTOR
 from repro.engine import Engine
+from repro.engine.engine import DENSE_SWITCH_FACTOR
 from repro.methods._grid import axis_intervals
 from repro.queries import random_workload
 

@@ -25,6 +25,7 @@ from repro.core import (
     QueryError,
     packed_from_intervals,
 )
+from repro.core.interval_index import PRUNE_MIN_PARTITIONS
 from repro.engine import (
     AsyncBatchEngine,
     Engine,
@@ -121,14 +122,13 @@ class TestConcurrencyEquivalence:
     )
     def test_batched_equals_serial_bit_for_bit(self, private, plan):
         # For the sharded layout the per-shard kernel choice is also
-        # batch-shaped, so the serving config pins the whole route:
-        # plan="sharded" plus a prune threshold shards can never cross.
+        # batch-shaped, so the config pins the whole route: 16 shards of
+        # 64 partitions sit below PRUNE_MIN_PARTITIONS, so every shard
+        # broadcasts whatever the batch.
+        assert private.n_partitions // 16 < PRUNE_MIN_PARTITIONS
         config = EngineConfig(
             plan=plan,
-            n_shards=4 if plan == PLAN_SHARDED else None,
-            prune_min_partitions=(
-                10**9 if plan == PLAN_SHARDED else EngineConfig().prune_min_partitions
-            ),
+            n_shards=16 if plan == PLAN_SHARDED else None,
             max_batch_size=24,
         )
         engine = Engine(private, config)

@@ -6,27 +6,28 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import PlanCost, QueryError, ValidationError
-from repro.core.interval_index import (
-    PRUNE_MIN_PARTITIONS,
-    PRUNE_OVERHEAD_PAIRS,
-    PRUNE_SAFETY_FACTOR,
-)
-from repro.core.private_matrix import (
-    DENSE_SWITCH_FACTOR,
-    DENSE_SWITCH_MAX_CELLS,
-)
+from repro.core import QueryError, ValidationError
+from repro.core.interval_index import DEFAULT_PLAN_COST
 from repro.engine import ENGINE_PLANS, SHARD_EXECUTORS, EngineConfig
+
+#: The planner thresholds that were fields once and are module
+#: constants now; their old variables must not be silently ignored.
+DELETED_THRESHOLD_VARS = [
+    "REPRO_ENGINE_DENSE_SWITCH_FACTOR",
+    "REPRO_ENGINE_DENSE_SWITCH_MAX_CELLS",
+    "REPRO_ENGINE_PRUNE_MIN_PARTITIONS",
+    "REPRO_ENGINE_PRUNE_OVERHEAD_PAIRS",
+    "REPRO_ENGINE_PRUNE_SAFETY_FACTOR",
+]
 
 
 class TestDefaultsAndValidation:
     def test_defaults_mirror_module_constants(self):
         config = EngineConfig()
-        assert config.dense_switch_factor == DENSE_SWITCH_FACTOR
-        assert config.dense_switch_max_cells == DENSE_SWITCH_MAX_CELLS
-        assert config.prune_min_partitions == PRUNE_MIN_PARTITIONS
-        assert config.prune_overhead_pairs == PRUNE_OVERHEAD_PAIRS
-        assert config.prune_safety_factor == PRUNE_SAFETY_FACTOR
+        assert [f.name for f in fields(config)] == [
+            "plan", "n_shards", "shard_executor", "max_batch_size",
+        ]
+        assert config.plan_cost() is DEFAULT_PLAN_COST
         assert config.plan is None and not config.wants_sharding
 
     @pytest.mark.parametrize("plan", ENGINE_PLANS)
@@ -48,26 +49,11 @@ class TestDefaultsAndValidation:
             EngineConfig(n_shards=0)
 
     @pytest.mark.parametrize("field,value", [
-        ("dense_switch_factor", 0),
-        ("prune_safety_factor", -1.0),
-        ("prune_overhead_pairs", 0),
-        ("dense_switch_max_cells", -1),
-        ("prune_min_partitions", -5),
         ("max_batch_size", 0),
     ])
     def test_numeric_fields_validated(self, field, value):
         with pytest.raises(ValidationError, match=field):
             EngineConfig(**{field: value})
-
-    def test_plan_cost_carries_prune_fields(self):
-        config = EngineConfig(
-            prune_min_partitions=9,
-            prune_overhead_pairs=1.5,
-            prune_safety_factor=2.0,
-        )
-        assert config.plan_cost() == PlanCost(
-            min_partitions=9, overhead_pairs=1.5, safety_factor=2.0
-        )
 
     def test_with_overrides_revalidates(self):
         config = EngineConfig()
@@ -79,13 +65,13 @@ class TestDefaultsAndValidation:
 class TestStringOverrides:
     def test_parse_types(self):
         overrides = EngineConfig.parse_overrides(
-            "plan=sharded, n_shards=4, prune_safety_factor=2.5,"
+            "plan=sharded, n_shards=4, shard_executor=serial,"
             "max_batch_size=32"
         )
         assert overrides == {
             "plan": "sharded",
             "n_shards": 4,
-            "prune_safety_factor": 2.5,
+            "shard_executor": "serial",
             "max_batch_size": 32,
         }
 
@@ -105,7 +91,7 @@ class TestStringOverrides:
             EngineConfig.from_string("max_batch_size=none")
         with pytest.raises(ValidationError, match="cannot be cleared"):
             EngineConfig.from_env(
-                environ={"REPRO_ENGINE_DENSE_SWITCH_FACTOR": "none"}
+                environ={"REPRO_ENGINE_MAX_BATCH_SIZE": "none"}
             )
 
     def test_empty_string_is_noop(self):
@@ -157,7 +143,7 @@ class TestEnvOverrides:
         "REPRO_ENGINE_MAX_BATCH_LATECNY",  # a typo
         "REPRO_ENGINE_MAX_BATCH_LATENCY",  # a deleted knob
         "REPRO_ENGINE_plan",  # names are upper case
-    ])
+    ] + DELETED_THRESHOLD_VARS)
     def test_unknown_env_var_rejected(self, name):
         with pytest.raises(ValidationError, match="settable fields") as exc:
             EngineConfig.from_env(environ={name: "5"})
@@ -175,8 +161,8 @@ class TestEnvOverrides:
         assert config == base
 
     def test_real_environ_consulted(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_PRUNE_SAFETY_FACTOR", "3.5")
-        assert EngineConfig.from_env().prune_safety_factor == 3.5
+        monkeypatch.setenv("REPRO_ENGINE_MAX_BATCH_SIZE", "35")
+        assert EngineConfig.from_env().max_batch_size == 35
 
 
 class TestDocumentedFields:
@@ -192,3 +178,14 @@ class TestDocumentedFields:
             (f.name, "REPRO_ENGINE_" + f.name.upper())
             for f in fields(EngineConfig)
         )
+
+    def test_docs_name_only_current_env_vars(self):
+        # Outside the table too: every REPRO_ENGINE_* variable that
+        # README.md or docs/*.md spells out must be a current field.
+        root = Path(__file__).resolve().parents[2]
+        current = {
+            "REPRO_ENGINE_" + f.name.upper() for f in fields(EngineConfig)
+        }
+        for doc in [root / "README.md", *sorted(root.glob("docs/*.md"))]:
+            named = set(re.findall(r"REPRO_ENGINE_\w+", doc.read_text()))
+            assert named <= current, f"{doc.name}: {sorted(named - current)}"

@@ -1,4 +1,4 @@
-"""The synchronous Engine facade: routing, evidence, config thresholds."""
+"""The synchronous Engine facade: routing, evidence, planner thresholds."""
 
 import numpy as np
 import pytest
@@ -13,8 +13,10 @@ from repro.core import (
     QueryError,
     packed_from_intervals,
 )
-from repro.core.interval_index import IntervalIndex
+from repro.core import interval_index
+from repro.core.interval_index import IntervalIndex, PlanCost
 from repro.engine import Engine, EngineConfig, QueryRequest
+from repro.engine import engine as engine_module
 from repro.methods import get_sanitizer
 from repro.methods._grid import axis_intervals
 
@@ -142,7 +144,7 @@ def routing_batch(name):
         return random_bounds(ROUTING_SHAPE, 1, rng)
     if name == "small_boxes":  # the cost model prunes these
         return random_bounds(ROUTING_SHAPE, 40, rng, extent=2)
-    # q * k > dense_switch_factor * cells on the 4096-partition grid
+    # q * k > DENSE_SWITCH_FACTOR * cells on the 4096-partition grid
     return random_bounds(ROUTING_SHAPE, 100, rng)
 
 
@@ -242,55 +244,54 @@ class TestDenseBacked:
 
 
 class TestConfigThresholds:
-    """The config's thresholds actually steer the planner."""
+    """The planner's module-constant thresholds actually steer it."""
 
-    def test_dense_switch_factor(self, private):
+    def test_dense_switch_factor(self, private, monkeypatch):
         lows, highs = random_bounds((64, 64), 50, np.random.default_rng(5))
+        engine = Engine(private)
         # An enormous factor forbids densifying; a zero-ish one forces it.
-        never = Engine(private, EngineConfig(dense_switch_factor=1e12))
-        always = Engine(private, EngineConfig(dense_switch_factor=1e-12))
-        assert never.plan_queries(lows, highs) != PLAN_DENSE
-        assert always.plan_queries(lows, highs) == PLAN_DENSE
+        monkeypatch.setattr(engine_module, "DENSE_SWITCH_FACTOR", 1e12)
+        assert engine.plan_queries(lows, highs) != PLAN_DENSE
+        monkeypatch.setattr(engine_module, "DENSE_SWITCH_FACTOR", 1e-12)
+        assert engine.plan_queries(lows, highs) == PLAN_DENSE
 
-    def test_dense_switch_max_cells(self, private):
+    def test_dense_switch_max_cells(self, private, monkeypatch):
         lows, highs = random_bounds((64, 64), 5000, np.random.default_rng(6))
-        small_cap = Engine(
-            private,
-            EngineConfig(dense_switch_factor=1e-12, dense_switch_max_cells=1),
-        )
-        assert small_cap.plan_queries(lows, highs) != PLAN_DENSE
+        monkeypatch.setattr(engine_module, "DENSE_SWITCH_FACTOR", 1e-12)
+        monkeypatch.setattr(engine_module, "DENSE_SWITCH_MAX_CELLS", 1)
+        assert Engine(private).plan_queries(lows, highs) != PLAN_DENSE
 
-    def test_prune_thresholds(self):
-        # Tiny queries against 4096 partitions: default config prunes.
+    def test_prune_thresholds(self, monkeypatch):
+        # Tiny queries against 4096 partitions: the default rule prunes.
         private = grid_private(shape=(256, 256), m=64)
         lows, highs = random_bounds(
             (256, 256), 40, np.random.default_rng(7), extent=2
         )
         assert Engine(private).plan_queries(lows, highs) == PLAN_PRUNED
         # Raising min_partitions above k disables pruning...
-        no_prune = Engine(
-            private, EngineConfig(prune_min_partitions=10_000)
+        monkeypatch.setattr(
+            interval_index, "DEFAULT_PLAN_COST", PlanCost(min_partitions=10_000)
         )
-        assert no_prune.plan_queries(lows, highs) == PLAN_BROADCAST
-        # ...and the forced-pruned fallback obeys the same override.
-        answer = Engine(
-            private,
-            EngineConfig(plan=PLAN_PRUNED, prune_min_partitions=10_000),
-        ).answer(QueryRequest(lows, highs))
+        assert Engine(private).plan_queries(lows, highs) == PLAN_BROADCAST
+        # ...and the forced-pruned fallback obeys the same rule.
+        answer = Engine(private, EngineConfig(plan=PLAN_PRUNED)).answer(
+            QueryRequest(lows, highs)
+        )
         assert answer.plan == PLAN_BROADCAST
 
-    def test_prune_thresholds_reach_shards(self):
+    def test_prune_thresholds_reach_shards(self, monkeypatch):
         private = grid_private(shape=(256, 256), m=64)
         lows, highs = random_bounds(
             (256, 256), 40, np.random.default_rng(8), extent=2
         )
         request = QueryRequest(lows, highs)
-        sharded = Engine(private, EngineConfig(n_shards=2)).answer(request)
+        engine = Engine(private, EngineConfig(n_shards=2))
+        sharded = engine.answer(request)
         assert PLAN_PRUNED in sharded.shard_plans  # default rule prunes shards
-        blunt = Engine(
-            private,
-            EngineConfig(n_shards=2, prune_min_partitions=10_000),
-        ).answer(request)
+        monkeypatch.setattr(
+            interval_index, "DEFAULT_PLAN_COST", PlanCost(min_partitions=10_000)
+        )
+        blunt = engine.answer(request)
         assert all(p != PLAN_PRUNED for p in blunt.shard_plans)
         np.testing.assert_allclose(
             sharded.answers, blunt.answers, rtol=0, atol=1e-9
@@ -310,6 +311,19 @@ class TestRequestObjects:
     def test_from_boxes_empty(self):
         request = QueryRequest.from_boxes([])
         assert request.n_queries == 0
+
+    def test_scalar_bounds_are_query_errors(self, private):
+        # A 0-d bound has no query count: a QueryError, not IndexError.
+        with pytest.raises(QueryError, match="scalar"):
+            Engine(private).answer(QueryRequest(5, 5))
+        with pytest.raises(QueryError, match="scalar"):
+            QueryRequest(5, [[1, 1]])
+        for config in (EngineConfig(), EngineConfig(n_shards=2)):
+            engine = Engine(private, config)
+            with pytest.raises(QueryError, match="shape"):
+                engine.answer_arrays(5, 5)
+            with pytest.raises(QueryError, match="shape"):
+                engine.plan_queries(np.int64(5), np.int64(5))
 
     def test_engine_used_by_sanitizer_output(self):
         # End to end: a real sanitizer's matrix through the facade.

@@ -22,6 +22,7 @@ import pytest
 from repro.core import PrivateFrequencyMatrix, packed_from_intervals
 from repro.core.exceptions import ValidationError
 from repro.core.sharding import PartitionShard, answer_sharded
+from repro.engine import server as server_module
 from repro.engine import (
     AsyncServingClient,
     Engine,
@@ -219,6 +220,26 @@ class TestBadRequests:
         assert status == 400
         assert "lows/highs" in body["error"]
 
+    @pytest.mark.parametrize(
+        "lows,highs", [(5, 5), (5, [[1, 1]]), ([[1, 1]], 5)],
+        ids=["both", "lows", "highs"],
+    )
+    def test_scalar_bounds_are_400_and_counted(self, engine, lows, highs):
+        payload = json.dumps({"lows": lows, "highs": highs}).encode()
+
+        async def run():
+            async with serve(engine) as server:
+                response = await raw_exchange(
+                    server.port, post_bytes("/v1/query", payload)
+                )
+                return response, server.statz()["counters"]
+
+        (status, _, body), counters = asyncio.run(run())
+        assert status == 400
+        assert "scalar" in body["error"]
+        assert counters["bad_requests"] == 1
+        assert counters["internal_errors"] == 0
+
     @pytest.mark.parametrize("bound", [1e30, 2**70], ids=["float", "int"])
     def test_bounds_outside_int64_are_400_and_counted(self, engine, bound):
         payload = json.dumps(
@@ -401,9 +422,11 @@ class TestFlowControl:
         assert error.payload["max_batch_queries"] == 4
         assert stats["counters"]["rejected_oversized"] == 1
 
-    def test_oversized_body_is_413(self, engine):
+    def test_oversized_body_is_413(self, engine, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_BODY_BYTES", 64)
+
         async def run():
-            async with serve(engine, max_body_bytes=64) as server:
+            async with serve(engine) as server:
                 return await raw_exchange(
                     server.port, post_bytes("/v1/query", b"x" * 65)
                 )
@@ -419,9 +442,7 @@ class TestFlowControl:
         slow = SlowEngine(engine, delay=0.3)
 
         async def run():
-            async with serve(
-                slow, max_pending_requests=1, retry_after=2.5
-            ) as server:
+            async with serve(slow, max_pending_requests=1) as server:
                 async with AsyncServingClient(port=server.port) as first:
                     request = client_requests(1, np.random.default_rng(3))[0]
                     task = asyncio.ensure_future(first.query_request(request))
@@ -436,7 +457,7 @@ class TestFlowControl:
 
         error, answer, request, stats = asyncio.run(run())
         assert error.status == 503
-        assert error.retry_after == 2.5
+        assert error.retry_after == server_module.RETRY_AFTER == 1.0
         assert stats["counters"]["rejected_queue_full"] == 1
         # The request that held the queue slot still answered exactly.
         assert (
@@ -534,13 +555,13 @@ class TestFailureMapping:
         )
 
         async def run():
-            async with serve(Engine(private), retry_after=2.5) as server:
+            async with serve(Engine(private)) as server:
                 return await self._two_requests_then_health(server)
 
         responses, health, counters = asyncio.run(run())
         for status, headers, body in responses:
             assert status == 503
-            assert headers["retry-after"] == "2.5"
+            assert headers["retry-after"] == "1"
             assert body["error"] == "shard worker 0 crashed twice"
         assert counters["serving_errors"] == 2
         assert counters["internal_errors"] == 0

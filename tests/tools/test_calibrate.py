@@ -1,5 +1,6 @@
 """Tests for tools/calibrate.py — threshold suggestions, never applied."""
 
+import importlib
 import importlib.util
 import json
 import subprocess
@@ -8,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-TOOLS = Path(__file__).resolve().parents[2] / "tools"
-CALIBRATE = TOOLS / "calibrate.py"
+ROOT = Path(__file__).resolve().parents[2]
+CALIBRATE = ROOT / "tools" / "calibrate.py"
 
 _spec = importlib.util.spec_from_file_location("calibrate", CALIBRATE)
 calibrate = importlib.util.module_from_spec(_spec)
@@ -35,7 +36,7 @@ class TestSuggest:
     def test_dense_factor_from_breakeven(self):
         out = calibrate.suggest(FULL_ARTIFACT)
         assert out["evidence"]["dense_breakeven_factor"] == pytest.approx(10.0)
-        assert out["dense_switch_factor"] == pytest.approx(
+        assert out["DENSE_SWITCH_FACTOR"] == pytest.approx(
             10.0 / calibrate.DENSE_HEADROOM
         )
 
@@ -47,7 +48,7 @@ class TestSuggest:
         assert out["evidence"][
             "gathered_vs_contiguous_pair_ratio"
         ] == pytest.approx(expected_ratio, abs=0.01)
-        assert out["prune_safety_factor"] == pytest.approx(
+        assert out["PRUNE_SAFETY_FACTOR"] == pytest.approx(
             expected_ratio * calibrate.PRUNE_HEADROOM, abs=0.02
         )
 
@@ -55,8 +56,8 @@ class TestSuggest:
         artifact = dict(FULL_ARTIFACT, auto_seconds=1e-9,
                         pruned_seconds_small=1e-9)
         out = calibrate.suggest(artifact)
-        assert out["dense_switch_factor"] >= 1.0
-        assert out["prune_safety_factor"] >= 1.0
+        assert out["DENSE_SWITCH_FACTOR"] >= 1.0
+        assert out["PRUNE_SAFETY_FACTOR"] >= 1.0
 
     def test_missing_series_skipped(self):
         partial = {
@@ -64,25 +65,31 @@ class TestSuggest:
             if not k.startswith(("broadcast_", "pruned_", "small_"))
         }
         out = calibrate.suggest(partial)
-        assert "dense_switch_factor" in out
-        assert "prune_safety_factor" not in out
+        assert "DENSE_SWITCH_FACTOR" in out
+        assert "PRUNE_SAFETY_FACTOR" not in out
         assert "no suggestions" not in calibrate.render(out)
 
     def test_non_dense_auto_plan_skips_dense_series(self):
         out = calibrate.suggest(dict(FULL_ARTIFACT, auto_plan="broadcast"))
-        assert "dense_switch_factor" not in out
+        assert "DENSE_SWITCH_FACTOR" not in out
 
     def test_empty_artifact_renders_no_suggestions(self):
         out = calibrate.suggest({})
         assert "no suggestions" in calibrate.render(out)
 
     def test_suggested_overrides_are_valid_engine_config(self):
-        from repro.engine import EngineConfig
-
+        # Each suggestion names a real constant of the file it points
+        # the reader to edit.
         out = calibrate.suggest(FULL_ARTIFACT)
-        overrides = {k: v for k, v in out.items() if k != "evidence"}
-        config = EngineConfig(**overrides)
-        assert config.plan_cost().safety_factor == out["prune_safety_factor"]
+        names = sorted(k for k in out if k != "evidence")
+        assert names == sorted(calibrate.CONSTANT_FILES)
+        for name in names:
+            path = Path(calibrate.CONSTANT_FILES[name])
+            assert (ROOT / path).is_file()
+            module = importlib.import_module(
+                ".".join(path.relative_to("src").with_suffix("").parts)
+            )
+            assert isinstance(getattr(module, name), (int, float))
 
 
 class TestCommandLine:
@@ -97,10 +104,20 @@ class TestCommandLine:
         artifact.write_text(json.dumps(FULL_ARTIFACT))
         proc = self.run_tool("--artifact", str(artifact))
         assert proc.returncode == 0
-        assert "suggested EngineConfig(" in proc.stdout
-        assert "--engine-config" in proc.stdout
-        assert "REPRO_ENGINE_DENSE_SWITCH_FACTOR" in proc.stdout
+        assert (
+            "suggested DENSE_SWITCH_FACTOR = 2.5 (src/repro/engine/engine.py)"
+            in proc.stdout
+        )
+        assert "suggested PRUNE_SAFETY_FACTOR = " in proc.stdout
+        assert "REPRO_ENGINE_" not in proc.stdout
         assert "nothing was applied" in proc.stdout
+
+    def test_artifact_without_suggestions_fails(self, tmp_path):
+        artifact = tmp_path / "BENCH_query_engine.json"
+        artifact.write_text(json.dumps({"shape": [100, 100]}))
+        proc = self.run_tool("--artifact", str(artifact))
+        assert proc.returncode == 1
+        assert "no suggestions" in proc.stdout
 
     def test_missing_artifact_fails_cleanly(self, tmp_path):
         proc = self.run_tool("--artifact", str(tmp_path / "nope.json"))

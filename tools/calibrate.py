@@ -5,11 +5,12 @@
 development machine; the right crossovers depend on the host's BLAS,
 memory bandwidth, and core count.  This tool reads the measurements the
 query-engine micro-benchmark already records
-(``bench-out/BENCH_query_engine.json``) and prints *suggested*
-:class:`repro.engine.EngineConfig` threshold overrides for this machine
-— as an ``EngineConfig(...)`` call, a CLI ``--engine-config`` string,
-and ``REPRO_ENGINE_*`` environment exports.  It never applies anything:
-calibration output is a suggestion to a human, not a config mutation.
+(``bench-out/BENCH_query_engine.json``) and prints a *suggested* value
+for each constant it can fit, with the file that defines it, e.g.
+``suggested DENSE_SWITCH_FACTOR = 13.06 (src/repro/engine/engine.py)``.
+It never applies anything: calibration output is a suggestion to a
+human, who edits the constant.  It exits 1 when the artifact is
+missing, unreadable, or yields no suggestion.
 
 Model
 -----
@@ -56,9 +57,10 @@ DENSE_HEADROOM = 4.0
 PRUNE_HEADROOM = 1.5
 
 # The cost model's per-query gather overhead.  Prefer the value the
-# artifact itself recorded (so a run measured under an override is
-# interpreted with that override), then the live constant; the literal
-# fallback only covers running this file standalone without PYTHONPATH.
+# artifact itself recorded (so an artifact measured under an edited
+# constant is interpreted with that value), then the live constant; the
+# literal fallback only covers running this file standalone without
+# PYTHONPATH.
 try:
     from repro.core.interval_index import PRUNE_OVERHEAD_PAIRS
 except ImportError:  # pragma: no cover - standalone invocation
@@ -72,13 +74,19 @@ REQUIRED_PRUNE_KEYS = (
     "small_query_candidate_fraction", "n_queries", "n_partitions",
 )
 
+#: Each constant calibration can suggest, and the file that defines it.
+CONSTANT_FILES = {
+    "DENSE_SWITCH_FACTOR": "src/repro/engine/engine.py",
+    "PRUNE_SAFETY_FACTOR": "src/repro/core/interval_index.py",
+}
+
 
 def suggest(artifact: dict) -> dict:
-    """Suggested EngineConfig overrides from one artifact's measurements.
+    """Suggested constant values from one artifact's measurements.
 
-    Returns a dict with any of ``dense_switch_factor`` /
-    ``prune_safety_factor`` plus the intermediate evidence under
-    ``evidence``.  Series whose inputs are missing are skipped (the
+    Returns a dict with any of the :data:`CONSTANT_FILES` names
+    (``DENSE_SWITCH_FACTOR`` / ``PRUNE_SAFETY_FACTOR``) plus the
+    intermediate evidence under ``evidence``.  Series whose inputs are missing are skipped (the
     artifact may predate them).
     """
     out: dict = {"evidence": {}}
@@ -94,7 +102,7 @@ def suggest(artifact: dict) -> dict:
             pair_cost = kernel_seconds / (q * k)
             breakeven = auto_seconds / pair_cost / cells
             suggestion = max(1.0, breakeven / DENSE_HEADROOM)
-            out["dense_switch_factor"] = round(suggestion, 2)
+            out["DENSE_SWITCH_FACTOR"] = round(suggestion, 2)
             out["evidence"]["dense_breakeven_factor"] = round(breakeven, 2)
             out["evidence"]["broadcast_pair_seconds"] = pair_cost
     if all(k in artifact for k in REQUIRED_PRUNE_KEYS):
@@ -111,7 +119,7 @@ def suggest(artifact: dict) -> dict:
             contiguous_pair = broadcast / (q * k)
             gathered_pair = pruned / est_pairs
             ratio = gathered_pair / contiguous_pair
-            out["prune_safety_factor"] = round(
+            out["PRUNE_SAFETY_FACTOR"] = round(
                 max(1.0, ratio * PRUNE_HEADROOM), 2
             )
             out["evidence"]["gathered_vs_contiguous_pair_ratio"] = round(
@@ -121,24 +129,21 @@ def suggest(artifact: dict) -> dict:
 
 
 def render(suggestions: dict) -> str:
-    """Human-facing report: evidence, then three override spellings."""
-    overrides = {
-        key: value for key, value in suggestions.items() if key != "evidence"
-    }
+    """Human-facing report: evidence, then one line per constant."""
     lines = []
     for key, value in sorted(suggestions.get("evidence", {}).items()):
         lines.append(f"measured  {key} = {value:g}")
-    if not overrides:
+    names = sorted(k for k in suggestions if k != "evidence")
+    if not names:
         lines.append(
             "no suggestions: artifact lacks the required measurement series"
         )
         return "\n".join(lines)
-    kwargs = ", ".join(f"{k}={v:g}" for k, v in sorted(overrides.items()))
-    pairs = ",".join(f"{k}={v:g}" for k, v in sorted(overrides.items()))
-    lines.append(f"suggested EngineConfig({kwargs})")
-    lines.append(f"suggested --engine-config \"{pairs}\"")
-    for key, value in sorted(overrides.items()):
-        lines.append(f"suggested export REPRO_ENGINE_{key.upper()}={value:g}")
+    for name in names:
+        lines.append(
+            f"suggested {name} = {suggestions[name]:g} "
+            f"({CONSTANT_FILES[name]})"
+        )
     lines.append(
         "suggestions only — nothing was applied; re-measure with "
         "benchmarks/test_micro_query_engine.py before trusting them"
@@ -170,8 +175,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"unreadable artifact {args.artifact}: expected a JSON object",
               file=sys.stderr)
         return 1
-    print(render(suggest(artifact)))
-    return 0
+    suggestions = suggest(artifact)
+    print(render(suggestions))
+    return 0 if set(suggestions) - {"evidence"} else 1
 
 
 if __name__ == "__main__":
