@@ -16,9 +16,9 @@ Commands
     Run the HTTP serving layer (:class:`~repro.engine.EngineServer` —
     ``POST /v1/query``, ``GET /healthz``, ``GET /statz``) over one
     sanitized dataset until interrupted, draining gracefully on
-    SIGINT/SIGTERM; ``--off-loop`` (default) dispatches each tick's
-    kernel into a worker thread so the event loop stays responsive
-    under heavy ticks.
+    SIGINT/SIGTERM; ``--off-loop`` (default) dispatches each heavy
+    tick's kernel into a worker thread so the event loop stays
+    responsive, while light ticks (``INLINE_MAX_PAIRS``) run inline.
 
 Every query-answering command accepts ``--engine-config`` with
 comma-separated ``key=value`` pairs over the
@@ -257,9 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="HTTP port (0 = ephemeral)")
     p_srv.add_argument("--off-loop", action=argparse.BooleanOptionalAction,
                        default=True,
-                       help="run each tick's kernel in a worker thread so "
-                            "the event loop stays responsive (default on; "
-                            "--no-off-loop runs kernels on the loop)")
+                       help="run each heavy tick's kernel in a worker "
+                            "thread so the event loop stays responsive; "
+                            "ticks of at most INLINE_MAX_PAIRS query x "
+                            "partition pairs run on the loop (default on; "
+                            "--no-off-loop runs every kernel on the loop)")
     p_srv.add_argument("--max-pending", type=int, default=1024,
                        help="requests in flight before 503 backpressure")
     p_srv.add_argument("--request-timeout", type=float, default=30.0,

@@ -24,8 +24,8 @@ Ticks are **self-clocking** (group commit): there is no flush timer.
 * ``max_batch_size`` (from the engine's
   :class:`~repro.engine.EngineConfig`) pending requests flush at once.
 
-Inline (no-executor) ticks are never in flight, so on that path a tick
-is exactly the requests of one loop iteration.
+Inline ticks are never in flight, so a run of them forms one tick per
+loop iteration.
 
 **Determinism.**  Batching changes *scheduling*, never *answers*: every
 kernel computes each query's sum in an order fixed by that query alone
@@ -38,22 +38,30 @@ serving deployment that requires bit-exactness across batching pins
 ``config.plan``; the async test suite enforces equality at 0.0, not
 1e-9.
 
+Each request's bounds are validated once, at admission; the tick goes
+to the engine as a :class:`~repro.engine.engine.ValidatedTick`, which
+:meth:`Engine.answer` routes without validating it again.
+
 Cancellation is safe: a client that abandons its pending request (task
 cancelled, timeout) is dropped at flush time — its queries are simply
 excluded from the tick and every other client's answers are unaffected.
 
-**On-loop vs off-loop kernels.**  All bookkeeping runs on the event
-loop.  By default the numpy kernel of a flushed tick also runs inline
-in the flush — it releases the GIL for the heavy parts but blocks the
-loop for the whole call, which is fine for short ticks and for the
-amortization this engine exists to provide.  Pass an ``executor`` (a
-:class:`concurrent.futures.ThreadPoolExecutor`) and every tick's
-:meth:`~repro.engine.Engine.answer` is instead dispatched through
-``loop.run_in_executor``: the loop keeps accepting requests, forming
-the next tick, and firing timeouts while the kernel runs in the worker
-thread.  Threads — not processes — are the right executor here because
-numpy releases the GIL inside the kernels, so the overlap is real and
-nothing is pickled.  Answers are identical either way (same
+**Inline vs off-loop kernels.**  All bookkeeping runs on the event
+loop.  Without an ``executor`` every tick's kernel runs inline in the
+flush — it releases the GIL for the heavy parts but blocks the loop for
+the whole call.  Pass an ``executor`` (a
+:class:`concurrent.futures.ThreadPoolExecutor`) and heavy ticks are
+dispatched through ``loop.run_in_executor`` instead: the loop keeps
+accepting requests, forming the next tick, and firing timeouts while
+the kernel runs in the worker thread.  A *light* tick still runs
+inline: one the engine's :meth:`~repro.engine.Engine.runs_inline`
+accepts (unsharded, partition-backed, ``n_queries * n_partitions`` at
+most :data:`~repro.engine.engine.INLINE_MAX_PAIRS`, a few milliseconds
+of kernel), because a thread round trip costs more than such a kernel.
+Engine stand-ins without ``runs_inline`` always go to the executor.
+Threads — not processes — are the right executor because numpy
+releases the GIL inside the kernels, so the overlap is real and nothing
+is pickled.  Answers are identical either way (same
 :meth:`Engine.answer` call on the same concatenated batch);
 :meth:`drain` awaits in-flight off-loop ticks before returning, so
 shutdown never abandons a dispatched kernel.
@@ -62,7 +70,7 @@ shutdown never abandons a dispatched kernel.
 from __future__ import annotations
 
 import asyncio
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import Executor
 from typing import Deque, Dict, List, Set, Tuple
 
@@ -70,7 +78,7 @@ import numpy as np
 
 from ..core.packed import validate_box_arrays
 from .api import QueryAnswer, QueryRequest
-from .engine import Engine
+from .engine import Engine, ValidatedTick
 
 
 class _Pending:
@@ -93,8 +101,8 @@ class AsyncBatchEngine:
 
     Wraps a synchronous :class:`~repro.engine.Engine`; the one flush
     threshold is the engine config's ``max_batch_size``, and an
-    optional ``executor`` moves each tick's kernel off the event loop
-    (see the module docstring).  Use from a single event loop::
+    optional ``executor`` moves each heavy tick's kernel off the event
+    loop (see the module docstring).  Use from a single event loop::
 
         engine = Engine(private, EngineConfig(plan="broadcast"))
         batcher = AsyncBatchEngine(engine)
@@ -104,6 +112,9 @@ class AsyncBatchEngine:
     def __init__(self, engine: Engine, *, executor: Executor | None = None):
         self._engine = engine
         self._executor = executor
+        # Looked up once, with getattr, so duck-typed engine stand-ins
+        # without it keep every tick on the executor.
+        self._runs_inline = getattr(engine, "runs_inline", None)
         self._pending: List[_Pending] = []
         self._flush_scheduled = False
         self._inflight: Set["asyncio.Task[None]"] = set()
@@ -114,6 +125,8 @@ class AsyncBatchEngine:
         self._last_tick_queries = 0
         self._max_tick_queries = 0
         self._tick_sizes: Deque[int] = deque(maxlen=4096)
+        self._ticks_inline = 0
+        self._tick_plans: Counter = Counter()
 
     @property
     def engine(self) -> Engine:
@@ -138,6 +151,8 @@ class AsyncBatchEngine:
         """Cumulative serving counters (ticks, requests, queries)."""
         return {
             "ticks": self._ticks,
+            "ticks_inline": self._ticks_inline,
+            "ticks_off_loop": self._ticks - self._ticks_inline,
             "answered_requests": self._answered_requests,
             "answered_queries": self._answered_queries,
             "dropped_requests": self._dropped_requests,
@@ -147,6 +162,11 @@ class AsyncBatchEngine:
                 self._answered_queries / self._ticks if self._ticks else 0.0
             ),
         }
+
+    @property
+    def tick_plans(self) -> Dict[str, int]:
+        """Answered ticks by the plan that ran them."""
+        return dict(self._tick_plans)
 
     # ------------------------------------------------------------------
     async def answer(self, request: QueryRequest) -> QueryAnswer:
@@ -173,11 +193,10 @@ class AsyncBatchEngine:
         )
         if len(self._pending) >= self._engine.config.max_batch_size:
             self._flush()
-        elif not (self._inflight or self._flush_scheduled):
+        elif not self._inflight:
             # An in-flight tick flushes what queued behind it when its
             # kernel returns (``_run_tick_off_loop``).
-            self._flush_scheduled = True
-            loop.call_soon(self._flush)
+            self._schedule_flush()
         return await future
 
     async def answer_arrays(
@@ -196,13 +215,25 @@ class AsyncBatchEngine:
         await asyncio.sleep(0)
 
     # ------------------------------------------------------------------
+    def _schedule_flush(self) -> None:
+        """Flush at the end of this event-loop iteration (once)."""
+        if not self._flush_scheduled:
+            self._flush_scheduled = True
+            asyncio.get_running_loop().call_soon(self._flush)
+
+    def _inline(self, n_queries: int) -> bool:
+        """Whether a tick of ``n_queries`` runs on the loop."""
+        return self._executor is None or (
+            self._runs_inline is not None and self._runs_inline(n_queries)
+        )
+
     def _flush(self) -> None:
         """Answer every live pending request with one engine invocation.
 
-        With an ``executor`` the engine invocation is dispatched off the
-        event loop (a tracked :class:`asyncio.Task` awaits the worker
-        thread and demuxes); without one it runs inline, blocking the
-        loop for the duration of the kernel.
+        A light tick (see :meth:`_inline`) runs inline, blocking the
+        loop for the duration of its kernel; any other is dispatched to
+        the ``executor`` (a tracked :class:`asyncio.Task` awaits the
+        worker thread and demuxes).
         """
         self._flush_scheduled = False
         batch = self._pending
@@ -213,8 +244,8 @@ class AsyncBatchEngine:
             return
         lows = np.concatenate([p.request.lows for p in live], axis=0)
         highs = np.concatenate([p.request.highs for p in live], axis=0)
-        request = QueryRequest(lows, highs)
-        if self._executor is not None:
+        request = ValidatedTick(lows, highs)
+        if not self._inline(len(lows)):
             task = asyncio.get_running_loop().create_task(
                 self._run_tick_off_loop(live, request)
             )
@@ -225,6 +256,7 @@ class AsyncBatchEngine:
         except Exception as exc:  # noqa: BLE001 - forwarded to clients
             self._fail(live, exc)
             return
+        self._ticks_inline += 1
         self._demux(live, tick)
 
     async def _run_tick_off_loop(
@@ -233,8 +265,10 @@ class AsyncBatchEngine:
         """Run one tick's kernel in the executor, then demux on-loop.
 
         Self-clocking: the moment the kernel returns, what queued behind
-        this tick is dispatched as the next one, before the demux, so
-        the next kernel overlaps this tick's response work on the loop.
+        this tick becomes the next one.  An off-loop successor is
+        dispatched before the demux, so its kernel overlaps this tick's
+        response work; an inline one would block the loop, so it is
+        flushed only after this tick's clients have been resumed.
         """
         loop = asyncio.get_running_loop()
         try:
@@ -242,13 +276,21 @@ class AsyncBatchEngine:
                 self._executor, self._engine.answer, request
             )
         except Exception as exc:  # noqa: BLE001 - forwarded to clients
-            self._fail(live, exc)
-            return
+            tick = exc
         finally:
             self._inflight.discard(asyncio.current_task())
-            if self._pending and not self._inflight:
-                self._flush()
-        self._demux(live, tick)
+        successor = bool(self._pending) and not self._inflight
+        if successor and not self._inline(
+            sum(p.n_queries for p in self._pending)
+        ):
+            self._flush()
+            successor = False
+        if isinstance(tick, Exception):
+            self._fail(live, tick)
+        else:
+            self._demux(live, tick)
+        if successor:
+            self._schedule_flush()
 
     @staticmethod
     def _fail(live: List[_Pending], exc: BaseException) -> None:
@@ -264,6 +306,7 @@ class AsyncBatchEngine:
             self._max_tick_queries, self._last_tick_queries
         )
         self._tick_sizes.append(self._last_tick_queries)
+        self._tick_plans[tick.plan] += 1
         offset = 0
         for p in live:
             chunk = tick.answers[offset:offset + p.n_queries]

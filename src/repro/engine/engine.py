@@ -26,7 +26,13 @@ Routing lives in one place, :meth:`Engine._route`, which both
    :data:`~repro.core.interval_index.DEFAULT_PLAN_COST`.
 
 The thresholds are module constants, not config fields: every plan
-gives the same answer, so they choose speed only.
+gives the same answer, so they choose speed only.  So is
+:data:`INLINE_MAX_PAIRS`, the size below which :meth:`Engine.runs_inline`
+tells a serving loop that a tick is too light to hand to a thread.
+
+Bounds are validated once per request: :meth:`Engine.answer` validates
+every batch, except a tick the async batcher built from requests it
+already validated at admission (:class:`ValidatedTick`).
 
 Every answer records the plan that actually ran and, for sharded
 execution, the per-shard evidence — so callers aggregate execution
@@ -67,6 +73,26 @@ DENSE_SWITCH_MAX_CELLS = 50_000_000
 #: The dense prefix-sum engine is used when ``n_queries * n_partitions``
 #: exceeds this multiple of the cell count.
 DENSE_SWITCH_FACTOR = 4
+
+#: Largest ``n_queries * n_partitions`` a tick may have and still run
+#: on the event loop (:meth:`Engine.runs_inline`).  Handing a tick to
+#: a thread costs about 0.5 ms, more than a few-query kernel; this
+#: bound, about 2-3 ms of the broadcast kernel at ~4.6 ns per pair,
+#: caps how long an inline tick may stall the loop.  Auto-dense needs
+#: ``q * k > DENSE_SWITCH_FACTOR * cells``, so an inline tick never
+#: builds a prefix table of more than ``INLINE_MAX_PAIRS / 4`` cells.
+INLINE_MAX_PAIRS = 2**19
+
+
+class ValidatedTick(QueryRequest):
+    """A batch whose bounds already passed :func:`validate_box_arrays`
+    against the engine's matrix shape (int64 ``(q, d)``, in range).
+
+    :class:`~repro.engine.AsyncBatchEngine` validates each request at
+    admission and hands the engine its concatenated tick as one of
+    these, so :meth:`Engine.answer` does not validate the tick again.
+    Every other request is validated.
+    """
 
 
 class Engine:
@@ -188,6 +214,24 @@ class Engine:
             > DENSE_SWITCH_FACTOR * n_cells
         )
 
+    def runs_inline(self, n_queries: int) -> bool:
+        """True when a tick of ``n_queries`` is light enough to answer
+        on the serving event loop rather than in an executor thread.
+
+        That holds only for an unsharded engine (no resident pool, no
+        serial shard fan-out) over a partition-backed matrix, with
+        ``n_queries * n_partitions`` at most :data:`INLINE_MAX_PAIRS`.
+        Dense-backed matrices and forced ``dense`` plans stay off the
+        loop: their prefix table may have to be built first.
+        """
+        private = self._private
+        return (
+            self._config.plan in (None, PLAN_BROADCAST, PLAN_PRUNED)
+            and not self._config.wants_sharding
+            and not private.is_dense_backed
+            and n_queries * private.n_partitions <= INLINE_MAX_PAIRS
+        )
+
     def plan_queries(self, lows: np.ndarray, highs: np.ndarray) -> str:
         """The strategy :meth:`answer` would run for this batch.
 
@@ -199,9 +243,11 @@ class Engine:
         return self._route(lows, highs)[0]
 
     def _route(
-        self, lows: np.ndarray, highs: np.ndarray
+        self, lows: np.ndarray, highs: np.ndarray, validated: bool = False
     ) -> Tuple[str, "Slices | None", np.ndarray, np.ndarray]:
         """Validate and route a batch: ``(plan, slices, lows, highs)``.
+
+        ``validated`` bounds (a :class:`ValidatedTick`) are trusted.
 
         ``slices`` is the interval index's candidate-slice pass when
         the cost model (or a forced ``pruned``) consulted it, so the
@@ -221,7 +267,8 @@ class Engine:
             plan != PLAN_SHARDED or private.is_dense_backed
         ):
             return plan or PLAN_BROADCAST, None, lows, highs
-        lows, highs = validate_box_arrays(lows, highs, private.shape)
+        if not validated:
+            lows, highs = validate_box_arrays(lows, highs, private.shape)
         if plan is None and self._dense_wins(len(lows)):
             plan = PLAN_DENSE
         if plan == PLAN_DENSE:
@@ -244,7 +291,9 @@ class Engine:
     def answer(self, request: QueryRequest) -> QueryAnswer:
         """Answer one request batch; the public serving entry point."""
         start = time.perf_counter()
-        plan, slices, lows, highs = self._route(request.lows, request.highs)
+        plan, slices, lows, highs = self._route(
+            request.lows, request.highs, isinstance(request, ValidatedTick)
+        )
         answers, sharded = self._run(plan, slices, lows, highs)
         elapsed = time.perf_counter() - start
         return QueryAnswer(

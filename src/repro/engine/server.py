@@ -14,25 +14,33 @@ schemas in ``docs/SERVING.md``):
   transport serializes float64 answers through ``repr``-exact JSON and
   never re-orders or re-reduces anything.
 * ``GET /healthz`` — liveness; 200 while serving, 503 while draining.
-* ``GET /statz`` — monotone serving counters plus gauges: latency
-  percentiles, tick-size distribution, queue depth, the event-loop
-  lag measured by :class:`LoopLagMonitor`, and — when the engine runs a
-  resident :class:`~repro.engine.ShardWorkerPool` — worker gauges
-  (alive count, restarts, queue depth, per-worker batch counts).
+* ``GET /statz`` — monotone serving counters (including how many
+  ticks ran inline and off-loop, and ticks by plan) plus gauges:
+  latency percentiles, tick-size distribution, queue depth, the
+  event-loop lag measured by :class:`LoopLagMonitor`, and — when the
+  engine runs a resident :class:`~repro.engine.ShardWorkerPool` —
+  worker gauges (alive count, restarts, queue depth, per-worker batch
+  counts).
 
-**Off-loop kernels.**  With ``off_loop=True`` (the default) each
-flushed tick's engine invocation is dispatched through
-``loop.run_in_executor`` into a :class:`ThreadPoolExecutor`, so the
-event loop keeps accepting connections, parsing requests, forming the
-next tick, and firing timeouts while a heavy kernel runs.  Threads give
-real overlap because numpy releases the GIL inside the kernels — no
-pickling, no copies.  Ticks are self-clocking: requests that arrive
-while a tick's kernel runs become the next tick the moment it
-completes, so tick size follows the load and no timer delays a lone
-request.  ``off_loop=False`` runs kernels inline on the loop.  It stays
-because the responsiveness benchmark needs an on-loop server to
-measure the lag the executor removes, and because one thread is the
-simplest setting in which to debug a tick.
+**Off-loop kernels.**  With ``off_loop=True`` (the default) each heavy
+tick's engine invocation is dispatched through ``loop.run_in_executor``
+into a :class:`ThreadPoolExecutor`, so the event loop keeps accepting
+connections, parsing requests, forming the next tick, and firing
+timeouts while the kernel runs.  Threads give real overlap because
+numpy releases the GIL inside the kernels — no pickling, no copies.  A
+light tick runs inline on the loop instead: one the engine's
+:meth:`~repro.engine.Engine.runs_inline` accepts (unsharded,
+partition-backed, ``n_queries * n_partitions`` at most
+:data:`~repro.engine.engine.INLINE_MAX_PAIRS`), whose kernel is short
+enough that handing it to a thread would cost more than it saves.
+Ticks are
+self-clocking: requests that arrive while a tick's kernel runs become
+the next tick the moment it completes, so tick size follows the load
+and no timer delays a lone request.  ``off_loop=False`` runs every
+kernel inline on the loop.  It stays because the responsiveness
+benchmark needs an on-loop server to measure the lag the executor
+removes, and because one thread is the simplest setting in which to
+debug a tick.
 
 **Flow control.**  Three protections keep an overloaded server honest
 instead of unbounded: a queue-depth cap (`max_pending_requests`)
@@ -63,6 +71,7 @@ from ..core.exceptions import QueryError, ValidationError
 from .async_batch import AsyncBatchEngine
 from .api import QueryRequest
 from .client import ServingError
+from .config import ENGINE_PLANS
 from .engine import Engine
 
 _log = logging.getLogger(__name__)
@@ -282,8 +291,9 @@ class EngineServer:
         if self._server is not None:
             raise RuntimeError("server already started")
         if self.off_loop:
-            # One worker is deliberate: ticks are answered in flush
-            # order and numpy already uses the cores inside a kernel.
+            # One worker is deliberate: off-loop ticks are answered in
+            # flush order and numpy already uses the cores inside a
+            # kernel.
             self._executor = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="repro-tick"
             )
@@ -652,14 +662,21 @@ class EngineServer:
         batch_stats = self.batcher.stats
         latencies = sorted(self._latencies)
         ticks = sorted(self.batcher.recent_tick_queries)
+        tick_plans = self.batcher.tick_plans
         counters = dict(self._counters)
         counters["ticks"] = int(batch_stats["ticks"])
+        counters["ticks_inline"] = int(batch_stats["ticks_inline"])
+        counters["ticks_off_loop"] = int(batch_stats["ticks_off_loop"])
         counters["dropped_requests"] = int(batch_stats["dropped_requests"])
         return {
             "uptime_seconds": time.time() - self._started_at,
             "draining": self._draining,
             "off_loop": self.off_loop,
             "counters": counters,
+            # Answered ticks by the plan that ran them.
+            "tick_plans": {
+                plan: tick_plans.get(plan, 0) for plan in ENGINE_PLANS
+            },
             "queue": {
                 "in_progress": self._in_progress,
                 "pending_requests": self.batcher.pending_requests,

@@ -9,9 +9,10 @@ pinned by the config, the serving determinism lever).
 """
 
 import asyncio
+import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from repro.core import (
     packed_from_intervals,
 )
 from repro.core.interval_index import PRUNE_MIN_PARTITIONS
+from repro.engine import async_batch as async_batch_module
+from repro.engine import engine as engine_module
 from repro.engine import (
     AsyncBatchEngine,
     Engine,
@@ -660,3 +663,216 @@ class TestOffLoopExecutor:
             )
             == 0.0
         )
+
+
+class RefusingExecutor(Executor):
+    """An executor no tick may reach: ``submit`` fails the test."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        raise AssertionError("a light tick was sent to the executor")
+
+
+class CountingExecutor(ThreadPoolExecutor):
+    """A one-thread executor that counts the ticks sent to it."""
+
+    def __init__(self):
+        super().__init__(max_workers=1)
+        self.submitted = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+class TestInlineDispatch:
+    """Light ticks answer on the loop; heavy ones still go off-loop."""
+
+    def test_light_tick_never_reaches_the_executor(
+        self, private, monkeypatch
+    ):
+        engine = Engine(private, EngineConfig(plan=PLAN_BROADCAST))
+        requests = client_requests(8, np.random.default_rng(30))
+        assert engine.runs_inline(max(r.n_queries for r in requests))
+
+        async def run(executor):
+            batcher = AsyncBatchEngine(engine, executor=executor)
+            answers = [await batcher.answer(r) for r in requests]
+            return answers, batcher.stats
+
+        inline, stats = asyncio.run(run(RefusingExecutor()))
+        assert stats["ticks_inline"] == stats["ticks"] == 8
+        assert stats["ticks_off_loop"] == 0
+
+        monkeypatch.setattr(engine_module, "INLINE_MAX_PAIRS", 0)
+        with CountingExecutor() as pool:
+            off_loop, stats = asyncio.run(run(pool))
+        assert pool.submitted == stats["ticks_off_loop"] == 8
+        for a, b in zip(inline, off_loop):
+            assert float(np.abs(a.answers - b.answers).max()) == 0.0
+        assert_exact(engine, requests, inline)
+
+    def test_tick_over_the_bound_is_in_flight(self, private, monkeypatch):
+        monkeypatch.setattr(engine_module, "INLINE_MAX_PAIRS", 0)
+        engine = Engine(private, EngineConfig(plan=PLAN_BROADCAST))
+        [request] = client_requests(1, np.random.default_rng(31))
+
+        async def run():
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                batcher = AsyncBatchEngine(engine, executor=pool)
+                task = asyncio.ensure_future(batcher.answer(request))
+                # Enqueue, end-of-iteration flush.
+                for _ in range(2):
+                    await asyncio.sleep(0)
+                assert batcher.inflight_ticks == 1
+                return await task, batcher.stats
+
+        answer, stats = asyncio.run(run())
+        assert stats["ticks_off_loop"] == 1 and stats["ticks_inline"] == 0
+        assert_exact(engine, [request], [answer])
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            EngineConfig(shard_executor="resident", n_shards=2),
+            EngineConfig(n_shards=2),
+            EngineConfig(plan=PLAN_SHARDED),
+            EngineConfig(plan=PLAN_DENSE),
+        ],
+        ids=["resident", "serial-sharded", "forced-sharded", "forced-dense"],
+    )
+    def test_sharded_and_dense_plans_stay_off_loop(self, private, config):
+        # Building the engine spawns no resident pool; only a tick would.
+        assert not Engine(private, config).runs_inline(1)
+
+    def test_dense_backed_ticks_stay_off_loop(self):
+        dense = PrivateFrequencyMatrix.from_dense_noisy(np.ones(SHAPE))
+        engine = Engine(dense)
+        assert not engine.runs_inline(1)
+        [request] = client_requests(1, np.random.default_rng(32))
+
+        async def run(executor):
+            batcher = AsyncBatchEngine(engine, executor=executor)
+            return await batcher.answer(request), batcher.stats
+
+        with CountingExecutor() as pool:
+            answer, stats = asyncio.run(run(pool))
+        assert pool.submitted == 1 and stats["ticks_off_loop"] == 1
+        assert answer.plan == PLAN_DENSE
+        assert_exact(engine, [request], [answer])
+
+    def test_inline_successor_runs_after_the_returned_ticks_clients(
+        self, private
+    ):
+        engine = Engine(private, EngineConfig(plan=PLAN_BROADCAST))
+        requests = client_requests(3, np.random.default_rng(33))
+        first = None  # the first client's task, set in run()
+        first_done_at_successor = []
+
+        class HeldThenLight(GatedEngine):
+            """Off-loop (and held) until the gate opens; light after."""
+
+            def runs_inline(self, n_queries):
+                return self.gate.is_set()
+
+            def answer(self, request):
+                if self.gate.is_set():
+                    first_done_at_successor.append(first.done())
+                return super().answer(request)
+
+        gated = HeldThenLight(engine)
+
+        async def run():
+            nonlocal first
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                batcher = AsyncBatchEngine(gated, executor=pool)
+                first = asyncio.ensure_future(batcher.answer(requests[0]))
+                await gated.held()
+                rest = [
+                    asyncio.ensure_future(batcher.answer(r))
+                    for r in requests[1:]
+                ]
+                await asyncio.sleep(0)
+                assert batcher.pending_requests == 2
+                gated.gate.set()
+                answers = await asyncio.gather(first, *rest)
+                return answers, batcher.stats
+
+        answers, stats = asyncio.run(run())
+        # The first tick's client had its answer before the successor's
+        # kernel blocked the loop.
+        assert first_done_at_successor == [True]
+        assert stats["ticks_off_loop"] == 1 and stats["ticks_inline"] == 1
+        assert gated.tick_queries == [
+            requests[0].n_queries,
+            requests[1].n_queries + requests[2].n_queries,
+        ]
+        assert_exact(engine, requests, answers)
+
+    def test_mixed_inline_and_off_loop_ticks_stay_exact(self, monkeypatch):
+        # Inline ticks on the loop thread and off-loop ticks in the worker
+        # thread share a fresh matrix's lazily built caches.
+        fresh = grid_private()
+        monkeypatch.setattr(
+            engine_module, "INLINE_MAX_PAIRS", 6 * fresh.n_partitions
+        )
+        engine = Engine(
+            fresh, EngineConfig(plan=PLAN_BROADCAST, max_batch_size=3)
+        )
+        requests = client_requests(96, np.random.default_rng(35), 1, 9)
+
+        async def run():
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                batcher = AsyncBatchEngine(engine, executor=pool)
+                answers = await asyncio.wait_for(
+                    gather_answers(batcher, requests), timeout=30.0
+                )
+                return answers, batcher.stats
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            answers, stats = asyncio.run(run())
+        finally:
+            sys.setswitchinterval(interval)
+        assert stats["ticks_inline"] > 0 and stats["ticks_off_loop"] > 0
+        assert stats["answered_requests"] == len(requests)
+        assert_exact(
+            Engine(grid_private(), EngineConfig(plan=PLAN_BROADCAST)),
+            requests,
+            answers,
+        )
+
+    @pytest.mark.parametrize("off_loop", [False, True])
+    def test_one_validation_per_batched_request(
+        self, private, monkeypatch, off_loop
+    ):
+        calls = []
+        for module in (engine_module, async_batch_module):
+            validate = module.validate_box_arrays
+            monkeypatch.setattr(
+                module,
+                "validate_box_arrays",
+                lambda *args, _v=validate: calls.append(1) or _v(*args),
+            )
+        if off_loop:
+            monkeypatch.setattr(engine_module, "INLINE_MAX_PAIRS", 0)
+        engine = Engine(private)
+        requests = client_requests(12, np.random.default_rng(34))
+
+        async def run():
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                batcher = AsyncBatchEngine(engine, executor=pool)
+                answers = await gather_answers(batcher, requests)
+                return answers, batcher.stats
+
+        answers, stats = asyncio.run(run())
+        assert stats["ticks_off_loop" if off_loop else "ticks_inline"] >= 1
+        assert len(calls) == len(requests)
+        # Direct engine callers are still validated, once per call.
+        del calls[:]
+        assert_exact(engine, requests, answers)
+        assert len(calls) == len(requests)
+        with pytest.raises(QueryError, match="outside matrix shape"):
+            engine.answer(
+                QueryRequest(np.array([[0, 0]]), np.array([[0, 999]]))
+            )

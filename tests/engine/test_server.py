@@ -22,6 +22,7 @@ import pytest
 from repro.core import PrivateFrequencyMatrix, packed_from_intervals
 from repro.core.exceptions import ValidationError
 from repro.core.sharding import PartitionShard, answer_sharded
+from repro.engine import engine as engine_module
 from repro.engine import server as server_module
 from repro.engine import (
     AsyncServingClient,
@@ -770,6 +771,48 @@ class TestStatzAndHealth:
         assert stats["loop"]["beats"] > 0
         assert stats["loop"]["max_lag_ms"] >= 0.0
         assert stats["queue"]["max_pending_requests"] >= 1
+
+    def test_statz_counts_inline_and_off_loop_ticks_by_plan(
+        self, private, monkeypatch
+    ):
+        # Up to four queries per tick run inline; eight go off-loop.
+        monkeypatch.setattr(
+            engine_module, "INLINE_MAX_PAIRS", 4 * private.n_partitions
+        )
+        light = client_requests(3, np.random.default_rng(40), 1, 5)
+        [heavy] = client_requests(1, np.random.default_rng(41), 8, 9)
+
+        async def run():
+            async with serve(Engine(private)) as server:
+                async with AsyncServingClient(port=server.port) as client:
+                    before = await client.statz()
+                    answers = [
+                        await client.query_request(r) for r in light
+                    ]
+                    answers.append(await client.query_request(heavy))
+                    return before, await client.statz(), answers
+
+        before, after, answers = asyncio.run(run())
+
+        def moved(key):
+            return after["counters"][key] - before["counters"][key]
+
+        assert moved("ticks_inline") == 3
+        assert moved("ticks_off_loop") == 1
+        assert after["counters"]["ticks"] == (
+            after["counters"]["ticks_inline"]
+            + after["counters"]["ticks_off_loop"]
+        )
+        assert set(after["tick_plans"]) == {
+            "dense", "broadcast", "pruned", "sharded"
+        }
+        plans = {
+            plan: after["tick_plans"][plan] - before["tick_plans"][plan]
+            for plan in after["tick_plans"]
+        }
+        assert sum(plans.values()) == 4
+        for plan in plans:
+            assert plans[plan] == sum(a.plan == plan for a in answers)
 
 
 class TestLifecycle:
