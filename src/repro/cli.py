@@ -20,11 +20,14 @@ Commands
     tick's kernel into a worker thread so the event loop stays
     responsive, while light ticks (``INLINE_MAX_PAIRS``) run inline.
 
-Every query-answering command accepts ``--engine-config`` with
+``serve`` takes the engine's settings from ``--engine-config``:
 comma-separated ``key=value`` pairs over the
 :class:`~repro.engine.EngineConfig` fields (e.g.
-``--engine-config plan=sharded,n_shards=4``); values layer on top of
-any ``REPRO_ENGINE_*`` environment overrides.
+``--engine-config plan=sharded,n_shards=4``).  The offline commands
+answer under the default config: every plan gives the same counts, so
+a config there would choose speed only.  Engine settings are never
+read from the environment; the CLI refuses to run while one is set
+there rather than ignore it.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import os
 import signal
 import sys
 import time
@@ -79,20 +83,23 @@ def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _add_engine_config_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine-config", default=None, metavar="KEY=VALUE[,...]",
-        help="engine tuning overrides (EngineConfig fields, e.g. "
-             "plan=sharded,n_shards=4); layered over REPRO_ENGINE_* env vars",
+def _refuse_engine_env(environ=os.environ) -> None:
+    """Exit when the environment tries to set an engine setting.
+
+    Engine settings were once read from environment variables; a
+    leftover one must fail loudly, not be silently ignored.  Empty
+    values count as unset.
+    """
+    stray = sorted(
+        name for name, value in environ.items()
+        if name.startswith("REPRO_ENGINE_") and value
     )
-
-
-def _engine_config(args: argparse.Namespace) -> EngineConfig:
-    """The command's engine config: env overrides, then the CLI flag."""
-    config = EngineConfig.from_env()
-    if getattr(args, "engine_config", None):
-        config = EngineConfig.from_string(args.engine_config, base=config)
-    return config
+    if stray:
+        raise SystemExit(
+            f"{', '.join(stray)}: engine settings are not read from the "
+            f"environment; unset it and pass them as "
+            f"`repro serve --engine-config KEY=VALUE[,...]`"
+        )
 
 
 def cmd_methods(_: argparse.Namespace) -> int:
@@ -110,9 +117,7 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
     private = sanitizer.sanitize(matrix, args.epsilon, rng=args.seed + 1)
     elapsed = time.perf_counter() - start
     workload = random_workload(matrix.shape, args.n_queries, rng=args.seed + 2)
-    result = WorkloadEvaluator(
-        matrix, engine_config=_engine_config(args)
-    ).evaluate(private, workload)
+    result = WorkloadEvaluator(matrix).evaluate(private, workload)
     print(
         f"method={args.method} eps={args.epsilon} "
         f"partitions={private.n_partitions} time={elapsed:.2f}s "
@@ -135,7 +140,6 @@ def cmd_figure(args: argparse.Namespace) -> int:
     scale = get_scale(args.scale)
     if args.n_jobs is not None:
         scale = scale.with_overrides(n_jobs=args.n_jobs)
-    scale = scale.with_overrides(engine_config=_engine_config(args))
     result = ALL_ARTIFACTS[args.artifact](scale=scale, rng=args.seed)
     columns = [c for c in result.rows[0] if c not in ("mre_std", "n_trials")]
     print(result.to_text(columns))
@@ -144,7 +148,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     matrix = _build_dataset(args)
-    evaluator = WorkloadEvaluator(matrix, engine_config=_engine_config(args))
+    evaluator = WorkloadEvaluator(matrix)
     workload = random_workload(matrix.shape, args.n_queries, rng=args.seed + 2)
     methods: List[str] = args.methods or available_methods()
     print(f"{'method':18s} {'MRE %':>10s} {'partitions':>11s} {'time':>8s}")
@@ -162,7 +166,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the HTTP serving layer until SIGINT/SIGTERM, then drain."""
-    config = _engine_config(args)
+    config = EngineConfig.from_string(args.engine_config)
     matrix = _build_dataset(args)
     print(f"dataset: shape={matrix.shape}, N={matrix.total:,.0f}",
           file=sys.stderr)
@@ -226,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_san.add_argument("--epsilon", type=float, default=0.1)
     p_san.add_argument("--n-queries", type=int, default=500)
     p_san.add_argument("--output", help="write publishable JSON here")
-    _add_engine_config_arg(p_san)
 
     p_fig = sub.add_parser("figure", help="regenerate a paper artifact")
     p_fig.add_argument("artifact", choices=sorted(ALL_ARTIFACTS))
@@ -237,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trial parallelism: 1 = serial (default), "
                             "k > 1 = worker processes, -1 = all cores; "
                             "results are identical across settings")
-    _add_engine_config_arg(p_fig)
 
     p_cmp = sub.add_parser("compare", help="compare methods on one dataset")
     _add_dataset_args(p_cmp)
@@ -245,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="subset of methods (default: all)")
     p_cmp.add_argument("--epsilon", type=float, default=0.1)
     p_cmp.add_argument("--n-queries", type=int, default=500)
-    _add_engine_config_arg(p_cmp)
 
     p_srv = sub.add_parser("serve", help="run the HTTP serving layer")
     _add_dataset_args(p_srv)
@@ -268,13 +269,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-request deadline in seconds (504 past it)")
     p_srv.add_argument("--max-batch-queries", type=int, default=100_000,
                        help="largest query batch one POST may carry (413)")
-    _add_engine_config_arg(p_srv)
+    p_srv.add_argument("--engine-config", default="",
+                       metavar="KEY=VALUE[,...]",
+                       help="EngineConfig fields, e.g. "
+                            "plan=sharded,n_shards=4 (default: all defaults)")
 
     return parser
 
 
 def main(argv: List[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    _refuse_engine_env()
     handlers = {
         "methods": cmd_methods,
         "sanitize": cmd_sanitize,

@@ -550,10 +550,15 @@ class PackedPartitioning:
     # ------------------------------------------------------------------
     # Dense reconstruction
     # ------------------------------------------------------------------
-    def dense_array(self) -> np.ndarray:
+    def dense_array(self, out: np.ndarray | None = None) -> np.ndarray:
         """Signed dense reconstruction: each cell gets its partition's
-        noisy count divided by the partition's cell count."""
-        out = np.empty(self._shape, dtype=np.float64)
+        noisy count divided by the partition's cell count.
+
+        Written into ``out`` (a float64 array of the matrix shape, which
+        may be a view) when given; the partitions cover every cell, so
+        its prior contents do not matter."""
+        if out is None:
+            out = np.empty(self._shape, dtype=np.float64)
         values = self._noisy / self._n_cells
         lo, hi = self._lo, self._hi
         for i in range(self.n_partitions):

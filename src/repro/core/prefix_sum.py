@@ -9,7 +9,7 @@ for querying densely-reconstructed private matrices.
 from __future__ import annotations
 
 from itertools import product
-from typing import Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -26,12 +26,28 @@ class PrefixSumTable:
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim == 0:
             raise QueryError("prefix sums need at least one dimension")
-        self._shape: Tuple[int, ...] = arr.shape
+        self._build(arr.shape, lambda interior: np.copyto(interior, arr))
+
+    @classmethod
+    def from_fill(
+        cls, shape: Sequence[int], fill: Callable[[np.ndarray], object]
+    ) -> "PrefixSumTable":
+        """Table over the array ``fill`` writes into the zeroed
+        ``shape``-sized view it is handed, so no separate dense copy of
+        the data is ever allocated."""
+        table = cls.__new__(cls)
+        table._build(tuple(int(s) for s in shape), fill)
+        return table
+
+    def _build(
+        self, shape: Tuple[int, ...], fill: Callable[[np.ndarray], object]
+    ) -> None:
+        self._shape: Tuple[int, ...] = shape
         # Pad with a leading zero hyperplane per axis so queries need no
         # boundary special-casing: table[i] = sum of data[:i] (exclusive).
-        table = np.zeros(tuple(s + 1 for s in arr.shape), dtype=np.float64)
-        table[tuple(slice(1, None) for _ in arr.shape)] = arr
-        for axis in range(arr.ndim):
+        table = np.zeros(tuple(s + 1 for s in shape), dtype=np.float64)
+        fill(table[tuple(slice(1, None) for _ in shape)])
+        for axis in range(len(shape)):
             np.cumsum(table, axis=axis, out=table)
         self._table = table
 

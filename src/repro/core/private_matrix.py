@@ -294,7 +294,14 @@ class PrivateFrequencyMatrix:
 
     def _prefix_table(self) -> PrefixSumTable:
         if self._prefix_cache is None:
-            self._prefix_cache = PrefixSumTable(self.dense_array())
+            if self._dense_cache is None:
+                # Partition weights go straight into the table: no dense
+                # copy stays behind next to it.
+                self._prefix_cache = PrefixSumTable.from_fill(
+                    self._shape, self._packed.dense_array
+                )
+            else:
+                self._prefix_cache = PrefixSumTable(self._dense_cache)
         return self._prefix_cache
 
     # ------------------------------------------------------------------

@@ -5,8 +5,8 @@ sanitized :class:`~repro.core.PrivateFrequencyMatrix`:
 
 * :class:`EngineConfig` — the settings callers choose (plan forcing,
   shard layout, the async flush threshold) in one validated object,
-  overridable from ``key=value`` strings and ``REPRO_ENGINE_*``
-  environment variables; the planner's thresholds are module constants;
+  also buildable from a ``key=value`` string (``repro serve
+  --engine-config``); the planner's thresholds are module constants;
 * :class:`QueryRequest` / :class:`QueryAnswer` — typed request and
   response carrying the batch, the plan that ran, per-shard evidence,
   and timing;

@@ -17,18 +17,15 @@ code that applies them (``DENSE_SWITCH_*`` in
 :mod:`repro.core.interval_index`; ``tools/calibrate.py`` suggests new
 values for them).
 
-Overrides can come from keyword arguments, from ``key=value`` strings
-(:meth:`EngineConfig.from_string`, the CLI ``--engine-config`` format),
-or from ``REPRO_ENGINE_<FIELD>`` environment variables
-(:meth:`EngineConfig.from_env`), checked in that order of precedence.
-An unknown ``REPRO_ENGINE_*`` name is an error, not a silent no-op.
+A config is built one of two ways: keyword arguments in code, or a
+``key=value,...`` string (:meth:`EngineConfig.from_string`, the format
+of ``repro serve --engine-config``).  The environment is not read.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
-from typing import Dict, Mapping
+from typing import Dict
 
 from ..core.exceptions import QueryError, ValidationError
 from ..core.interval_index import (
@@ -43,16 +40,13 @@ from ..core.interval_index import (
 #: cost model choose).
 ENGINE_PLANS = (PLAN_DENSE,) + PACKED_PLANS
 
-#: Environment-variable prefix for :meth:`EngineConfig.from_env`.
-ENV_PREFIX = "REPRO_ENGINE_"
-
 #: The shard-execution modes ``shard_executor`` accepts.  ``"serial"``
 #: answers the shards in-process; ``"resident"`` routes through a
 #: persistent :class:`~repro.engine.ShardWorkerPool`, one worker process
 #: per shard.
 SHARD_EXECUTORS = ("serial", "resident")
 
-#: Fields settable from strings (CLI ``--engine-config`` / env vars),
+#: Fields settable from strings (``repro serve --engine-config``),
 #: with their coercions.  Fields in :data:`_OPTIONAL_FIELDS`
 #: additionally accept ``none``.
 _OPTIONAL_FIELDS = frozenset({"plan", "n_shards", "shard_executor"})
@@ -141,15 +135,15 @@ class EngineConfig:
         return replace(self, **kwargs)
 
     # ------------------------------------------------------------------
-    # String / environment construction
+    # String construction
     # ------------------------------------------------------------------
     @staticmethod
     def parse_overrides(text: str) -> Dict[str, object]:
         """``"plan=broadcast,n_shards=4"`` -> a typed override dict.
 
-        The CLI ``--engine-config`` format: comma-separated ``key=value``
-        pairs over the string-settable fields.  ``none`` (any case)
-        clears an optional field.
+        The ``repro serve --engine-config`` format: comma-separated
+        ``key=value`` pairs over the string-settable fields.  ``none``
+        (any case) clears an optional field.
         """
         overrides: Dict[str, object] = {}
         for pair in filter(None, (p.strip() for p in text.split(","))):
@@ -190,34 +184,3 @@ class EngineConfig:
         """Config from a ``key=value,...`` override string."""
         base = base if base is not None else cls()
         return base.with_overrides(**cls.parse_overrides(text))
-
-    @classmethod
-    def from_env(
-        cls,
-        base: "EngineConfig | None" = None,
-        environ: Mapping[str, str] | None = None,
-    ) -> "EngineConfig":
-        """Config with ``REPRO_ENGINE_<FIELD>`` overrides applied.
-
-        E.g. ``REPRO_ENGINE_PLAN=sharded REPRO_ENGINE_N_SHARDS=4``.
-        Unset variables keep ``base``'s values; empty strings are
-        treated as unset.  A non-empty ``REPRO_ENGINE_*`` variable that
-        names no settable field (a typo, or a deleted knob) raises
-        :class:`ValidationError` instead of being silently ignored.
-        """
-        base = base if base is not None else cls()
-        environ = os.environ if environ is None else environ
-        known = {ENV_PREFIX + name.upper(): name for name in _STRING_FIELDS}
-        pairs = []
-        for var, raw in environ.items():
-            if not raw or not var.startswith(ENV_PREFIX):
-                continue
-            if var not in known:
-                raise ValidationError(
-                    f"unknown engine-config variable {var!r}; settable "
-                    f"fields: {', '.join(sorted(_STRING_FIELDS))}"
-                )
-            pairs.append(f"{known[var]}={raw}")
-        if not pairs:
-            return base
-        return cls.from_string(",".join(pairs), base=base)

@@ -98,6 +98,10 @@ CLOSE_GRACE = 1.0
 #: Heartbeat period of the loop-lag monitor.
 HEARTBEAT_INTERVAL = 0.005
 
+#: Recent heartbeats the loop-lag monitor keeps for its p99 (about 10 s
+#: of an idle loop at :data:`HEARTBEAT_INTERVAL`).
+LAG_WINDOW = 2048
+
 #: Ring-buffer window for latency percentiles in ``/statz``.
 LATENCY_WINDOW = 8192
 
@@ -164,17 +168,26 @@ class LoopLagMonitor:
     on-loop kernels it approaches the heaviest tick's kernel time, with
     off-loop kernels it stays near zero.  This is the number the
     serving benchmark's responsiveness ratio is built from.
+    ``max_lag_at`` is when that stall began (the late beat's due time,
+    in seconds since :meth:`start`), which tells a start-up stall from
+    one in steady state; ``recent`` holds the last :data:`LAG_WINDOW`
+    lags for a percentile that a single old stall cannot dominate.
     """
 
     def __init__(self, interval: float = HEARTBEAT_INTERVAL):
         self.interval = float(interval)
         self.max_lag = 0.0
+        self.max_lag_at = 0.0
         self.beats = 0
+        self.recent: Deque[float] = deque(maxlen=LAG_WINDOW)
+        self._started = 0.0
         self._task: "asyncio.Task[None] | None" = None
 
     def start(self) -> None:
         if self._task is None:
-            self._task = asyncio.get_running_loop().create_task(self._run())
+            loop = asyncio.get_running_loop()
+            self._started = loop.time()
+            self._task = loop.create_task(self._run())
 
     def stop(self) -> None:
         if self._task is not None:
@@ -189,6 +202,8 @@ class LoopLagMonitor:
             lag = loop.time() - before - self.interval
             if lag > self.max_lag:
                 self.max_lag = lag
+                self.max_lag_at = before + self.interval - self._started
+            self.recent.append(lag)
             self.beats += 1
 
 
@@ -402,10 +417,13 @@ class EngineServer:
                     break
                 if headers is None:
                     break
+                raw_length = headers.get("content-length", "0") or "0"
                 try:
-                    length = int(headers.get("content-length", "0") or "0")
-                    if length < 0:
-                        raise ValueError(length)
+                    # ASCII digits only: int() alone would also read
+                    # "+32", "3_2" and non-ASCII digits.
+                    if not (raw_length.isascii() and raw_length.isdigit()):
+                        raise ValueError(raw_length)
+                    length = int(raw_length)
                 except ValueError:
                     self._counters["bad_requests"] += 1
                     await self._respond(
@@ -700,6 +718,10 @@ class EngineServer:
             "loop": {
                 "heartbeat_interval_ms": 1e3 * self.monitor.interval,
                 "max_lag_ms": 1e3 * self.monitor.max_lag,
+                "max_lag_at_s": self.monitor.max_lag_at,
+                "recent_p99_lag_ms": 1e3 * percentile(
+                    sorted(self.monitor.recent), 99
+                ),
                 "beats": self.monitor.beats,
             },
             # Resident shard-worker gauges (null unless the engine is

@@ -12,12 +12,9 @@ preserved (the benchmarks assert the orderings, not absolute numbers).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from ..core.exceptions import ValidationError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..engine import EngineConfig
 
 
 @dataclass(frozen=True)
@@ -45,12 +42,6 @@ class ExperimentScale:
         (1 = serial, ``k > 1`` = that many worker processes, -1 = all
         cores).  Results are bit-identical across settings; serial is
         usually faster for tiny grids where process startup dominates.
-    engine_config:
-        Full :class:`~repro.engine.EngineConfig` for every trial's
-        query phase (the CLI ``--engine-config`` flag lands here).
-        ``EngineConfig(n_shards=K)`` runs it through K partition-axis
-        shards; answers match the single-node engine within 1e-9 and
-        rows record ``plan="sharded"``.
     """
 
     name: str
@@ -61,7 +52,6 @@ class ExperimentScale:
     n_queries: int
     n_trials: int = 1
     n_jobs: int = 1
-    engine_config: "EngineConfig | None" = None
 
     def __post_init__(self) -> None:
         for attr in ("n_points", "n_trajectories", "city_resolution",

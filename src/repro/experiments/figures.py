@@ -118,7 +118,6 @@ def figure4(
             rows = run_methods(
                 matrix, specs, list(epsilons), [workload],
                 n_trials=scale.n_trials, rng=run_rng, n_jobs=scale.n_jobs,
-                engine_config=scale.engine_config,
                 extra={"d": d, "skew_fraction": frac, "variance": variance},
             )
             result.rows.extend(
@@ -153,7 +152,6 @@ def figure5(
             rows = run_methods(
                 matrix, specs, [epsilon], [workload],
                 n_trials=scale.n_trials, rng=run_rng, n_jobs=scale.n_jobs,
-                engine_config=scale.engine_config,
                 extra={"d": d, "zipf_a": a},
             )
             result.rows.extend(
@@ -212,7 +210,6 @@ def figure6(
         rows = run_methods(
             matrix, specs, list(epsilons), workloads,
             n_trials=scale.n_trials, rng=run_rng, n_jobs=scale.n_jobs,
-            engine_config=scale.engine_config,
             extra={"city": city_name},
         )
         result.rows.extend(
@@ -268,7 +265,6 @@ def figure8(
         rows = run_methods(
             matrix, specs, list(epsilons), workloads,
             n_trials=scale.n_trials, rng=run_rng, n_jobs=scale.n_jobs,
-            engine_config=scale.engine_config,
             extra={"city": city_name, "od_shape": "x".join(map(str, matrix.shape))},
         )
         result.rows.extend(
@@ -305,7 +301,6 @@ def table3(
         rows = run_methods(
             matrix, specs, [epsilon], [workload],
             n_trials=scale.n_trials, rng=run_rng, n_jobs=scale.n_jobs,
-            engine_config=scale.engine_config,
             extra={"city": city_name},
         )
         result.rows.extend(

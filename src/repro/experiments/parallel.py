@@ -46,7 +46,6 @@ from ..queries.workload import Workload
 from .config import MethodSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from ..engine import EngineConfig
     from .runner import ResultRow
 
 
@@ -79,10 +78,7 @@ def _run_trial(
     Pure with respect to process state: everything the trial needs
     arrives through the arguments, and the random stream is rebuilt from
     ``task.entropy`` and ``task.spawn_key`` alone.  ``evaluator`` is an
-    optional ground-truth cache, and its
-    :class:`~repro.engine.EngineConfig` is the one the trial's query
-    phase runs under; omitting it means a fresh default-config
-    evaluator.
+    optional ground-truth cache; omitting it means a fresh one.
     """
     from .runner import ResultRow
 
@@ -133,22 +129,15 @@ class Executor(abc.ABC):
         workloads: Sequence[Workload],
         tasks: Sequence[TrialTask],
         extra: Dict[str, object] | None = None,
-        engine_config: "EngineConfig | None" = None,
     ) -> List[List["ResultRow"]]:
-        """One row list per task, in task order.
-
-        ``engine_config`` (a picklable
-        :class:`~repro.engine.EngineConfig`) configures every trial's
-        query phase.
-        """
+        """One row list per task, in task order."""
 
 
 class SerialExecutor(Executor):
     """In-process execution; ground truth is computed once and shared."""
 
-    def run_trials(self, matrix, workloads, tasks, extra=None,
-                   engine_config=None):
-        evaluator = WorkloadEvaluator(matrix, engine_config=engine_config)
+    def run_trials(self, matrix, workloads, tasks, extra=None):
+        evaluator = WorkloadEvaluator(matrix)
         return [
             _run_trial(matrix, workloads, task, extra, evaluator=evaluator)
             for task in tasks
@@ -166,9 +155,8 @@ def _init_worker(
     matrix: FrequencyMatrix,
     workloads: Sequence[Workload],
     extra: Dict[str, object] | None,
-    engine_config: "EngineConfig | None" = None,
 ) -> None:
-    evaluator = WorkloadEvaluator(matrix, engine_config=engine_config)
+    evaluator = WorkloadEvaluator(matrix)
     for workload in workloads:
         evaluator.true_answers(workload)  # warm the cache before any trial
     _WORKER_STATE["matrix"] = matrix
@@ -210,22 +198,19 @@ class ProcessPoolTrialExecutor(Executor):
                 return None
         return None
 
-    def run_trials(self, matrix, workloads, tasks, extra=None,
-                   engine_config=None):
+    def run_trials(self, matrix, workloads, tasks, extra=None):
         tasks = list(tasks)
         if not tasks:
             return []
         workers = min(self.n_jobs, len(tasks))
         if workers <= 1:
-            return SerialExecutor().run_trials(
-                matrix, workloads, tasks, extra, engine_config
-            )
+            return SerialExecutor().run_trials(matrix, workloads, tasks, extra)
         ctx = self._fork_context()
         if ctx is not None:
             # Fork path: stage the state in the parent so workers inherit
             # the matrix, workloads, and warmed ground-truth cache
             # copy-on-write — nothing heavyweight crosses a pipe.
-            _init_worker(matrix, list(workloads), extra, engine_config)
+            _init_worker(matrix, list(workloads), extra)
             try:
                 with ProcessPoolExecutor(
                     max_workers=workers, mp_context=ctx
@@ -236,7 +221,7 @@ class ProcessPoolTrialExecutor(Executor):
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(matrix, list(workloads), extra, engine_config),
+            initargs=(matrix, list(workloads), extra),
         ) as pool:
             return list(pool.map(_run_trial_in_worker, tasks))
 

@@ -20,7 +20,7 @@ runs of the same seed produce bit-identical rows in identical order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
@@ -30,9 +30,6 @@ from ..queries.metrics import AccuracyReport
 from ..queries.workload import Workload
 from .config import MethodSpec
 from .parallel import Executor, TrialTask, get_executor
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..engine import EngineConfig
 
 
 @dataclass(frozen=True)
@@ -120,7 +117,6 @@ def run_methods(
     extra: Dict[str, object] | None = None,
     n_jobs: int = 1,
     executor: Executor | None = None,
-    engine_config: "EngineConfig | None" = None,
 ) -> List[ResultRow]:
     """Evaluate every (method, epsilon) pair on every workload.
 
@@ -133,26 +129,18 @@ def run_methods(
 
     ``n_jobs`` selects the execution backend (1 = serial in-process,
     ``k > 1`` = a pool of ``k`` worker processes, -1 = all cores); an
-    explicit ``executor`` overrides it.  ``engine_config`` is the
-    :class:`~repro.engine.EngineConfig` every trial's query phase runs
-    under; a sharded config (``n_shards=K``) sends each trial's
-    partition-backed outputs through K partition-axis shards
-    (dense-backed methods keep their dense route).  Leave its
-    ``shard_executor`` unset or ``"serial"`` with ``n_jobs > 1``, so
-    shards run inside each trial and pools do not nest.
+    explicit ``executor`` overrides it.  Every trial's query phase runs
+    under the default :class:`~repro.engine.EngineConfig`: the plan
+    changes speed, never a count, so the rows need no engine setting.
     For the same ``rng`` seed every backend returns bit-identical rows
-    in identical order — only the timing fields vary.  Sharded answers
-    match the single-node engine within float reassociation (1e-9,
-    pinned by the plan-equivalence suite), and the rows' ``plan``
-    column records ``"sharded"``.
+    in identical order — only the timing fields vary.
     """
     entropy = derive_entropy(ensure_rng(rng))
     tasks = build_trial_tasks(method_specs, epsilons, n_trials, entropy)
     if executor is None:
         executor = get_executor(n_jobs)
     row_lists = executor.run_trials(
-        matrix, list(workloads), tasks, dict(extra or {}),
-        engine_config=engine_config,
+        matrix, list(workloads), tasks, dict(extra or {})
     )
     return [row for rows in row_lists for row in rows]
 
@@ -202,9 +190,8 @@ def aggregate_rows(
             np.mean([t[1] for t in trial_times.values()])
         )
         # Every row carries a concrete plan now — the engine stamps one
-        # on each batch (sharded batches additionally expose per-shard
-        # plans on the evaluation result), so mixed groups are a plain
-        # sorted dedup join.  A blank plan can only come from rows built
+        # on each batch — so mixed groups are a plain sorted dedup
+        # join.  A blank plan can only come from rows built
         # outside the engine (hand-constructed, pre-engine archives);
         # surface those honestly as "unknown" rather than dropping them
         # or emitting a leading separator.

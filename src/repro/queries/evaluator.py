@@ -11,15 +11,17 @@ ground truth per workload is computed in one
 :meth:`~repro.core.PrefixSumTable.query_arrays` call and cached, and
 :meth:`WorkloadEvaluator.evaluate_all` answers *all* workloads for a
 private matrix with a single :meth:`~repro.engine.Engine.answer`
-invocation — the engine (geometric kernel, pruned gather, dense prefix
-sums, or the sharded layout) is chosen once for the whole batch, under
-one :class:`~repro.engine.EngineConfig`.
+invocation — the engine's cost model chooses the plan (geometric
+kernel, pruned gather, or dense prefix sums) once for the whole batch.
+Every private matrix is answered with the default
+:class:`~repro.engine.EngineConfig`: plans differ in speed, never in
+the counts they return.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from ..core.exceptions import QueryError
 from ..core.frequency_matrix import FrequencyMatrix
 from ..core.prefix_sum import PrefixSumTable
 from ..core.private_matrix import PrivateFrequencyMatrix
-from ..engine import Engine, EngineConfig, QueryRequest
+from ..engine import Engine, QueryRequest
 from .metrics import DEFAULT_FLOOR, AccuracyReport, accuracy_report
 from .workload import Workload
 
@@ -41,14 +43,9 @@ class EvaluationResult:
     epsilon: float
     report: AccuracyReport
     #: Query plan the engine chose for the batch this workload was
-    #: answered in (``dense`` / ``broadcast`` / ``pruned`` /
-    #: ``sharded``; always stamped — see
-    #: :attr:`~repro.engine.QueryAnswer.plan`).
+    #: answered in (``dense`` / ``broadcast`` / ``pruned``; always
+    #: stamped — see :attr:`~repro.engine.QueryAnswer.plan`).
     plan: str = ""
-    #: Per-shard execution evidence when the batch ran sharded
-    #: (:attr:`~repro.engine.QueryAnswer.shard_plans`): what each shard
-    #: did, including provable skips.  Empty for single-node plans.
-    shard_plans: Tuple[str, ...] = field(default_factory=tuple)
 
     @property
     def mre(self) -> float:
@@ -66,38 +63,17 @@ class EvaluationResult:
 
 
 class WorkloadEvaluator:
-    """Caches ground-truth answers for a matrix across many evaluations.
+    """Caches ground-truth answers for a matrix across many evaluations."""
 
-    ``engine_config`` is the :class:`~repro.engine.EngineConfig` every
-    private matrix is answered under (``None`` = default config, cost
-    model picks the plan per batch).  A sharded config sends
-    partition-backed private matrices through the sharded layout, while
-    dense-backed outputs (identity, Privlet) have no partition list to
-    shard and keep their dense route.
-    """
-
-    def __init__(
-        self,
-        matrix: FrequencyMatrix,
-        floor: float = DEFAULT_FLOOR,
-        *,
-        engine_config: EngineConfig | None = None,
-    ):
-        if engine_config is None:
-            engine_config = EngineConfig()
+    def __init__(self, matrix: FrequencyMatrix, floor: float = DEFAULT_FLOOR):
         self._matrix = matrix
         self._floor = floor
         self._table = PrefixSumTable(matrix.data)
         self._truth_cache: Dict[str, np.ndarray] = {}
-        self._engine_config = engine_config
 
     @property
     def matrix(self) -> FrequencyMatrix:
         return self._matrix
-
-    @property
-    def engine_config(self) -> EngineConfig:
-        return self._engine_config
 
     @staticmethod
     def _cache_key(workload: Workload) -> str:
@@ -134,11 +110,10 @@ class WorkloadEvaluator:
 
         All workloads' boxes are concatenated into a single
         :meth:`~repro.engine.Engine.answer` call so the plan choice
-        (broadcast kernel, index-pruned gather, dense prefix sums, or
-        the configured sharded layout) and any dense reconstruction are
-        amortized across the whole cross product, then the answer
-        vector is split back per workload.  The chosen plan — and the
-        per-shard evidence, when sharded — is recorded on every result.
+        (broadcast kernel, index-pruned gather, or dense prefix sums)
+        and any dense reconstruction are amortized across the whole
+        cross product, then the answer vector is split back per
+        workload.  The chosen plan is recorded on every result.
         """
         workloads = list(workloads)
         if not workloads:
@@ -147,8 +122,7 @@ class WorkloadEvaluator:
         arrays = [w.as_arrays() for w in workloads]
         lows = np.concatenate([a[0] for a in arrays], axis=0)
         highs = np.concatenate([a[1] for a in arrays], axis=0)
-        engine = Engine(private, self._engine_config)
-        answer = engine.answer(
+        answer = Engine(private).answer(
             QueryRequest(
                 lows, highs, workload="+".join(w.name for w in workloads)
             )
@@ -165,7 +139,6 @@ class WorkloadEvaluator:
                     epsilon=private.epsilon,
                     report=accuracy_report(truth, chunk, self._floor),
                     plan=answer.plan,
-                    shard_plans=answer.shard_plans,
                 )
             )
         return results

@@ -12,11 +12,17 @@ on, for every workload size straddling the switch.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.core import PrivateFrequencyMatrix, packed_from_intervals
-from repro.engine import Engine
+from repro.core import (
+    PrefixSumTable,
+    PrivateFrequencyMatrix,
+    packed_from_intervals,
+)
+from repro.engine import Engine, EngineConfig, QueryRequest
 from repro.engine.engine import DENSE_SWITCH_FACTOR
 from repro.methods._grid import axis_intervals
 from repro.queries import random_workload
@@ -78,3 +84,32 @@ def test_switch_agrees_with_scalar_reference(delta):
     auto = Engine(private).answer_arrays(lows, highs)
     scalar = np.array([private.answer(q) for q in workload])
     np.testing.assert_allclose(auto, scalar, rtol=0, atol=1e-9)
+
+
+def test_dense_table_keeps_no_dense_copy():
+    """The dense route builds its prefix table straight from the
+    partitions: no dense reconstruction is allocated beside the table
+    or cached after it, and the answers are those of a table built from
+    that reconstruction, bit for bit."""
+    shape = (11,) * 6  # the served OD release's grid
+    intervals = [axis_intervals(s, 4) for s in shape]
+    noisy = np.random.default_rng(3).laplace(20.0, 5.0, size=4 ** 6)
+    packed = packed_from_intervals(intervals, noisy, shape)
+    private = PrivateFrequencyMatrix.from_packed(packed, method="test")
+    lows, highs = random_workload(shape, 200, rng=4).as_arrays()
+
+    tracemalloc.start()
+    try:
+        table = private._prefix_table()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= table._table.nbytes + 2 ** 20
+
+    answer = Engine(private, EngineConfig(plan="dense")).answer(
+        QueryRequest(lows, highs)
+    )
+    assert answer.plan == "dense"
+    assert private._dense_cache is None
+    reference = PrefixSumTable(packed.dense_array()).query_arrays(lows, highs)
+    np.testing.assert_array_equal(answer.answers, reference)

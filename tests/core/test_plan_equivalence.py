@@ -15,9 +15,11 @@ worker processes answering on their own shards must be
 **bit-identical** to serial sharded evaluation — asserted with
 ``assert_array_equal``, not a tolerance — because the workers receive
 the very same cached shards the serial path reads, do no RNG work of
-their own, and the parent merges partials in fixed shard order.  The CI resident leg
-re-runs this module with ``REPRO_ENGINE_SHARD_EXECUTOR=resident`` (see
-``test_env_forced_executor_is_exercised``).
+their own, and the parent merges partials in fixed shard order.  The CI
+resident leg re-runs this module with
+``REPRO_TEST_SHARD_EXECUTOR=resident``, which makes the pool the
+default executor of every sharded case here (:func:`forced_config`,
+pinned by ``TestForcedExecutor``).
 
 All routing goes through the :mod:`repro.engine` facade (an
 :class:`~repro.engine.Engine` per forced
@@ -31,6 +33,7 @@ below :data:`~repro.core.interval_index.PRUNE_MIN_PARTITIONS`.
 """
 
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -38,7 +41,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    DEFAULT_N_SHARDS,
     PLAN_BROADCAST,
     PLAN_DENSE,
     PLAN_PRUNED,
@@ -76,24 +78,39 @@ ENV_N_SHARDS = int(_env) if _env else None
 if ENV_N_SHARDS is not None and ENV_N_SHARDS not in SHARD_COUNTS:
     SHARD_COUNTS.append(ENV_N_SHARDS)
 
-#: The CI resident leg forces the shard executor the same way, so the
-#: worker-pool column runs against the env-forced K on every push.
-ENV_SHARD_EXECUTOR = os.environ.get("REPRO_ENGINE_SHARD_EXECUTOR") or None
+#: The CI resident leg forces the shard executor the same way: every
+#: sharded case that names no executor runs on this one.
+ENV_SHARD_EXECUTOR = os.environ.get("REPRO_TEST_SHARD_EXECUTOR") or None
+
+
+def forced_config(**config):
+    """``EngineConfig(**config)``; a sharded config that names no
+    executor gets ``ENV_SHARD_EXECUTOR``."""
+    config = EngineConfig(**config)
+    sharded = config.plan == PLAN_SHARDED or config.wants_sharding
+    if sharded and config.shard_executor is None and ENV_SHARD_EXECUTOR:
+        config = config.with_overrides(shard_executor=ENV_SHARD_EXECUTOR)
+    return config
+
+
+def forced_answer(private, lows, highs, **config):
+    """A :class:`~repro.engine.QueryAnswer` from an :class:`Engine`
+    forced to ``config`` (its resident pool, if any, shut down after)."""
+    with Engine(private, forced_config(**config)) as engine:
+        return engine.answer(QueryRequest(lows, highs))
 
 
 def engine_answers(private, lows, highs, **config):
     """Answers through an :class:`Engine` forced to ``config``."""
-    return Engine(private, EngineConfig(**config)).answer_arrays(lows, highs)
+    return forced_answer(private, lows, highs, **config).answers
 
 
 def sharded_evidence(private, lows, highs, *, n_shards=None, executor=None):
     """A sharded :class:`~repro.engine.QueryAnswer` via the facade."""
-    answer = Engine(
-        private,
-        EngineConfig(
-            plan=PLAN_SHARDED, n_shards=n_shards, shard_executor=executor
-        ),
-    ).answer(QueryRequest(lows, highs))
+    answer = forced_answer(
+        private, lows, highs,
+        plan=PLAN_SHARDED, n_shards=n_shards, shard_executor=executor,
+    )
     assert answer.plan == PLAN_SHARDED
     return answer
 
@@ -178,9 +195,7 @@ class TestEquivalenceMatrix:
                 (20, 24), np.random.default_rng(1), n_random=10
             )
         )
-        result = Engine(private, EngineConfig(n_shards=n_shards)).answer(
-            QueryRequest(lows, highs)
-        )
+        result = forced_answer(private, lows, highs, n_shards=n_shards)
         assert result.plan == PLAN_SHARDED
         assert result.n_shards == min(n_shards, private.n_partitions)
         np.testing.assert_allclose(
@@ -198,9 +213,7 @@ class TestShardEdgeCases:
         result = sharded_evidence(private, empty, empty, n_shards=3)
         assert result.answers.size == 0
         assert result.skipped_shards == result.n_shards == 3
-        answer = Engine(private, EngineConfig(n_shards=3)).answer(
-            QueryRequest(empty, empty)
-        )
+        answer = forced_answer(private, empty, empty, n_shards=3)
         assert answer.answers.size == 0 and answer.plan == PLAN_SHARDED
         assert answer.skipped_shards == 3  # evidence survives the facade
 
@@ -305,9 +318,7 @@ class TestShardSkipping:
             axis=1,
         ).astype(np.int64)
         highs = np.minimum(lows + 2, [[255, 255]])
-        answer = Engine(private, EngineConfig(n_shards=8)).answer(
-            QueryRequest(lows, highs)
-        )
+        answer = forced_answer(private, lows, highs, n_shards=8)
         evidence = answer_sharded(private.packed, lows, highs, n_shards=8)
         assert answer.shard_plans == evidence.plans
         assert answer.shard_bounds == evidence.bounds
@@ -392,32 +403,34 @@ class TestResidentPool:
         finally:
             engine.close()
 
-    @pytest.mark.skipif(
-        ENV_SHARD_EXECUTOR is None,
-        reason="REPRO_ENGINE_SHARD_EXECUTOR not set",
-    )
-    def test_env_forced_executor_is_exercised(self):
-        """The CI resident leg's env-forced executor flows end to end."""
-        private = sanitized_private("quadtree", (24, 24), 9, 7, 0.5)
-        lows, highs = boxes_to_arrays(
-            degenerate_and_random_queries(
-                (24, 24), np.random.default_rng(6), n_random=10
-            )
+
+class TestForcedExecutor:
+    """``REPRO_TEST_SHARD_EXECUTOR`` decides which executor runs."""
+
+    def test_resident_runs_every_unpinned_sharded_case(self, monkeypatch):
+        monkeypatch.setattr(
+            sys.modules[__name__], "ENV_SHARD_EXECUTOR", "resident"
         )
-        config = EngineConfig.from_env()
-        assert config.shard_executor == ENV_SHARD_EXECUTOR
-        engine = Engine(private, config)
-        try:
-            answer = engine.answer(QueryRequest(lows, highs))
-        finally:
-            engine.close()
-        assert answer.plan == PLAN_SHARDED  # executor alone selects it
-        np.testing.assert_allclose(
-            answer.answers,
-            engine_answers(private, lows, highs, plan=PLAN_BROADCAST),
-            rtol=0,
-            atol=1e-9,
+        for config in ({"plan": PLAN_SHARDED}, {"n_shards": 3},
+                       {"plan": PLAN_SHARDED, "n_shards": 2}):
+            assert forced_config(**config).shard_executor == "resident"
+        # An explicit executor and the single-node plans stay as asked.
+        assert forced_config(n_shards=3, shard_executor="serial") == (
+            EngineConfig(n_shards=3, shard_executor="serial")
         )
+        assert forced_config(plan=PLAN_BROADCAST) == EngineConfig(
+            plan=PLAN_BROADCAST
+        )
+        private = grid_private(shape=(16, 16), m=4)
+        lows, highs = boxes_to_arrays([full_box((16, 16))])
+        with Engine(private, forced_config(n_shards=3)) as engine:
+            engine.answer(QueryRequest(lows, highs))
+            stats = engine.pool_stats()
+        assert stats is not None and stats["worker_batches"] == [1, 1, 1]
+
+    def test_unset_keeps_sharded_cases_serial(self, monkeypatch):
+        monkeypatch.setattr(sys.modules[__name__], "ENV_SHARD_EXECUTOR", None)
+        assert forced_config(n_shards=3) == EngineConfig(n_shards=3)
 
 
 class TestForcedPrunedFallback:
@@ -480,85 +493,15 @@ class TestForcedPrunedFallback:
 
 
 class TestEvaluatorAndRunnerPlumbing:
-    """The sharded engine reached through the evaluation stack."""
-
-    def test_evaluator_records_sharded_plan(self):
-        rng = np.random.default_rng(5)
-        matrix = FrequencyMatrix(rng.poisson(3.0, (24, 24)).astype(float))
-        private = get_sanitizer("kdtree").sanitize(matrix, 0.5, 7)
-        workload = random_workload(matrix.shape, 40, rng=3)
-        plain = WorkloadEvaluator(matrix).evaluate(private, workload)
-        sharded = WorkloadEvaluator(
-            matrix, engine_config=EngineConfig(n_shards=3)
-        ).evaluate(private, workload)
-        assert sharded.plan == PLAN_SHARDED
-        assert len(sharded.shard_plans) == min(3, private.n_partitions)
-        assert sharded.report.mre == pytest.approx(plain.report.mre, abs=1e-6)
-
-    def test_evaluator_shard_executor_alone_selects_sharded(self):
-        # Matching the engine's config semantics: configuring only the
-        # executor still routes through the sharded plan (at the
-        # default shard count).
-        rng = np.random.default_rng(13)
-        matrix = FrequencyMatrix(rng.poisson(3.0, (24, 24)).astype(float))
-        private = get_sanitizer("kdtree").sanitize(matrix, 0.5, 7)
-        workload = random_workload(matrix.shape, 30, rng=3)
-        result = WorkloadEvaluator(
-            matrix, engine_config=EngineConfig(shard_executor="serial")
-        ).evaluate(private, workload)
-        assert result.plan == PLAN_SHARDED
-        assert len(result.shard_plans) == min(
-            DEFAULT_N_SHARDS, private.n_partitions
-        )
+    """The engine reached through the evaluation stack."""
 
     def test_evaluator_keeps_dense_route_for_dense_backed(self):
         rng = np.random.default_rng(6)
         matrix = FrequencyMatrix(rng.poisson(3.0, (16, 16)).astype(float))
         private = get_sanitizer("identity").sanitize(matrix, 0.5, 7)
         workload = random_workload(matrix.shape, 20, rng=3)
-        result = WorkloadEvaluator(
-            matrix, engine_config=EngineConfig(n_shards=3)
-        ).evaluate(private, workload)
+        result = WorkloadEvaluator(matrix).evaluate(private, workload)
         assert result.plan == PLAN_DENSE
-        assert result.shard_plans == ()
-
-    def test_run_methods_n_shards_stamps_rows(self):
-        from repro.experiments import default_method_specs, run_methods
-
-        rng = np.random.default_rng(8)
-        matrix = FrequencyMatrix(rng.poisson(3.0, (20, 20)).astype(float))
-        workload = random_workload(matrix.shape, 25, rng=4)
-        rows = run_methods(
-            matrix,
-            default_method_specs(["kdtree", "identity"]),
-            [0.5],
-            [workload],
-            rng=1,
-            engine_config=EngineConfig(n_shards=2),
-        )
-        plans = {r.method: r.plan for r in rows}
-        assert plans["kdtree"] == PLAN_SHARDED
-        assert plans["identity"] == PLAN_DENSE  # dense-backed: no shards
-
-    def test_run_methods_engine_config_equivalent_and_exclusive(self):
-        # A sharded config changes the route, not the accuracy, and it
-        # is the only way to ask run_methods for shards.
-        from repro.experiments import default_method_specs, run_methods
-
-        rng = np.random.default_rng(21)
-        matrix = FrequencyMatrix(rng.poisson(3.0, (20, 20)).astype(float))
-        workload = random_workload(matrix.shape, 25, rng=4)
-        specs = default_method_specs(["kdtree"])
-        plain = run_methods(matrix, specs, [0.5], [workload], rng=1)
-        sharded = run_methods(
-            matrix, specs, [0.5], [workload], rng=1,
-            engine_config=EngineConfig(n_shards=2),
-        )
-        assert [r.plan for r in sharded] == [PLAN_SHARDED] * len(plain)
-        for p, s in zip(plain, sharded):
-            assert s.report.mre == pytest.approx(p.report.mre, abs=1e-6)
-        with pytest.raises(TypeError):
-            run_methods(matrix, specs, [0.5], [workload], rng=1, n_shards=2)
 
     @pytest.mark.skipif(
         ENV_N_SHARDS is None, reason="REPRO_TEST_N_SHARDS not set"

@@ -1,4 +1,5 @@
-"""EngineConfig: validation, string/env overrides, cost-rule threading."""
+"""EngineConfig: validation, string overrides, cost-rule threading, and
+the CLI's refusal of engine settings in the environment."""
 
 import re
 from dataclasses import fields
@@ -6,12 +7,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import _refuse_engine_env
 from repro.core import QueryError, ValidationError
 from repro.core.interval_index import DEFAULT_PLAN_COST
 from repro.engine import ENGINE_PLANS, SHARD_EXECUTORS, EngineConfig
 
-#: The planner thresholds that were fields once and are module
-#: constants now; their old variables must not be silently ignored.
+#: Variables of planner thresholds that were fields once and are module
+#: constants now; like every engine variable, they must not be silently
+#: ignored.
 DELETED_THRESHOLD_VARS = [
     "REPRO_ENGINE_DENSE_SWITCH_FACTOR",
     "REPRO_ENGINE_DENSE_SWITCH_MAX_CELLS",
@@ -89,10 +92,6 @@ class TestStringOverrides:
         # ValidationError, not a TypeError out of __post_init__.
         with pytest.raises(ValidationError, match="cannot be cleared"):
             EngineConfig.from_string("max_batch_size=none")
-        with pytest.raises(ValidationError, match="cannot be cleared"):
-            EngineConfig.from_env(
-                environ={"REPRO_ENGINE_MAX_BATCH_SIZE": "none"}
-            )
 
     def test_empty_string_is_noop(self):
         assert EngineConfig.from_string("") == EngineConfig()
@@ -128,64 +127,49 @@ class TestStringOverrides:
 
 
 class TestEnvOverrides:
-    def test_env_vars_override(self):
-        environ = {
-            "REPRO_ENGINE_PLAN": "sharded",
-            "REPRO_ENGINE_N_SHARDS": "5",
-            "REPRO_ENGINE_MAX_BATCH_SIZE": "64",
-        }
-        config = EngineConfig.from_env(environ=environ)
-        assert config.plan == "sharded"
-        assert config.n_shards == 5
-        assert config.max_batch_size == 64
+    """Engine settings are not read from the environment: the CLI exits
+    on any non-empty ``REPRO_ENGINE_*`` variable, naming the flag that
+    replaces it, instead of silently ignoring it."""
 
     @pytest.mark.parametrize("name", [
         "REPRO_ENGINE_MAX_BATCH_LATECNY",  # a typo
         "REPRO_ENGINE_MAX_BATCH_LATENCY",  # a deleted knob
-        "REPRO_ENGINE_plan",  # names are upper case
+        "REPRO_ENGINE_plan",  # not even a spelling of a field
     ] + DELETED_THRESHOLD_VARS)
     def test_unknown_env_var_rejected(self, name):
-        with pytest.raises(ValidationError, match="settable fields") as exc:
-            EngineConfig.from_env(environ={name: "5"})
+        with pytest.raises(SystemExit, match="--engine-config") as exc:
+            _refuse_engine_env({name: "5"})
         assert name in str(exc.value)
 
     def test_empty_unknown_env_var_is_unset(self):
-        environ = {"REPRO_ENGINE_MAX_BATCH_LATECNY": "", "HOME": "/"}
-        assert EngineConfig.from_env(environ=environ) == EngineConfig()
+        _refuse_engine_env({"REPRO_ENGINE_MAX_BATCH_LATECNY": "", "HOME": "/"})
 
     def test_empty_and_absent_vars_keep_base(self):
-        base = EngineConfig(n_shards=2)
-        config = EngineConfig.from_env(
-            base=base, environ={"REPRO_ENGINE_PLAN": ""}
-        )
-        assert config == base
+        # An empty variable is unset: the CLI runs, and its config comes
+        # from --engine-config alone.
+        _refuse_engine_env({"REPRO_ENGINE_PLAN": ""})
+        _refuse_engine_env({})
 
     def test_real_environ_consulted(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE_MAX_BATCH_SIZE", "35")
-        assert EngineConfig.from_env().max_batch_size == 35
+        with pytest.raises(SystemExit, match="REPRO_ENGINE_MAX_BATCH_SIZE"):
+            _refuse_engine_env()
 
 
 class TestDocumentedFields:
     def test_serving_doc_table_lists_exactly_the_fields(self):
-        # docs/SERVING.md's EngineConfig table must name every field
-        # with its env var, and nothing else, so a deleted knob cannot
-        # linger in the docs.
+        # docs/SERVING.md's EngineConfig table must name every field,
+        # and nothing else, so a deleted knob cannot linger in the docs.
         doc = Path(__file__).resolve().parents[2] / "docs" / "SERVING.md"
         section = doc.read_text().split("### Engine knobs")[1]
         section = section.split("\n#")[0]
-        rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \|", section, re.M)
-        assert sorted(rows) == sorted(
-            (f.name, "REPRO_ENGINE_" + f.name.upper())
-            for f in fields(EngineConfig)
-        )
+        rows = re.findall(r"^\| `(\w+)` \|", section, re.M)
+        assert sorted(rows) == sorted(f.name for f in fields(EngineConfig))
 
     def test_docs_name_only_current_env_vars(self):
-        # Outside the table too: every REPRO_ENGINE_* variable that
-        # README.md or docs/*.md spells out must be a current field.
+        # No engine setting is read from the environment, so neither
+        # README.md nor docs/*.md may tell a reader to set one there.
         root = Path(__file__).resolve().parents[2]
-        current = {
-            "REPRO_ENGINE_" + f.name.upper() for f in fields(EngineConfig)
-        }
         for doc in [root / "README.md", *sorted(root.glob("docs/*.md"))]:
-            named = set(re.findall(r"REPRO_ENGINE_\w+", doc.read_text()))
-            assert named <= current, f"{doc.name}: {sorted(named - current)}"
+            named = sorted(set(re.findall(r"REPRO_ENGINE_\w*", doc.read_text())))
+            assert not named, f"{doc.name}: {named}"

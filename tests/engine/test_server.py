@@ -260,21 +260,30 @@ class TestBadRequests:
         assert bad_requests == 1
 
     def test_negative_content_length_is_400_and_counted(self, engine):
-        request = (
-            b"POST /v1/query HTTP/1.1\r\nHost: t\r\n"
-            b"Content-Length: -5\r\n\r\n"
-        )
+        # int() alone reads "3_2" and "+32" as 32, which would answer
+        # the 32-byte body below 200; only ASCII digits are a length.
+        body = b'{"lows":[[0,0]],"highs":[[1,1]]}'
+        assert len(body) == 32
+        values = [b"-5", b"3_2", b"+32", b"9" * 5000]
 
         async def run():
             async with serve(engine) as server:
-                response = await raw_exchange(server.port, request)
-                return response, server.statz()["counters"]["bad_requests"]
+                responses = [
+                    await raw_exchange(
+                        server.port,
+                        b"POST /v1/query HTTP/1.1\r\nHost: t\r\n"
+                        b"Content-Length: " + value + b"\r\n\r\n" + body,
+                    )
+                    for value in values
+                ]
+                return responses, server.statz()["counters"]["bad_requests"]
 
-        (status, headers, body), bad_requests = asyncio.run(run())
-        assert status == 400
-        assert body["error"] == "bad Content-Length"
-        assert headers.get("connection") == "close"
-        assert bad_requests == 1
+        responses, bad_requests = asyncio.run(run())
+        for value, (status, headers, payload) in zip(values, responses):
+            assert status == 400, value
+            assert payload["error"] == "bad Content-Length"
+            assert headers.get("connection") == "close"
+        assert bad_requests == len(values)
 
     @pytest.mark.parametrize(
         "literal",
@@ -771,6 +780,24 @@ class TestStatzAndHealth:
         assert stats["loop"]["beats"] > 0
         assert stats["loop"]["max_lag_ms"] >= 0.0
         assert stats["queue"]["max_pending_requests"] >= 1
+
+    def test_statz_times_an_injected_loop_stall(self, engine):
+        async def run():
+            async with serve(engine) as server:
+                await asyncio.sleep(0.05)  # heartbeats settle
+                start = server.statz()["uptime_seconds"]
+                asyncio.get_running_loop().call_soon(time.sleep, 0.05)
+                await asyncio.sleep(0.06)  # the stall, then a few beats
+                return start, server.statz()["loop"]
+
+        start, loop_stats = asyncio.run(run())
+        assert loop_stats["max_lag_ms"] >= 40.0
+        # The stall began when the blocking callback ran (clock offsets
+        # between uptime and the monitor are far under a millisecond).
+        assert start - 0.01 <= loop_stats["max_lag_at_s"] <= start + 0.05
+        assert 0.0 < loop_stats["recent_p99_lag_ms"] <= loop_stats[
+            "max_lag_ms"
+        ]
 
     def test_statz_counts_inline_and_off_loop_ticks_by_plan(
         self, private, monkeypatch

@@ -42,24 +42,6 @@ class TestScale:
         with pytest.raises(ValidationError):
             ExperimentScale("x", 0, 1, 1, 1, 1)
 
-    def test_n_shards_validation(self):
-        # The shard count travels inside the scale's EngineConfig, which
-        # validates it.
-        from repro.core import QueryError
-        from repro.engine import EngineConfig
-
-        with pytest.raises(QueryError, match="n_shards"):
-            TINY_SCALE.with_overrides(engine_config=EngineConfig(n_shards=0))
-
-    def test_engine_config_exclusive_with_n_shards(self):
-        # EngineConfig is the scale's only shard knob.
-        from repro.engine import EngineConfig
-
-        s = TINY_SCALE.with_overrides(engine_config=EngineConfig(n_shards=3))
-        assert s.engine_config.n_shards == 3
-        with pytest.raises(TypeError):
-            ExperimentScale("x", 1, 1, 1, 1, 1, n_shards=3)
-
 
 class TestMethodSpec:
     def test_plain_label(self):
@@ -217,9 +199,7 @@ class TestMixedPlanAggregation:
 
     def test_every_member_plan_survives_the_join(self):
         # The engine stamps a concrete plan on every batch, so the join
-        # is a plain sorted dedup — no blank-plan special-casing (mixed
-        # sharded batches carry their per-shard detail on the
-        # evaluation result's shard_plans instead).
+        # is a plain sorted dedup — no blank-plan special-casing.
         rows = [
             self._row("w1", 0, 1.0, 0.1, plan="dense"),
             self._row("w1", 1, 1.0, 0.1, plan="sharded"),

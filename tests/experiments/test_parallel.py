@@ -116,10 +116,9 @@ class ScrambledExecutor(SerialExecutor):
     execution order, this would diverge from the serial run.
     """
 
-    def run_trials(self, matrix, workloads, tasks, extra=None,
-                   engine_config=None):
+    def run_trials(self, matrix, workloads, tasks, extra=None):
         reversed_rows = super().run_trials(
-            matrix, workloads, list(reversed(tasks)), extra, engine_config
+            matrix, workloads, list(reversed(tasks)), extra
         )
         return list(reversed(reversed_rows))
 

@@ -26,18 +26,16 @@ class TestParser:
             build_parser().parse_args(["figure", "figure99"])
 
     def test_figure_n_shards_flag(self):
-        # Sharding is configured only through --engine-config.
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["figure", "table3", "--n-shards", "3"])
-        args = build_parser().parse_args(
-            ["figure", "table3", "--engine-config", "n_shards=3"]
-        )
-        assert args.engine_config == "n_shards=3"
+        # Experiments run under the default engine config: figure has
+        # no shard flag and no --engine-config.
+        for flags in (["--n-shards", "3"], ["--engine-config", "n_shards=3"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["figure", "table3"] + flags)
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.command == "serve"
-        assert args.engine_config is None
+        assert args.engine_config == ""
         with pytest.raises(SystemExit):  # serve simulates no clients
             build_parser().parse_args(["serve", "--clients", "8"])
         with pytest.raises(SystemExit):  # and serves only sanitized data
@@ -56,13 +54,12 @@ class TestParser:
         assert defaults.max_pending == 1024
         assert defaults.request_timeout == 30.0
 
-    def test_engine_config_flag_everywhere(self):
-        for command in ("sanitize", "figure", "compare", "serve"):
-            argv = [command, "table3"] if command == "figure" else [command]
-            args = build_parser().parse_args(
-                argv + ["--engine-config", "plan=dense"]
-            )
-            assert args.engine_config == "plan=dense"
+    def test_engine_config_flag_only_on_serve(self):
+        flag = ["--engine-config", "plan=dense"]
+        args = build_parser().parse_args(["serve"] + flag)
+        assert args.engine_config == "plan=dense"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["compare"] + flag)
 
 
 class TestCommands:
@@ -115,44 +112,50 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "daf_entropy" in out
 
-    def test_figure_with_forced_sharding(self, capsys):
-        # The sharded engine end-to-end through the CLI: a shard
-        # executor alone selects the sharded layout, so partitioned
-        # methods must report plan=sharded in the rendered rows.
-        code = main([
-            "figure", "table3", "--scale", "tiny",
-            "--engine-config", "shard_executor=serial",
-        ])
-        assert code == 0
-        assert "sharded" in capsys.readouterr().out
+    def test_figure_with_forced_sharding(self, monkeypatch, capsys):
+        # Offline commands answer under the default config; the old
+        # environment route to a sharded figure stops the command,
+        # naming the flag that replaced it, before any trial runs.
+        monkeypatch.setenv("REPRO_ENGINE_SHARD_EXECUTOR", "serial")
+        with pytest.raises(SystemExit, match="--engine-config"):
+            main(["figure", "table3", "--scale", "tiny"])
+        assert capsys.readouterr().out == ""
 
     def test_figure_with_engine_config(self, capsys):
-        # A sharded config through --engine-config: n_shards alone (no
-        # forced plan) lets dense-backed methods in the mixed set keep
-        # their dense route.
-        code = main([
-            "figure", "table3", "--scale", "tiny",
-            "--engine-config", "n_shards=2",
-        ])
-        assert code == 0
-        assert "sharded" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "figure", "table3", "--scale", "tiny",
+                "--engine-config", "n_shards=2",
+            ])
+        assert exc.value.code == 2  # an argparse usage error
+        assert "--engine-config" in capsys.readouterr().err
 
     def test_sanitize_with_engine_config(self, capsys):
-        code = main([
-            "sanitize", "--dataset", "gaussian", "--n-points", "4000",
-            "--dims", "2", "--method", "ebp", "--n-queries", "20",
-            "--engine-config", "plan=broadcast",
-        ])
-        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "sanitize", "--dataset", "gaussian", "--n-points", "4000",
+                "--dims", "2", "--method", "ebp", "--n-queries", "20",
+                "--engine-config", "plan=broadcast",
+            ])
+        assert exc.value.code == 2
+        assert "--engine-config" in capsys.readouterr().err
 
     def test_bad_engine_config_rejected(self):
         from repro.core import ValidationError
 
+        # Parsed before any dataset is built or port bound.
         with pytest.raises(ValidationError, match="unknown engine-config"):
-            main([
-                "sanitize", "--dataset", "gaussian", "--n-points", "2000",
-                "--n-queries", "10", "--engine-config", "bogus=1",
-            ])
+            main(["serve", "--port", "0", "--engine-config", "bogus=1"])
+
+    def test_engine_env_var_refused(self, monkeypatch):
+        # Engine settings are not read from the environment; a leftover
+        # variable stops every command instead of being ignored.
+        monkeypatch.setenv("REPRO_ENGINE_N_SHARDS", "4")
+        for argv in (["methods"], ["serve", "--port", "0"]):
+            with pytest.raises(SystemExit, match="--engine-config"):
+                main(argv)
+        monkeypatch.setenv("REPRO_ENGINE_N_SHARDS", "")
+        assert main(["methods"]) == 0
 
     def test_serve_port_boots_live_http_server(self):
         # The real network path: `repro serve --port 0` in a subprocess,
