@@ -10,8 +10,11 @@ endpoint, measured on the query-engine benchmark substrate:
   invocation) by at least ``SPEEDUP_FLOOR`` in amortized per-query
   latency.  This isolates exactly what batching amortizes, is
   single-threaded (no core-count skip marker needed), and is the
-  ``speedup`` series the regression
-  gate tracks.  The wall-clock of a plain synchronous ``Engine.answer``
+  ``speedup`` series the regression gate tracks.  ``N_PAIRS``
+  alternating unbatched/batched runs are timed and ``speedup`` is the
+  ratio of their medians, so one run slowed by a neighbour on the
+  cores cannot sink it; the per-pair ratios are recorded as the
+  spread.  The wall-clock of a plain synchronous ``Engine.answer``
   loop is recorded alongside (``sync_speedup``) as untracked context —
   it mixes endpoint overhead into the baseline, so it is noisier.
 * **Exactness** — batched answers must be **bit-identical** to the
@@ -28,6 +31,7 @@ Results are written to ``bench-out/BENCH_async_batching.json``;
 from __future__ import annotations
 
 import asyncio
+import statistics
 import time
 
 import numpy as np
@@ -54,6 +58,10 @@ QUERY_EXTENT = 3
 #: ~3x on the development container; single-threaded, so it holds on
 #: narrow machines too).
 SPEEDUP_FLOOR = 2.0
+
+#: Alternating unbatched/batched runs; ``speedup`` is the ratio of the
+#: two medians.
+N_PAIRS = 5
 
 #: The serving plan is pinned: determinism lever (bit-identical batched
 #: answers) and the route whose per-invocation fixed cost the tick
@@ -103,22 +111,31 @@ def test_async_batching_amortization_and_exactness():
     for request in requests[:8]:
         engine.answer(request)
 
-    # One-by-one through the endpoint: a tick per request.
-    unbatched, unbatched_seconds, unbatched_ticks = _serve(
-        private, requests, max_batch_size=1
-    )
-    # Micro-batched: every client lands in one tick.
-    batched, batched_seconds, batched_ticks = _serve(
-        private, requests, max_batch_size=N_CLIENTS
-    )
+    unbatched_runs, batched_runs = [], []
+    for _ in range(N_PAIRS):
+        # One-by-one through the endpoint: a tick per request.
+        unbatched_runs.append(_serve(private, requests, max_batch_size=1))
+        # Micro-batched: every client lands in one tick.
+        batched_runs.append(_serve(private, requests, max_batch_size=N_CLIENTS))
+    unbatched_times = [seconds for _, seconds, _ in unbatched_runs]
+    batched_times = [seconds for _, seconds, _ in batched_runs]
+    unbatched_seconds = statistics.median(unbatched_times)
+    batched_seconds = statistics.median(batched_times)
+    pair_speedups = [u / b for u, b in zip(unbatched_times, batched_times)]
+    # A run never has more ticks than requests, nor fewer than one.
+    unbatched_ticks = min(ticks for _, _, ticks in unbatched_runs)
+    batched_ticks = max(ticks for _, _, ticks in batched_runs)
+    batched = batched_runs[0][0]
     # Context series: a synchronous answer loop outside the endpoint.
     start = time.perf_counter()
     sync = [engine.answer(request) for request in requests]
     sync_seconds = time.perf_counter() - start
 
+    # Every run of either kind must equal the first batched run.
     async_max_abs_diff = max(
         float(np.abs(u.answers - b.answers).max())
-        for u, b in zip(unbatched, batched)
+        for answers, _, _ in unbatched_runs + batched_runs
+        for u, b in zip(answers, batched)
     )
     sync_max_abs_diff = max(
         float(np.abs(s.answers - b.answers).max())
@@ -142,6 +159,11 @@ def test_async_batching_amortization_and_exactness():
         "unbatched_us_per_query": 1e6 * unbatched_seconds / n_queries,
         "batched_us_per_query": 1e6 * batched_seconds / n_queries,
         "speedup": speedup,
+        "n_pairs": N_PAIRS,
+        "unbatched_seconds_runs": unbatched_times,
+        "batched_seconds_runs": batched_times,
+        "pair_speedup_min": min(pair_speedups),
+        "pair_speedup_max": max(pair_speedups),
         "sync_speedup": sync_speedup,
         "speedup_floor": SPEEDUP_FLOOR,
         "async_max_abs_diff": async_max_abs_diff,
@@ -152,7 +174,9 @@ def test_async_batching_amortization_and_exactness():
         f"\n{N_CLIENTS} clients x {QUERIES_PER_CLIENT} queries, plan={PLAN}: "
         f"unbatched {1e3 * unbatched_seconds:.1f}ms ({unbatched_ticks} "
         f"ticks) vs batched {1e3 * batched_seconds:.1f}ms ({batched_ticks} "
-        f"tick(s)) -> {speedup:.2f}x (sync loop {sync_speedup:.2f}x); "
+        f"tick(s)), medians of {N_PAIRS} pairs -> {speedup:.2f}x "
+        f"(pairs {min(pair_speedups):.2f}-{max(pair_speedups):.2f}x, "
+        f"sync loop {sync_speedup:.2f}x); "
         f"drift {async_max_abs_diff:.3g}"
     )
 

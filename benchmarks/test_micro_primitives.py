@@ -1,15 +1,22 @@
 """Microbenchmarks for the substrate primitives.
 
 Not a paper artifact — these watch the building blocks (noise sampling,
-prefix sums, grid aggregation, OD construction) so substrate regressions
-are visible independently of the figure-level numbers.
+prefix sums, grid aggregation, trajectory sampling, OD construction,
+release validation) so substrate regressions are visible independently
+of the figure-level numbers.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import FrequencyMatrix, PrefixSumTable
-from repro.datagen import get_city, simulate_od_dataset
+from repro.core import (
+    FrequencyMatrix,
+    PackedPartitioning,
+    PrefixSumTable,
+    boxes_to_arrays,
+    grid_boxes,
+)
+from repro.datagen import MovementSimulator, get_city, simulate_od_dataset
 from repro.dp import laplace_noise
 from repro.methods._grid import aggregate_uniform_grid
 from repro.queries import random_workload
@@ -45,6 +52,27 @@ def test_city_sampling(benchmark):
     city = get_city("new_york")
     benchmark.pedantic(
         lambda: city.sample_points(100_000, rng=0), rounds=3, iterations=1
+    )
+
+
+def test_movement_sampling(benchmark):
+    """Origins, gravity destinations and one stop for 100k trips: the
+    simulator behind the served OD release (300k trips there)."""
+    simulator = MovementSimulator(get_city("new_york"))
+    benchmark.pedantic(
+        lambda: simulator.sample(100_000, 1, rng=0), rounds=3, iterations=1
+    )
+
+
+def test_exact_cover_validation(benchmark):
+    """The load-time exact-cover check on a 65 536-partition 512 x 512
+    tiling (a pairwise check would compare 2**32 pairs)."""
+    shape = (512, 512)
+    lows, highs = boxes_to_arrays(grid_boxes(shape, (256, 256)))
+    noisy = np.zeros(len(lows))
+    benchmark.pedantic(
+        lambda: PackedPartitioning(lows, highs, noisy, shape),
+        rounds=3, iterations=1,
     )
 
 

@@ -62,6 +62,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: its float64 copy) take under 1 MB and stay cache-resident.
 DEFAULT_TILE_ELEMENTS = 65_536
 
+#: Largest ``uint8`` coverage slab the exact-cover check paints at once.
+COVER_SLAB_BYTES = 1 << 20
+
 
 #: Candidate bound dtypes of :class:`OverlapLayout`, narrowest first.
 _NARROW_INTS = (np.int8, np.int16, np.int32, np.int64)
@@ -151,6 +154,16 @@ class OverlapLayout:
             else:
                 np.multiply(out, ov, out=out)
         return out
+
+
+def _axis_cuts(values: np.ndarray, size: int) -> np.ndarray:
+    """The distinct values of ``values`` (ints in ``[0, size]``), sorted,
+    with ``0`` and ``size`` added."""
+    values = np.sort(np.concatenate(([0, size], values)))
+    keep = np.empty(len(values), dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def boxes_to_arrays(boxes: Sequence[Box]) -> Tuple[np.ndarray, np.ndarray]:
@@ -298,24 +311,137 @@ class PackedPartitioning:
     def _validate_exact_cover(self) -> None:
         """Check the partitions tile the matrix exactly once.
 
-        Equal total cell count and no pairwise overlap together imply an
-        exact cover.  Pairwise overlap is tested block-broadcast: each
-        block of rows is compared against all ``k`` partitions, with the
-        block sized so its ``(rows, k, d)`` intermediates stay under
-        :data:`DEFAULT_TILE_ELEMENTS` elements, as in the query kernel.
         This is the library's only exact-cover check;
         :class:`~repro.core.partition.Partitioning` delegates to it.
+        First the partitions' cell counts must sum to the matrix size,
+        as exact Python ints.  The matrix size is an exact Python int
+        too, and a shape of ``2**63`` or more cells, where the int64
+        ``n_cells`` could wrap, is always rejected.
 
-        The matrix size is an exact Python int: a shape of ``2**63`` or
-        more cells, where the int64 ``n_cells`` could wrap, never matches
-        the (int64) covered count.
+        Then, in linear time, the partitions are painted onto the
+        matrix in compressed coordinates (:meth:`_paint_coverage`), and
+        every cell must be covered exactly once.  The boxes are checked
+        pairwise instead (:meth:`_check_pairwise_disjoint`; equal total
+        cell count and no pairwise overlap together imply an exact
+        cover) when the compressed grid exceeds ``k**2 * d`` cells (few
+        boxes with distinct cuts in many dimensions), or when one of its
+        axis-0 rows exceeds :data:`COVER_SLAB_BYTES`, so that no slab
+        of the paint does.
         """
         total = math.prod(self._shape)
-        covered = int(self._n_cells.sum())
-        if covered != total:
+        k, d = self._lo.shape
+        covered = sum(self._n_cells.tolist())  # an int64 sum could wrap
+        if total > np.iinfo(np.int64).max or covered != total:
             raise PartitioningError(
                 f"partitions cover {covered} cells, matrix has {total}"
             )
+        # Each axis's distinct cuts: the matrix ends and every box's
+        # lo and exclusive hi.  Between two cuts no box starts or ends,
+        # so coverage is constant on each compressed cell.
+        cuts = [
+            _axis_cuts(
+                np.concatenate((self._lo[:, a], self._hi[:, a] + 1)), size
+            )
+            for a, size in enumerate(self._shape)
+        ]
+        dims = [len(c) - 1 for c in cuts]
+        if (
+            math.prod(dims) > k * k * d
+            or math.prod(dims[1:]) > COVER_SLAB_BYTES
+        ):
+            self._check_pairwise_disjoint()
+        else:
+            self._paint_coverage(cuts)
+
+    def _paint_coverage(self, cuts: Sequence[np.ndarray]) -> None:
+        """Raise unless every compressed cell is covered exactly once.
+
+        Each box adds ``+1``/``-1`` at its ``2**d`` signed corners (its
+        ``lo`` and exclusive ``hi`` on every axis) of a ``uint8`` grid,
+        and ``d`` in-place ``cumsum`` passes turn the corners into each
+        cell's coverage count, modulo 256.  That is exact here: the
+        cell counts already sum to the matrix size, i.e.
+        ``sum(coverage * volume) == sum(volume)`` over the compressed
+        cells, so if every coverage is ``1 (mod 256)``, hence at least
+        1, every coverage is exactly 1.  Corners on an exclusive hi at
+        the matrix end would only touch padding, so they are dropped
+        and the grid has one byte per compressed cell.
+
+        The grid is painted in axis-0 slabs of at most
+        :data:`COVER_SLAB_BYTES` (the caller ensures one row fits); each
+        slab's axis-0 prefix starts from the last row of the slab
+        before it.
+        """
+        d = self._lo.shape[1]
+        dims = [len(c) - 1 for c in cuts]
+        clo = [np.searchsorted(cuts[a], self._lo[:, a]) for a in range(d)]
+        chi = [np.searchsorted(cuts[a], self._hi[:, a] + 1) for a in range(d)]
+        # Corners on the matrix end are dropped (axis 0 by the slab range).
+        inside = [None] + [chi[a] < dims[a] for a in range(1, d)]
+        row_bytes = math.prod(dims[1:])
+        rows = COVER_SLAB_BYTES // row_bytes
+        carry = None
+        for r0 in range(0, dims[0], rows):
+            r1 = min(r0 + rows, dims[0])
+            slab = np.zeros((r1 - r0, *dims[1:]), dtype=np.uint8)
+            in_slab = [(r0 <= c0) & (c0 < r1) for c0 in (clo[0], chi[0])]
+            for corner in range(2 ** d):
+                on_hi = [corner >> a & 1 for a in range(d)]
+                keep = in_slab[on_hi[0]]
+                for a in range(1, d):
+                    if on_hi[a]:
+                        keep = keep & inside[a]
+                coords = [(chi if on_hi[a] else clo)[a][keep] for a in range(d)]
+                coords[0] = coords[0] - r0
+                flat = np.ravel_multi_index(coords, slab.shape)
+                # -1 is 255 in uint8 arithmetic.
+                sign = 255 if sum(on_hi) % 2 else 1
+                np.add.at(slab.reshape(-1), flat, np.uint8(sign))
+            for axis in range(1, d):
+                np.cumsum(slab, axis=axis, dtype=np.uint8, out=slab)
+            if carry is not None:
+                slab[:1] += carry
+            np.cumsum(slab, axis=0, dtype=np.uint8, out=slab)
+            if slab.min() != 1 or slab.max() != 1:
+                self._raise_cover_error(slab, r0, cuts)
+            carry = slab[-1:].copy()
+
+    def _raise_cover_error(
+        self, slab: np.ndarray, r0: int, cuts: Sequence[np.ndarray]
+    ) -> None:
+        """Name a cell of ``slab`` that is not covered exactly once,
+        preferring one covered more than once, and the boxes over it."""
+        flat = slab.reshape(-1)
+        bad = np.flatnonzero(flat > 1)
+        if not bad.size:
+            bad = np.flatnonzero(flat != 1)
+        index = np.unravel_index(int(bad[0]), slab.shape)
+        cell = tuple(
+            int(cuts[a][i + (r0 if a == 0 else 0)]) for a, i in enumerate(index)
+        )
+        over = np.flatnonzero(
+            np.all((self._lo <= cell) & (self._hi >= cell), axis=1)
+        )
+        if len(over) >= 2:
+            raise PartitioningError(
+                f"partitions {int(over[0])} and {int(over[1])} overlap "
+                f"at cell {cell}"
+            )
+        # The cell counts sum to the matrix size, so a cell covered
+        # fewer than once means another is covered more than once.
+        raise PartitioningError(
+            f"partitions overlap: their cell counts sum to the matrix "
+            f"size, but cell {cell} is covered {len(over)} times"
+        )
+
+    def _check_pairwise_disjoint(self) -> None:
+        """Raise on the first pair of intersecting boxes, O(k**2 * d).
+
+        Each block of rows is compared against all ``k`` partitions,
+        with the block sized so its ``(rows, k, d)`` intermediates stay
+        under :data:`DEFAULT_TILE_ELEMENTS` elements, as in the query
+        kernel.
+        """
         k, d = self._lo.shape
         rows = max(1, DEFAULT_TILE_ELEMENTS // (k * d))
         for start in range(0, k, rows):

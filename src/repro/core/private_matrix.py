@@ -33,6 +33,7 @@ implementation; every engine is asserted against it by the test suite.
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING, Dict, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -342,10 +343,12 @@ class PrivateFrequencyMatrix:
         Partition payloads are parsed straight into packed arrays and
         checked for an exact cover.  Malformed structure raises
         :class:`QueryError`; boxes that do not tile the matrix exactly
-        once raise :class:`PartitioningError`.
+        once raise :class:`PartitioningError`.  Nothing is coerced: shape
+        entries must be ints, box bounds integers, and counts and cells
+        numbers, none of them bools or strings.
         """
         try:
-            shape = tuple(int(s) for s in payload["shape"])  # type: ignore[index]
+            shape = tuple(payload["shape"])  # type: ignore[arg-type,index]
             common = {
                 "epsilon": float(payload.get("epsilon", 0.0)),  # type: ignore[arg-type]
                 "method": str(payload.get("method", "")),
@@ -353,22 +356,46 @@ class PrivateFrequencyMatrix:
             }
         except (KeyError, TypeError, ValueError) as exc:
             raise QueryError(f"malformed publishable payload: {exc}") from exc
+        if not all(
+            isinstance(s, (int, np.integer)) and not isinstance(s, bool)
+            for s in shape
+        ):
+            raise QueryError(
+                f"malformed publishable payload: shape entries must be "
+                f"ints, got {payload['shape']!r}"  # type: ignore[index]
+            )
+        shape = tuple(int(s) for s in shape)
         if "cells" in payload:
-            cells = np.asarray(payload["cells"], dtype=np.float64)
+            # NumPy infers the dtype, so strings fail the kind check; a
+            # bool mixed into numbers would become 0/1, so look for one.
+            try:
+                cells = np.asarray(payload["cells"])
+            except ValueError as exc:  # ragged nesting
+                raise QueryError(f"malformed publishable payload: {exc}") from exc
+            if cells.dtype.kind not in "iuf" or _holds_bool(
+                payload["cells"], cells.ndim
+            ):
+                raise QueryError(
+                    "malformed publishable payload: cells must be numbers"
+                )
             if cells.size != int(np.prod(shape, dtype=np.int64)):
                 raise QueryError("cell payload size does not match shape")
             return cls.from_dense_noisy(cells.reshape(shape), **common)  # type: ignore[arg-type]
         try:
             raw = payload["partitions"]  # type: ignore[index]
-            bounds = np.asarray([e["box"] for e in raw])  # type: ignore[union-attr]
-            noisy = np.asarray([e["noisy_count"] for e in raw])  # type: ignore[union-attr]
+            boxes = [e["box"] for e in raw]  # type: ignore[union-attr]
+            counts = [e["noisy_count"] for e in raw]  # type: ignore[union-attr]
+            bounds = np.asarray(boxes)
+            noisy = np.asarray(counts)
         except (KeyError, TypeError, ValueError) as exc:
             raise QueryError(f"malformed publishable payload: {exc}") from exc
         # NumPy infers the dtype, so a float, string or beyond-int64
-        # bound fails the kind check instead of being truncated or cast.
+        # bound fails the kind check instead of being truncated or cast;
+        # a bool among ints would load as 0/1, so look for one.
         if (bounds.dtype.kind not in "iu" or bounds.ndim != 3
                 or bounds.shape[2] != 2
-                or noisy.dtype.kind not in "iuf" or noisy.ndim != 1):
+                or noisy.dtype.kind not in "iuf" or noisy.ndim != 1
+                or _holds_bool(boxes, 3) or _holds_bool(counts, 1)):
             raise QueryError(
                 "malformed publishable payload: partitions must be a "
                 "non-empty list of equal-length boxes of integer [lo, hi] "
@@ -378,3 +405,13 @@ class PrivateFrequencyMatrix:
             raise QueryError("malformed publishable payload: non-finite noisy_count")
         packed = PackedPartitioning(bounds[..., 0], bounds[..., 1], noisy, shape)
         return cls.from_packed(packed, **common)  # type: ignore[arg-type]
+
+
+def _holds_bool(nested: object, depth: int) -> bool:
+    """Whether a regular nested sequence ``depth`` levels deep holds a
+    bool.  ``np.asarray`` turns a bool among numbers into 0/1 without a
+    trace in the dtype, so the loader checks the Python values."""
+    flat: object = [nested]
+    for _ in range(depth):
+        flat = itertools.chain.from_iterable(flat)  # type: ignore[arg-type]
+    return not {bool, np.bool_}.isdisjoint(map(type, flat))  # type: ignore[arg-type]

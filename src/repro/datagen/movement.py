@@ -107,22 +107,42 @@ class MovementSimulator:
         self, origins: np.ndarray, gen: np.random.Generator
     ) -> np.ndarray:
         """Gravity destinations: density-distributed candidates re-weighted
-        by exp(-distance / trip_scale)."""
+        by exp(-distance / trip_scale).
+
+        Each ``(n, k)`` step writes in place, and the arithmetic is
+        written so every value has the bits of the textbook form
+        ``sqrt(((c - o) ** 2).sum(axis=2))``, ``exp(-dist / scale)``,
+        ``where(sum > 0, w / max(sum, 1e-300), 1 / k)`` (the tests pin
+        this against that form).
+        """
         n = origins.shape[0]
         k = self.candidate_factor
         candidates = self.city.sample_points(n * k, gen).reshape(n, k, 2)
-        dists = np.sqrt(((candidates - origins[:, None, :]) ** 2).sum(axis=2))
-        weights = np.exp(-dists / self.trip_scale_km)
+        # dx*dx + dy*dy is the two-term sum of squares, bit for bit.
+        dists = candidates[:, :, 0] - origins[:, 0, None]
+        dy = candidates[:, :, 1] - origins[:, 1, None]
+        dists *= dists
+        dy *= dy
+        dists += dy
+        np.sqrt(dists, out=dists)
+        # (-d) / s == d / (-s): IEEE division is sign-symmetric.
+        weights = np.divide(dists, -self.trip_scale_km, out=dists)
+        np.exp(weights, out=weights)
         weights_sum = weights.sum(axis=1, keepdims=True)
+        probs = np.divide(
+            weights, np.maximum(weights_sum, 1e-300), out=weights
+        )
         # Degenerate rows (all candidates astronomically far) fall back to
         # uniform choice among candidates.
-        uniform = np.full_like(weights, 1.0 / k)
-        probs = np.where(weights_sum > 0, weights / np.maximum(weights_sum, 1e-300), uniform)
-        cumulative = np.cumsum(probs, axis=1)
+        degenerate = ~(weights_sum[:, 0] > 0)
+        if degenerate.any():
+            probs[degenerate] = 1.0 / k
+        cumulative = np.cumsum(probs, axis=1, out=probs)
         u = gen.random((n, 1))
         choice = (u > cumulative).sum(axis=1)
-        np.clip(choice, 0, k - 1, out=choice)
-        return candidates[np.arange(n), choice]
+        np.minimum(choice, k - 1, out=choice)
+        choice += np.arange(0, n * k, k)
+        return np.take(candidates.reshape(n * k, 2), choice, axis=0)
 
     def _sample_stops(
         self,

@@ -6,6 +6,7 @@ arbitrary partitionings — random recursive tilings in 1 to 4 dimensions,
 including empty and negative-count partitions and single-cell queries.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import packed as packed_module
 from repro.core import (
     PackedPartitioning,
     Partition,
@@ -134,8 +136,8 @@ class TestValidation:
         PackedPartitioning(lows, highs, np.zeros(6), (6, 6))
 
     def test_overlap_rejected(self):
-        # Cell counts sum to the matrix size, so only the pairwise
-        # disjointness check can catch the overlap.
+        # Cell counts sum to the matrix size, so only the coverage
+        # paint can catch the overlap.
         boxes = [((0, 3),), ((2, 5),)]
         lows, highs = boxes_to_arrays(boxes)
         with pytest.raises(PartitioningError, match="overlap"):
@@ -160,9 +162,8 @@ class TestValidation:
             )
 
     def test_validation_memory_is_bounded(self):
-        # The pairwise check broadcasts a block of rows against all k
-        # partitions; the block is sized so its intermediates stay near
-        # DEFAULT_TILE_ELEMENTS, not rows x k x d for a fixed row count.
+        # The coverage paint holds one uint8 slab of the compressed grid
+        # (at most COVER_SLAB_BYTES) and O(k) corner indices per pass.
         shape = (11,) * 6
         lows, highs = boxes_to_arrays(grid_boxes(shape, (4,) * 6))
         assert len(lows) == 4096
@@ -174,6 +175,80 @@ class TestValidation:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    def test_large_tiling_validates_and_shifted_box_rejected(self):
+        # 65 536 partitions of a 512 x 512 grid: a pairwise check would
+        # compare 2**32 pairs; the coverage paint is linear.
+        shape = (512, 512)
+        lows, highs = boxes_to_arrays(grid_boxes(shape, (256, 256)))
+        assert len(lows) == 65_536
+        noisy = np.zeros(len(lows))
+        PackedPartitioning(lows, highs, noisy, shape)
+        # Shifting one 2 x 2 box by a cell keeps the total cell count
+        # but covers two cells twice and leaves two empty.
+        lows[1000, 1] += 1
+        highs[1000, 1] += 1
+        with pytest.raises(PartitioningError, match="overlap"):
+            PackedPartitioning(lows, highs, noisy, shape)
+
+    def test_long_axis_is_compressed(self):
+        # An axis of 2**21 cells with four cuts paints a 3 x 2 grid.
+        n = 2**21
+        row_1 = ((0, n - 1), (1, 1))
+        exact = [((0, n // 2), (0, 0)), ((n // 2 + 1, n - 1), (0, 0)), row_1]
+        lows, highs = boxes_to_arrays(exact)
+        PackedPartitioning(lows, highs, np.zeros(3), (n, 2))
+        # Same cell count: cell (n/2, 0) covered twice, (n-1, 0) not at all.
+        shifted = [exact[0], ((n // 2, n - 2), (0, 0)), row_1]
+        lows, highs = boxes_to_arrays(shifted)
+        with pytest.raises(PartitioningError, match="0 and 1 overlap"):
+            PackedPartitioning(lows, highs, np.zeros(3), (n, 2))
+
+    def test_wide_row_checked_pairwise(self, monkeypatch):
+        # Shape (1, M, M): one box covers every column but the last, and
+        # M single cells sit on the diagonal, so the counts sum to M**2.
+        # The compressed grid (M**2 cells) is under k**2 * d, but one
+        # axis-0 row of it is larger than COVER_SLAB_BYTES, so the
+        # boxes are checked pairwise, within the tracemalloc bound.
+        m = 2100
+        assert m * m > 4 * 2**20 > packed_module.COVER_SLAB_BYTES
+        boxes = [((0, 0), (0, m - 1), (0, m - 2))]
+        boxes += [((0, 0), (i, i), (i, i)) for i in range(m)]
+        lows, highs = boxes_to_arrays(boxes)
+        noisy = np.zeros(len(boxes))
+        calls = []
+        pairwise = PackedPartitioning._check_pairwise_disjoint
+
+        def recording(self):
+            calls.append(len(self))
+            pairwise(self)
+
+        monkeypatch.setattr(
+            PackedPartitioning, "_check_pairwise_disjoint", recording
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(PartitioningError, match="0 and 1 overlap"):
+                PackedPartitioning(lows, highs, noisy, (1, m, m))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert calls == [m + 1]
+        assert peak < 4 * 2**20
+
+    def test_few_boxes_with_many_cuts_checked_pairwise(self, monkeypatch):
+        # Box 0 lies inside box 1 and the counts sum to 16.  The
+        # compressed grid (3 x 3 cells) is larger than k**2 * d = 8, so
+        # the pairwise check runs, not the paint.
+        boxes = [((0, 1), (1, 2)), ((0, 2), (0, 3))]
+        lows, highs = boxes_to_arrays(boxes)
+
+        def refuse(self, cuts):
+            raise AssertionError("painted")
+
+        monkeypatch.setattr(PackedPartitioning, "_paint_coverage", refuse)
+        with pytest.raises(PartitioningError, match="partitions 0 and 1 overlap"):
+            PackedPartitioning(lows, highs, np.zeros(2), (4, 4))
 
     def test_empty_rejected(self):
         with pytest.raises(PartitioningError, match="at least one"):
@@ -273,6 +348,51 @@ class TestExactCoverOracle:
                 PackedPartitioning(lows, highs, noisy, shape)
             with pytest.raises(PartitioningError):
                 Partitioning([Partition(b, 0.0) for b in boxes], shape)
+
+
+class TestCoverChecksAgree:
+    """The slab-by-slab paint and the pairwise fallback each accept
+    exactly the exact covers (once the cell counts match)."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(tilings())
+    def test_one_row_slabs(self, case):
+        shape, boxes = case
+        exact = bool((paint(boxes, shape) == 1).all())
+        lows, highs = boxes_to_arrays(boxes)
+        noisy = np.zeros(len(boxes))
+        # One compressed axis-0 row per slab.
+        row_bytes = math.prod(
+            len(np.unique(np.clip(np.r_[0, n, lows[:, a], highs[:, a] + 1],
+                                  0, n))) - 1
+            for a, n in enumerate(shape)
+            if a
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(packed_module, "COVER_SLAB_BYTES", row_bytes)
+            if exact:
+                PackedPartitioning(lows, highs, noisy, shape)
+            else:
+                with pytest.raises(PartitioningError):
+                    PackedPartitioning(lows, highs, noisy, shape)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(tilings())
+    def test_pairwise_check(self, case):
+        shape, boxes = case
+        lows, highs = boxes_to_arrays(boxes)
+        packed = PackedPartitioning(
+            lows, highs, np.zeros(len(boxes)), shape, validate=False
+        )
+        if int(packed.n_cells.sum()) != int(np.prod(shape)):
+            return
+        if (paint(boxes, shape) == 1).all():
+            packed._check_pairwise_disjoint()
+        else:
+            with pytest.raises(PartitioningError, match="overlap"):
+                packed._check_pairwise_disjoint()
 
 
 class TestConversions:

@@ -237,6 +237,19 @@ MALFORMED = {
     "out of range": (boxes([[0, 1], [0, 3]], [[2, 4], [0, 3]]), PartitioningError),
     "overlap": (boxes([[0, 1], [0, 3]], [[1, 2], [0, 3]]), PartitioningError),
     "gap": (boxes([[0, 1], [0, 3]]), PartitioningError),
+    "string shape entry": (two_partition_payload(shape=["4", 4]), QueryError),
+    "float shape entry": (two_partition_payload(shape=[4.7, 4]), QueryError),
+    "bool shape entry": (two_partition_payload(shape=[True, 4]), QueryError),
+    "bool bound": (boxes([[0, True], [0, 3]], [[2, 3], [0, 3]]), QueryError),
+    "bool count": (
+        [{"box": [[0, 1], [0, 3]], "noisy_count": 8.0},
+         {"box": [[2, 3], [0, 3]], "noisy_count": True}],
+        QueryError,
+    ),
+    "bool cell": ({"shape": [2], "cells": [1.5, True]}, QueryError),
+    "bool int cell": ({"shape": [2], "cells": [1, False]}, QueryError),
+    "string cell": ({"shape": [2], "cells": [1.5, "2.5"]}, QueryError),
+    "ragged cells": ({"shape": [2, 2], "cells": [[1.0, 2.0], [3.0]]}, QueryError),
 }
 
 

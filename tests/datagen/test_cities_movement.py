@@ -121,6 +121,69 @@ class TestSamplePointsMatchesRowShuffle:
         assert gen.random() == ref_gen.random()
 
 
+def _reference_sample_destinations(sim, origins, gen):
+    """``MovementSimulator._sample_destinations`` as first written, over
+    the row-shuffle reference candidates."""
+    n = origins.shape[0]
+    k = sim.candidate_factor
+    candidates = _reference_sample_points(sim.city, n * k, gen).reshape(n, k, 2)
+    dists = np.sqrt(((candidates - origins[:, None, :]) ** 2).sum(axis=2))
+    weights = np.exp(-dists / sim.trip_scale_km)
+    weights_sum = weights.sum(axis=1, keepdims=True)
+    uniform = np.full_like(weights, 1.0 / k)
+    probs = np.where(
+        weights_sum > 0, weights / np.maximum(weights_sum, 1e-300), uniform
+    )
+    cumulative = np.cumsum(probs, axis=1)
+    u = gen.random((n, 1))
+    choice = (u > cumulative).sum(axis=1)
+    np.clip(choice, 0, k - 1, out=choice)
+    return candidates[np.arange(n), choice]
+
+
+def _reference_sample(sim, n, n_stops, gen):
+    """``MovementSimulator.sample`` over the reference samplers."""
+    origins = _reference_sample_points(sim.city, n, gen)
+    destinations = _reference_sample_destinations(sim, origins, gen)
+    points = np.empty((n, n_stops + 2, 2))
+    points[:, 0], points[:, -1] = origins, destinations
+    if n_stops:
+        points[:, 1:-1] = sim._sample_stops(origins, destinations, n_stops, gen)
+    np.clip(points, 0.0, np.nextafter(sim.city.side_km, 0.0), out=points)
+    return points
+
+
+class TestSampleMatchesReference:
+    """The simulator's in-place destination math is the textbook form,
+    bit for bit, with the same generator state afterwards."""
+
+    @pytest.mark.parametrize("n_stops", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 1_001, 50_000])
+    @pytest.mark.parametrize("name", CITY_NAMES)
+    def test_same_points_and_generator_state(self, name, n, n_stops):
+        sim = MovementSimulator(get_city(name))
+        gen, ref_gen = np.random.default_rng(7), np.random.default_rng(7)
+        points = sim.sample(n, n_stops, gen).points
+        assert np.array_equal(points, _reference_sample(sim, n, n_stops, ref_gen))
+        assert gen.random() == ref_gen.random()
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # exp(-d / 1e-3) underflows to 0 for every candidate past
+            # ~0.75 km: the uniform fallback rows.
+            {"trip_scale_km": 1e-3},
+            {"candidate_factor": 3, "trip_scale_km": 2.0},
+        ],
+    )
+    def test_degenerate_rows_and_other_factors(self, kwargs):
+        sim = MovementSimulator(get_city("detroit"), **kwargs)
+        gen, ref_gen = np.random.default_rng(3), np.random.default_rng(3)
+        points = sim.sample(2_000, 1, gen).points
+        assert np.array_equal(points, _reference_sample(sim, 2_000, 1, ref_gen))
+        assert gen.random() == ref_gen.random()
+
+
 class TestMovementSimulator:
     def test_dataset_shape(self):
         ds = simulate_od_dataset(get_city("denver"), 500, n_stops=2, rng=0)
