@@ -9,6 +9,9 @@ DAF-Homogeneity) plus extensions, a trajectory/OD substrate, synthetic
 data generators substituting the proprietary Veraset corpus, and an
 experiment harness regenerating every table and figure.
 
+Public names resolve lazily (PEP 562): ``import repro`` loads no
+subpackage, and each name imports only the subpackage that defines it.
+
 Quickstart
 ----------
 >>> import numpy as np
@@ -18,123 +21,77 @@ Quickstart
 >>> estimate = private.answer(((0, 31), (0, 31)))
 """
 
-from .core import (
-    BudgetError,
-    Box,
-    DimensionSpec,
-    Domain,
-    FrequencyMatrix,
-    MethodError,
-    Partition,
-    Partitioning,
-    PartitioningError,
-    PrefixSumTable,
-    PrivateFrequencyMatrix,
-    QueryError,
-    ReproError,
-    SparseFrequencyMatrix,
-    ValidationError,
-)
-from .dp import (
-    BudgetLedger,
-    GeometricMechanism,
-    LaplaceMechanism,
-    ensure_rng,
-    geometric_level_budgets,
-    laplace_noise,
-    report_noisy_min,
-)
-from .methods import (
-    EBP,
-    EUG,
-    MKM,
-    DAFEntropy,
-    DAFHomogeneity,
-    Identity,
-    KDTree,
-    Privlet,
-    Quadtree,
-    Sanitizer,
-    Uniform,
-    available_methods,
-    get_sanitizer,
-)
-from .engine import (
-    AsyncBatchEngine,
-    Engine,
-    EngineConfig,
-    QueryAnswer,
-    QueryRequest,
-)
-from .queries import (
-    Workload,
-    WorkloadEvaluator,
-    fixed_coverage_workload,
-    mean_relative_error,
-    random_workload,
-)
-from .trajectories import (
-    ODMatrixBuilder,
-    SpatialGrid,
-    Trajectory,
-    TrajectoryDataset,
-    classical_od_matrix,
-    od_matrix_with_stops,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AsyncBatchEngine",
-    "BudgetError",
-    "BudgetLedger",
-    "Box",
-    "DAFEntropy",
-    "DAFHomogeneity",
-    "DimensionSpec",
-    "Domain",
-    "EBP",
-    "EUG",
-    "Engine",
-    "EngineConfig",
-    "FrequencyMatrix",
-    "GeometricMechanism",
-    "Identity",
-    "KDTree",
-    "LaplaceMechanism",
-    "MKM",
-    "MethodError",
-    "ODMatrixBuilder",
-    "Partition",
-    "Partitioning",
-    "PartitioningError",
-    "PrefixSumTable",
-    "PrivateFrequencyMatrix",
-    "Privlet",
-    "QueryAnswer",
-    "QueryError",
-    "QueryRequest",
-    "Quadtree",
-    "ReproError",
-    "Sanitizer",
-    "SparseFrequencyMatrix",
-    "SpatialGrid",
-    "Trajectory",
-    "TrajectoryDataset",
-    "Uniform",
-    "ValidationError",
-    "Workload",
-    "WorkloadEvaluator",
-    "available_methods",
-    "classical_od_matrix",
-    "ensure_rng",
-    "fixed_coverage_workload",
-    "geometric_level_budgets",
-    "get_sanitizer",
-    "laplace_noise",
-    "mean_relative_error",
-    "od_matrix_with_stops",
-    "random_workload",
-    "report_noisy_min",
-    "__version__",
-]
+_ORIGIN, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".core": (
+            "BudgetError",
+            "Box",
+            "DimensionSpec",
+            "Domain",
+            "FrequencyMatrix",
+            "MethodError",
+            "Partition",
+            "Partitioning",
+            "PartitioningError",
+            "PrefixSumTable",
+            "PrivateFrequencyMatrix",
+            "QueryError",
+            "ReproError",
+            "SparseFrequencyMatrix",
+            "ValidationError",
+        ),
+        ".dp": (
+            "BudgetLedger",
+            "GeometricMechanism",
+            "LaplaceMechanism",
+            "ensure_rng",
+            "geometric_level_budgets",
+            "laplace_noise",
+            "report_noisy_min",
+        ),
+        ".methods": (
+            "EBP",
+            "EUG",
+            "MKM",
+            "DAFEntropy",
+            "DAFHomogeneity",
+            "Identity",
+            "KDTree",
+            "Privlet",
+            "Quadtree",
+            "Sanitizer",
+            "Uniform",
+            "available_methods",
+            "get_sanitizer",
+        ),
+        ".engine": (
+            "AsyncBatchEngine",
+            "Engine",
+            "EngineConfig",
+            "QueryAnswer",
+            "QueryRequest",
+        ),
+        ".queries": (
+            "Workload",
+            "WorkloadEvaluator",
+            "fixed_coverage_workload",
+            "mean_relative_error",
+            "random_workload",
+        ),
+        ".trajectories": (
+            "ODMatrixBuilder",
+            "SpatialGrid",
+            "Trajectory",
+            "TrajectoryDataset",
+            "classical_od_matrix",
+            "od_matrix_with_stops",
+        ),
+    },
+)
+
+__all__ = [*_ORIGIN, "__version__"]

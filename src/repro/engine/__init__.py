@@ -24,29 +24,30 @@ sanitized :class:`~repro.core.PrivateFrequencyMatrix`:
   and idempotent shutdown (see ``docs/WORKERS.md``);
 * :class:`ServingClient` / :class:`AsyncServingClient` — matching HTTP
   clients that rebuild full :class:`QueryAnswer` objects; non-2xx
-  answers raise :class:`ServingError`.
+  answers raise :class:`ServingError` (defined in :mod:`.api`, where the
+  server and the worker pool also get it).
+
+Names resolve lazily (PEP 562): importing this package loads no
+submodule, and each name loads only the submodule that defines it.  A
+process that only serves a release (``Engine`` and ``EngineServer``)
+therefore never loads the HTTP clients or :mod:`multiprocessing`:
+:meth:`Engine.shard_pool` imports the worker pool when it first builds
+a resident pool.
 """
 
-from .api import QueryAnswer, QueryRequest
-from .async_batch import AsyncBatchEngine, gather_answers
-from .client import AsyncServingClient, ServingClient, ServingError
-from .config import ENGINE_PLANS, SHARD_EXECUTORS, EngineConfig
-from .engine import Engine
-from .server import EngineServer
-from .worker_pool import ShardWorkerPool
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ENGINE_PLANS",
-    "SHARD_EXECUTORS",
-    "AsyncBatchEngine",
-    "AsyncServingClient",
-    "Engine",
-    "EngineConfig",
-    "EngineServer",
-    "QueryAnswer",
-    "QueryRequest",
-    "ServingClient",
-    "ServingError",
-    "ShardWorkerPool",
-    "gather_answers",
-]
+_ORIGIN, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".api": ("QueryAnswer", "QueryRequest", "ServingError"),
+        ".async_batch": ("AsyncBatchEngine", "gather_answers"),
+        ".client": ("AsyncServingClient", "ServingClient"),
+        ".config": ("ENGINE_PLANS", "SHARD_EXECUTORS", "EngineConfig"),
+        ".engine": ("Engine",),
+        ".server": ("EngineServer",),
+        ".worker_pool": ("ShardWorkerPool",),
+    },
+)
+
+__all__ = list(_ORIGIN)

@@ -8,6 +8,10 @@ answer vector, the plan that actually ran, per-shard execution evidence
 when the sharded layout was used, and the wall-clock of the engine
 invocation.  Both are plain data — no behavior beyond light conversion
 and convenience accessors — so they pickle, log, and compare cleanly.
+:class:`ServingError` is the one failure type the serving stack adds:
+the resident pool raises it, the server answers it with its status, and
+the HTTP clients raise it for a non-2xx answer.  It lives here, not in
+the client, so the server and the pool load no HTTP client code.
 """
 
 from __future__ import annotations
@@ -117,3 +121,30 @@ class QueryAnswer:
         if not self.shard_plans:
             return 0.0
         return self.skipped_shards / len(self.shard_plans)
+
+
+class ServingError(Exception):
+    """A failure the serving layer answers with a non-2xx HTTP status.
+
+    Attributes
+    ----------
+    status:
+        The HTTP status code (400, 413, 503, 504, ...).
+    payload:
+        The decoded JSON error body (``{}`` if undecodable).
+    retry_after:
+        Seconds the server suggested waiting before retrying, or
+        ``None`` when the response carried no ``Retry-After`` header.
+    """
+
+    def __init__(
+        self,
+        status: int,
+        payload: dict,
+        retry_after: "float | None" = None,
+    ):
+        self.status = int(status)
+        self.payload = payload if isinstance(payload, dict) else {}
+        self.retry_after = retry_after
+        message = self.payload.get("error", "") or f"HTTP {status}"
+        super().__init__(f"HTTP {status}: {message}")

@@ -31,36 +31,9 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .api import QueryAnswer, QueryRequest
+from .api import QueryAnswer, QueryRequest, ServingError
 
 DEFAULT_TIMEOUT = 60.0
-
-
-class ServingError(Exception):
-    """A non-2xx HTTP answer from the serving layer.
-
-    Attributes
-    ----------
-    status:
-        The HTTP status code (400, 413, 503, 504, ...).
-    payload:
-        The decoded JSON error body (``{}`` if undecodable).
-    retry_after:
-        Seconds the server suggested waiting before retrying, or
-        ``None`` when the response carried no ``Retry-After`` header.
-    """
-
-    def __init__(
-        self,
-        status: int,
-        payload: dict,
-        retry_after: "float | None" = None,
-    ):
-        self.status = int(status)
-        self.payload = payload if isinstance(payload, dict) else {}
-        self.retry_after = retry_after
-        message = self.payload.get("error", "") or f"HTTP {status}"
-        super().__init__(f"HTTP {status}: {message}")
 
 
 def _answer_from_payload(payload: dict) -> QueryAnswer:

@@ -69,8 +69,7 @@ import numpy as np
 
 from ..core.exceptions import QueryError, ValidationError
 from .async_batch import AsyncBatchEngine
-from .api import QueryRequest
-from .client import ServingError
+from .api import QueryRequest, ServingError
 from .config import ENGINE_PLANS
 from .engine import Engine
 
@@ -112,6 +111,7 @@ _REASONS = {
     405: "Method Not Allowed",
     413: "Payload Too Large",
     500: "Internal Server Error",
+    501: "Not Implemented",
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
@@ -124,17 +124,47 @@ class _NonIntegerLiteral(Exception):
     """
 
 
-class _LineTooLong(Exception):
-    """A request or header line past the stream reader's limit (64 KiB)."""
+class _Unframed(Exception):
+    """A request head the server cannot parse, or frame a body from.
+
+    It is answered with :attr:`status` and ``Connection: close``: the
+    rest of the stream cannot be read as requests.
+    """
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+#: Methods each route answers; another method is answered 405.
+_ROUTE_METHODS = {"/healthz": "GET", "/statz": "GET", "/v1/query": "POST"}
 
 
 async def _readline(reader: asyncio.StreamReader) -> bytes:
-    """``reader.readline()``, raising :class:`_LineTooLong` for an
-    over-limit line instead of ``StreamReader``'s bare ``ValueError``."""
+    """``reader.readline()``, raising :class:`_Unframed` (400) for a
+    line past the stream reader's 64 KiB limit instead of
+    ``StreamReader``'s bare ``ValueError``."""
     try:
         return await reader.readline()
     except ValueError:
-        raise _LineTooLong from None
+        raise _Unframed(400, "request line or header line too long") from None
+
+
+def _body_length(headers: Dict[str, str]) -> int:
+    """The body length a request head declares."""
+    if "transfer-encoding" in headers:
+        raise _Unframed(
+            501, "Transfer-Encoding is not supported; send Content-Length"
+        )
+    raw_length = headers.get("content-length", "0") or "0"
+    # ASCII digits only: int() alone would also read "+32", "3_2" and
+    # non-ASCII digits.  int() still refuses a 5000-digit value.
+    try:
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise ValueError(raw_length)
+        return int(raw_length)
+    except ValueError:
+        raise _Unframed(400, "bad Content-Length") from None
 
 
 def _reject_literal(text: str):
@@ -280,6 +310,7 @@ class EngineServer:
             "serving_errors": 0,
             "internal_errors": 0,
             "not_found": 0,
+            "method_not_allowed": 0,
             "health_checks": 0,
             "stat_checks": 0,
         }
@@ -397,38 +428,20 @@ class EngineServer:
                     request_line = await _readline(reader)
                     if not request_line:
                         break
-                    parts = request_line.decode("latin-1").strip().split()
+                    parts = request_line.decode("latin-1").split()
                     if len(parts) != 3:
-                        self._counters["bad_requests"] += 1
-                        await self._respond(
-                            writer, 400, {"error": "malformed request line"},
-                            close=True,
-                        )
-                        break
+                        raise _Unframed(400, "malformed request line")
                     method, target, version = parts
                     headers = await self._read_headers(reader)
-                except _LineTooLong:
+                    if headers is None:
+                        # End of file inside the header section.
+                        self._counters["client_disconnects"] += 1
+                        break
+                    length = _body_length(headers)
+                except _Unframed as exc:
                     self._counters["bad_requests"] += 1
                     await self._respond(
-                        writer, 400,
-                        {"error": "request line or header line too long"},
-                        close=True,
-                    )
-                    break
-                if headers is None:
-                    break
-                raw_length = headers.get("content-length", "0") or "0"
-                try:
-                    # ASCII digits only: int() alone would also read
-                    # "+32", "3_2" and non-ASCII digits.
-                    if not (raw_length.isascii() and raw_length.isdigit()):
-                        raise ValueError(raw_length)
-                    length = int(raw_length)
-                except ValueError:
-                    self._counters["bad_requests"] += 1
-                    await self._respond(
-                        writer, 400, {"error": "bad Content-Length"},
-                        close=True,
+                        writer, exc.status, {"error": str(exc)}, close=True
                     )
                     break
                 if length > MAX_BODY_BYTES:
@@ -475,16 +488,23 @@ class EngineServer:
     async def _read_headers(
         reader: asyncio.StreamReader,
     ) -> "Dict[str, str] | None":
+        """The header section as a lower-cased name -> value dict, or
+        ``None`` if the stream ends inside it."""
         headers: Dict[str, str] = {}
         while True:
             line = await _readline(reader)
             if line in (b"\r\n", b"\n"):
                 return headers
-            if not line:
+            if not line.endswith(b"\n"):
                 return None
             name, sep, value = line.decode("latin-1").partition(":")
-            if sep:
-                headers[name.strip().lower()] = value.strip()
+            if not sep:
+                raise _Unframed(400, "header line without a colon")
+            name = name.strip().lower()
+            value = value.strip()
+            if name == "content-length" and headers.get(name, value) != value:
+                raise _Unframed(400, "conflicting Content-Length headers")
+            headers[name] = value
 
     async def _respond(
         self,
@@ -513,24 +533,26 @@ class EngineServer:
     async def _dispatch(
         self, method: str, path: str, body: bytes
     ) -> Tuple[int, dict, "List[str] | None"]:
+        allowed = _ROUTE_METHODS.get(path)
+        if allowed is None:
+            self._counters["not_found"] += 1
+            return 404, {"error": f"no route for {path!r}"}, None
+        if method != allowed:
+            self._counters["method_not_allowed"] += 1
+            return (
+                405,
+                {"error": f"{path} is {allowed}-only"},
+                [f"Allow: {allowed}"],
+            )
+        if path == "/v1/query":
+            return await self._query(body)
         if path == "/healthz":
-            if method != "GET":
-                return 405, {"error": "healthz is GET-only"}, None
             self._counters["health_checks"] += 1
             if self._draining:
                 return 503, {"status": "draining"}, self._retry_header()
             return 200, {"status": "ok"}, None
-        if path == "/statz":
-            if method != "GET":
-                return 405, {"error": "statz is GET-only"}, None
-            self._counters["stat_checks"] += 1
-            return 200, self.statz(), None
-        if path == "/v1/query":
-            if method != "POST":
-                return 405, {"error": "query is POST-only"}, None
-            return await self._query(body)
-        self._counters["not_found"] += 1
-        return 404, {"error": f"no route for {path!r}"}, None
+        self._counters["stat_checks"] += 1
+        return 200, self.statz(), None
 
     def _retry_header(self) -> List[str]:
         return [f"Retry-After: {RETRY_AFTER:g}"]

@@ -77,7 +77,7 @@ import numpy as np
 
 from ..core.interval_index import PlanCost
 from ..core.sharding import SHARD_SKIPPED, PartitionShard, ShardedAnswer
-from .client import ServingError
+from .api import ServingError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.packed import PackedPartitioning

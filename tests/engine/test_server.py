@@ -415,6 +415,145 @@ class TestBadRequests:
         assert "POST" in wrong_body["error"]
 
 
+def counter_deltas(before, after):
+    """Counters that moved between two ``/statz`` snapshots, except
+    ``connections_total``."""
+    return {
+        key: after[key] - before[key]
+        for key in after
+        if key != "connections_total" and after[key] != before[key]
+    }
+
+
+async def counted_exchange(server, request_bytes):
+    """One raw exchange, plus the counters it moved."""
+    before = server.statz()["counters"]
+    response = await raw_exchange(server.port, request_bytes)
+    return response, counter_deltas(before, server.statz()["counters"])
+
+
+class TestRequestFraming:
+    """A request head the server cannot frame a body from gets one
+    response with ``Connection: close`` and moves exactly one counter."""
+
+    QUERY_BODY = b'{"lows":[[0,0]],"highs":[[1,1]]}'
+
+    def exchange(self, engine, request_bytes):
+        async def run():
+            async with serve(engine) as server:
+                response = await counted_exchange(server, request_bytes)
+                async with AsyncServingClient(port=server.port) as client:
+                    health = await client.request("GET", "/healthz")
+            return response, health
+
+        return asyncio.run(run())
+
+    @pytest.mark.parametrize(
+        "coding", [b"chunked", b"gzip, chunked", b"identity"]
+    )
+    def test_transfer_encoding_is_501_counted_once(self, engine, coding):
+        # Read as an empty body, the chunk-size line used to come back as
+        # a second request line: two 400s for one request.
+        request_bytes = (
+            b"POST /v1/query HTTP/1.1\r\nHost: t\r\n"
+            b"Transfer-Encoding: " + coding + b"\r\n\r\n"
+            b"20\r\n" + self.QUERY_BODY + b"\r\n0\r\n\r\n"
+        )
+        ((status, headers, body), deltas), health = self.exchange(
+            engine, request_bytes
+        )
+        assert status == 501
+        assert "Transfer-Encoding" in body["error"]
+        assert headers.get("connection") == "close"
+        assert deltas == {"bad_requests": 1}
+        assert health[0] == 200
+
+    def test_conflicting_content_length_is_400(self, engine):
+        request_bytes = (
+            b"POST /v1/query HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: 32\r\nContent-Length: 31\r\n\r\n"
+            + self.QUERY_BODY
+        )
+        ((status, headers, body), deltas), health = self.exchange(
+            engine, request_bytes
+        )
+        assert status == 400
+        assert body["error"] == "conflicting Content-Length headers"
+        assert headers.get("connection") == "close"
+        assert deltas == {"bad_requests": 1}
+        assert health[0] == 200
+
+    def test_repeated_equal_content_length_answers(self, engine):
+        request_bytes = (
+            b"POST /v1/query HTTP/1.1\r\nHost: t\r\nConnection: close\r\n"
+            b"Content-Length: 32\r\nContent-Length: 32\r\n\r\n"
+            + self.QUERY_BODY
+        )
+        ((status, _, body), deltas), _ = self.exchange(engine, request_bytes)
+        assert status == 200
+        assert body["n_queries"] == 1
+        assert deltas["answered_requests"] == 1
+        assert "bad_requests" not in deltas
+
+    def test_header_line_without_colon_is_400(self, engine):
+        request_bytes = (
+            b"POST /v1/query HTTP/1.1\r\nHost: t\r\nNo colon here\r\n"
+            b"Content-Length: 32\r\n\r\n" + self.QUERY_BODY
+        )
+        ((status, headers, body), deltas), health = self.exchange(
+            engine, request_bytes
+        )
+        assert status == 400
+        assert body["error"] == "header line without a colon"
+        assert headers.get("connection") == "close"
+        assert deltas == {"bad_requests": 1}
+        assert health[0] == 200
+
+    @pytest.mark.parametrize(
+        "path,method,allowed",
+        [("/v1/query", "GET", "POST"), ("/healthz", "POST", "GET"),
+         ("/statz", "DELETE", "GET")],
+    )
+    def test_wrong_method_is_405_counted(self, engine, path, method, allowed):
+        request_bytes = (
+            f"{method} {path} HTTP/1.1\r\nHost: t\r\n"
+            f"Content-Length: 0\r\n\r\n"
+        ).encode("latin-1")
+        ((status, headers, body), deltas), _ = self.exchange(
+            engine, request_bytes
+        )
+        assert status == 405
+        assert allowed in body["error"]
+        assert headers.get("allow") == allowed
+        assert deltas == {"method_not_allowed": 1}
+
+    @pytest.mark.parametrize(
+        "head",
+        [b"GET /healthz HTTP/1.1\r\n", b"GET /healthz HTTP/1.1\r\nHost: t",
+         b"POST /v1/query HTTP/1.1\r\nHost: t\r\n"],
+        ids=["after_request_line", "mid_header_line", "after_header_line"],
+    )
+    def test_eof_inside_header_section_is_a_counted_disconnect(
+        self, engine, head
+    ):
+        async def run():
+            async with serve(engine) as server:
+                before = server.statz()["counters"]
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(head)
+                writer.write_eof()
+                reply = await asyncio.wait_for(reader.read(), 5.0)
+                writer.close()
+                deltas = counter_deltas(before, server.statz()["counters"])
+            return reply, deltas
+
+        reply, deltas = asyncio.run(run())
+        assert reply == b""
+        assert deltas == {"client_disconnects": 1}
+
+
 class TestFlowControl:
     def test_oversized_batch_is_413(self, engine):
         async def run():
