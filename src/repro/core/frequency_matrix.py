@@ -13,7 +13,8 @@ from typing import Iterable, Sequence, Tuple
 import numpy as np
 
 from .domain import Domain
-from .exceptions import QueryError, ValidationError
+from .exceptions import ValidationError
+from .packed import boxes_to_arrays, validate_box_arrays
 from .validation import require_count_array, require_shape
 
 #: An axis-aligned box over cell indices: one inclusive ``(lo, hi)`` pair per
@@ -22,24 +23,11 @@ Box = Tuple[Tuple[int, int], ...]
 
 
 def validate_box(box: Box, shape: Sequence[int]) -> Box:
-    """Validate ``box`` against ``shape`` and return it normalized to ints."""
-    shape = tuple(shape)
-    try:
-        norm = tuple((int(lo), int(hi)) for lo, hi in box)
-    except (TypeError, ValueError):
-        raise QueryError(f"box must be a sequence of (lo, hi) pairs, got {box!r}") from None
-    if len(norm) != len(shape):
-        raise QueryError(
-            f"box has {len(norm)} dimensions, matrix has {len(shape)}"
-        )
-    for axis, ((lo, hi), size) in enumerate(zip(norm, shape)):
-        if lo > hi:
-            raise QueryError(f"box axis {axis}: lo {lo} > hi {hi}")
-        if lo < 0 or hi >= size:
-            raise QueryError(
-                f"box axis {axis}: range [{lo}, {hi}] outside [0, {size - 1}]"
-            )
-    return norm
+    """Validate ``box`` against ``shape`` and return it as Python ints:
+    a one-box :func:`~repro.core.packed.validate_box_arrays`, so a bound
+    that is not an integer raises :class:`QueryError`, untruncated."""
+    lows, highs = validate_box_arrays(*boxes_to_arrays([box]), shape)
+    return tuple(zip(lows[0].tolist(), highs[0].tolist()))
 
 
 def box_slices(box: Box) -> Tuple[slice, ...]:

@@ -43,16 +43,17 @@ the reference implementation; the test suite asserts agreement within
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from .exceptions import PartitioningError, QueryError
-from .frequency_matrix import Box
 from .interval_index import IntervalIndex
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from .frequency_matrix import Box
     from .partition import Partitioning
     from .sharding import PartitionShard
 
@@ -166,25 +167,64 @@ def _axis_cuts(values: np.ndarray, size: int) -> np.ndarray:
     return values[keep]
 
 
-def boxes_to_arrays(boxes: Sequence[Box]) -> Tuple[np.ndarray, np.ndarray]:
-    """Convert a list of inclusive boxes to ``(lows, highs)`` int64 arrays.
+def holds_bool(nested: object, depth: int) -> bool:
+    """Whether a regular nested sequence ``depth`` levels deep holds a
+    bool.  ``np.asarray`` turns a bool among numbers into 0/1 without a
+    trace in the dtype, so the Python values are checked."""
+    flat: object = [nested]
+    for _ in range(depth):
+        flat = itertools.chain.from_iterable(flat)  # type: ignore[arg-type]
+    return not {bool, np.bool_}.isdisjoint(map(type, flat))  # type: ignore[arg-type]
 
-    Both returned arrays have shape ``(n_boxes, ndim)``.
+
+def boxes_to_arrays(boxes: Iterable[Box]) -> Tuple[np.ndarray, np.ndarray]:
+    """Convert inclusive boxes to ``(lows, highs)`` arrays of shape
+    ``(n_boxes, ndim)``, in the dtype NumPy infers: nothing is cast.
+
+    A float, string, ``None``, bool or beyond-int64 bound raises
+    :class:`QueryError` instead of being truncated, as does a ragged or
+    empty list or a box not made of ``(lo, hi)`` pairs.  Checking the
+    boxes against a shape is :func:`validate_box_arrays`.
     """
-    lows = np.array([[lo for lo, _ in b] for b in boxes], dtype=np.int64)
-    highs = np.array([[hi for _, hi in b] for b in boxes], dtype=np.int64)
-    return lows, highs
+    try:
+        boxes = list(boxes)
+        bounds = np.asarray(boxes)
+    except (TypeError, ValueError) as exc:  # not iterable, or ragged
+        raise QueryError(f"boxes must be equal-length boxes: {exc}") from None
+    if (bounds.ndim != 3 or bounds.shape[2] != 2
+            or bounds.dtype.kind not in "iu" or holds_bool(boxes, 3)):
+        raise QueryError(
+            "boxes must be a non-empty list of equal-length boxes of integer "
+            f"(lo, hi) pairs, not bools; got {bounds.dtype} of shape {bounds.shape}"
+        )
+    return bounds[..., 0], bounds[..., 1]
+
+
+def _range_error(
+    lows: np.ndarray, highs: np.ndarray, shape: Tuple[int, ...]
+) -> str | None:
+    """The first row of int64 ``(n, d)`` bounds that is not a box inside
+    ``shape``, with what is wrong with it, or ``None`` when all are."""
+    for bad, what in (
+        (lows > highs, "lo > hi on some axis"),
+        (lows < 0, "negative lo on some axis"),
+        (highs >= np.asarray(shape, dtype=np.int64),
+         f"hi outside matrix shape {shape}"),
+    ):
+        if bad.any():
+            return f"{int(np.argmax(bad.any(axis=1)))}: {what}"
+    return None
 
 
 def validate_box_arrays(
     lows: np.ndarray, highs: np.ndarray, shape: Sequence[int]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`~repro.core.frequency_matrix.validate_box`.
+    """The library's one rule for box bounds, over a whole batch.
 
-    Validates a whole batch of boxes in O(n·d) NumPy ops instead of one
-    Python-level check per box, and returns them normalized to int64.
-    Bounds must be integer arrays: float, bool or object bounds are
-    rejected rather than truncated (an empty batch may have any dtype).
+    Validates the boxes in O(n·d) NumPy ops and returns them normalized
+    to int64.  Bounds must be integer arrays: float, bool or object
+    bounds are rejected rather than truncated (an empty batch may have
+    any dtype).  Box lists reach it through :func:`boxes_to_arrays`.
     """
     shape = tuple(int(s) for s in shape)
     lows = np.asarray(lows)
@@ -205,16 +245,9 @@ def validate_box_arrays(
         raise QueryError(
             f"boxes have {lows.shape[1]} dimensions, matrix has {len(shape)}"
         )
-    if np.any(lows > highs):
-        bad = int(np.argmax(np.any(lows > highs, axis=1)))
-        raise QueryError(f"box {bad}: lo > hi on some axis")
-    if np.any(lows < 0):
-        bad = int(np.argmax(np.any(lows < 0, axis=1)))
-        raise QueryError(f"box {bad}: negative lo on some axis")
-    sizes = np.asarray(shape, dtype=np.int64)
-    if np.any(highs >= sizes):
-        bad = int(np.argmax(np.any(highs >= sizes, axis=1)))
-        raise QueryError(f"box {bad}: hi outside matrix shape {shape}")
+    error = _range_error(lows, highs, shape)
+    if error is not None:
+        raise QueryError(f"box {error}")
     return lows, highs
 
 
@@ -295,18 +328,11 @@ class PackedPartitioning:
     # Validation
     # ------------------------------------------------------------------
     def _validate_bounds(self) -> None:
-        if np.any(self._lo > self._hi):
-            bad = int(np.argmax(np.any(self._lo > self._hi, axis=1)))
-            raise PartitioningError(f"partition {bad}: lo > hi on some axis")
-        if np.any(self._lo < 0):
-            bad = int(np.argmax(np.any(self._lo < 0, axis=1)))
-            raise PartitioningError(f"partition {bad}: negative lo")
-        sizes = np.asarray(self._shape, dtype=np.int64)
-        if np.any(self._hi >= sizes):
-            bad = int(np.argmax(np.any(self._hi >= sizes, axis=1)))
-            raise PartitioningError(
-                f"partition {bad}: hi outside matrix shape {self._shape}"
-            )
+        """The range checks of :func:`validate_box_arrays`, raising
+        :class:`PartitioningError`."""
+        error = _range_error(self._lo, self._hi, self._shape)
+        if error is not None:
+            raise PartitioningError(f"partition {error}")
 
     def _validate_exact_cover(self) -> None:
         """Check the partitions tile the matrix exactly once.
@@ -555,24 +581,18 @@ class PackedPartitioning:
         from .partition import Partition, Partitioning
 
         true = self._true
+        true = [None] * len(self) if true is None else true.tolist()
         parts = [
-            Partition(
-                tuple(
-                    (int(l), int(h))
-                    for l, h in zip(self._lo[i], self._hi[i])
-                ),
-                float(self._noisy[i]),
-                None if true is None else float(true[i]),
-            )
-            for i in range(self.n_partitions)
+            Partition(box, noisy, t)
+            for box, noisy, t in zip(self.boxes(), self._noisy.tolist(), true)
         ]
         return Partitioning(parts, self._shape, validate=validate)
 
     def boxes(self) -> List[Box]:
         """The partitions as inclusive box tuples (materializes tuples)."""
         return [
-            tuple((int(l), int(h)) for l, h in zip(self._lo[i], self._hi[i]))
-            for i in range(self.n_partitions)
+            tuple(zip(lo, hi))
+            for lo, hi in zip(self._lo.tolist(), self._hi.tolist())
         ]
 
     # ------------------------------------------------------------------
@@ -664,14 +684,6 @@ class PackedPartitioning:
             # micro-batching endpoint's determinism guarantee rests on.
             np.einsum("qk,k->q", cells_t, weights, out=out[start:stop])
         return out
-
-    def answer_many(self, boxes: Sequence[Box]) -> np.ndarray:
-        """Convenience wrapper over :meth:`answer_many_arrays`."""
-        if not boxes:
-            return np.zeros(0, dtype=np.float64)
-        lows, highs = boxes_to_arrays(boxes)
-        lows, highs = validate_box_arrays(lows, highs, self._shape)
-        return self.answer_many_arrays(lows, highs)
 
     # ------------------------------------------------------------------
     # Dense reconstruction

@@ -13,9 +13,18 @@ from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .exceptions import PartitioningError
-from .frequency_matrix import Box, box_n_cells, full_box, validate_box
-from .packed import PackedPartitioning, boxes_to_arrays
+from .exceptions import PartitioningError, QueryError
+from .frequency_matrix import Box, box_n_cells, full_box
+from .packed import PackedPartitioning, boxes_to_arrays, validate_box_arrays
+
+
+def _bound(value: object) -> int:
+    """``value`` as a Python int if it is an int64 integer (not a bool):
+    the scalar form of :func:`~repro.core.packed.boxes_to_arrays`' rule."""
+    if type(value) is int or isinstance(value, np.integer):
+        if -(2**63) <= value < 2**63:
+            return int(value)
+    raise QueryError(f"partition bounds must be int64 integers, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -25,7 +34,9 @@ class Partition:
     Attributes
     ----------
     box:
-        Inclusive ``(lo, hi)`` index range per dimension.
+        Inclusive ``(lo, hi)`` index range per dimension, as Python ints.
+        A bound that is not an int64 integer (a float, bool, string,
+        ``None``) raises :class:`QueryError` instead of being truncated.
     noisy_count:
         The sanitized (published) count.  May be negative: Laplace noise is
         unbounded and the paper does not post-process.
@@ -39,7 +50,7 @@ class Partition:
     true_count: float | None = None
 
     def __post_init__(self) -> None:
-        norm = tuple((int(lo), int(hi)) for lo, hi in self.box)
+        norm = tuple((_bound(lo), _bound(hi)) for lo, hi in self.box)
         for axis, (lo, hi) in enumerate(norm):
             if lo > hi:
                 raise PartitioningError(f"partition axis {axis}: lo {lo} > hi {hi}")
@@ -118,10 +129,10 @@ class Partitioning:
         self._shape = tuple(int(s) for s in shape)
         if not self._partitions:
             raise PartitioningError("a partitioning needs at least one partition")
-        for p in self._partitions:
-            validate_box(p.box, self._shape)
+        lows, highs = validate_box_arrays(
+            *boxes_to_arrays([p.box for p in self._partitions]), self._shape
+        )
         if validate:
-            lows, highs = boxes_to_arrays([p.box for p in self._partitions])
             PackedPartitioning(lows, highs, np.zeros(len(lows)), self._shape)
 
     # ------------------------------------------------------------------

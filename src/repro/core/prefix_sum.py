@@ -14,7 +14,8 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from .exceptions import QueryError
-from .frequency_matrix import Box, validate_box
+from .frequency_matrix import Box
+from .packed import boxes_to_arrays, validate_box_arrays
 
 
 class PrefixSumTable:
@@ -56,28 +57,18 @@ class PrefixSumTable:
         return self._shape
 
     def query(self, box: Box) -> float:
-        """Sum of the cells in an inclusive box via inclusion-exclusion."""
-        box = validate_box(box, self._shape)
-        ndim = len(self._shape)
-        total = 0.0
-        # For every corner choice, pick hi+1 (add) or lo (subtract) per axis;
-        # sign is (-1)^(number of lo choices).
-        for choice in product((0, 1), repeat=ndim):
-            idx = tuple(
-                (hi + 1) if pick else lo
-                for pick, (lo, hi) in zip(choice, box)
-            )
-            sign = 1.0 if (ndim - sum(choice)) % 2 == 0 else -1.0
-            total += sign * self._table[idx]
-        return float(total)
+        """Sum of the cells in an inclusive box: a one-box
+        :meth:`query_many`, so it is checked by the same rule and gets
+        the bits it gets in any batch."""
+        return float(self.query_many([box])[0])
 
     def query_many(self, boxes: Sequence[Box]) -> np.ndarray:
-        """Vectorized :meth:`query` over a list of boxes."""
-        boxes = [validate_box(b, self._shape) for b in boxes]
+        """:meth:`query_arrays` over a list of boxes, checked first by
+        :func:`~repro.core.packed.validate_box_arrays` (nothing is cast)."""
+        boxes = list(boxes)
         if not boxes:
             return np.zeros(0, dtype=np.float64)
-        lows = np.array([[lo for lo, _ in b] for b in boxes], dtype=np.int64)
-        highs = np.array([[hi for _, hi in b] for b in boxes], dtype=np.int64)
+        lows, highs = validate_box_arrays(*boxes_to_arrays(boxes), self._shape)
         return self.query_arrays(lows, highs)
 
     def query_arrays(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:

@@ -33,7 +33,6 @@ implementation; every engine is asserted against it by the test suite.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Dict, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -41,7 +40,7 @@ import numpy as np
 from .domain import Domain
 from .exceptions import QueryError, ValidationError
 from .frequency_matrix import Box, FrequencyMatrix, box_slices, validate_box
-from .packed import PackedPartitioning, boxes_to_arrays
+from .packed import PackedPartitioning, boxes_to_arrays, holds_bool
 from .partition import Partition, Partitioning
 from .prefix_sum import PrefixSumTable
 
@@ -344,8 +343,10 @@ class PrivateFrequencyMatrix:
         checked for an exact cover.  Malformed structure raises
         :class:`QueryError`; boxes that do not tile the matrix exactly
         once raise :class:`PartitioningError`.  Nothing is coerced: shape
-        entries must be ints, box bounds integers, and counts and cells
-        numbers, none of them bools or strings.
+        entries must be ints, and counts and cells numbers, none of them
+        bools or strings; the boxes go through
+        :func:`~repro.core.packed.boxes_to_arrays`, the same bound rule
+        as every query.
         """
         try:
             shape = tuple(payload["shape"])  # type: ignore[arg-type,index]
@@ -372,7 +373,7 @@ class PrivateFrequencyMatrix:
                 cells = np.asarray(payload["cells"])
             except ValueError as exc:  # ragged nesting
                 raise QueryError(f"malformed publishable payload: {exc}") from exc
-            if cells.dtype.kind not in "iuf" or _holds_bool(
+            if cells.dtype.kind not in "iuf" or holds_bool(
                 payload["cells"], cells.ndim
             ):
                 raise QueryError(
@@ -385,33 +386,20 @@ class PrivateFrequencyMatrix:
             raw = payload["partitions"]  # type: ignore[index]
             boxes = [e["box"] for e in raw]  # type: ignore[union-attr]
             counts = [e["noisy_count"] for e in raw]  # type: ignore[union-attr]
-            bounds = np.asarray(boxes)
             noisy = np.asarray(counts)
         except (KeyError, TypeError, ValueError) as exc:
             raise QueryError(f"malformed publishable payload: {exc}") from exc
-        # NumPy infers the dtype, so a float, string or beyond-int64
-        # bound fails the kind check instead of being truncated or cast;
-        # a bool among ints would load as 0/1, so look for one.
-        if (bounds.dtype.kind not in "iu" or bounds.ndim != 3
-                or bounds.shape[2] != 2
-                or noisy.dtype.kind not in "iuf" or noisy.ndim != 1
-                or _holds_bool(boxes, 3) or _holds_bool(counts, 1)):
+        lows, highs = boxes_to_arrays(boxes)
+        # NumPy infers the dtype, so a string count fails the kind check;
+        # a bool among numbers would load as 0/1, so look for one.
+        if (noisy.dtype.kind not in "iuf" or noisy.ndim != 1
+                or holds_bool(counts, 1)):
             raise QueryError(
-                "malformed publishable payload: partitions must be a "
-                "non-empty list of equal-length boxes of integer [lo, hi] "
-                "pairs, each with a numeric noisy_count"
+                "malformed publishable payload: each partition needs a "
+                "numeric noisy_count"
             )
         if not np.all(np.isfinite(noisy)):
             raise QueryError("malformed publishable payload: non-finite noisy_count")
-        packed = PackedPartitioning(bounds[..., 0], bounds[..., 1], noisy, shape)
+        packed = PackedPartitioning(lows, highs, noisy, shape)
         return cls.from_packed(packed, **common)  # type: ignore[arg-type]
 
-
-def _holds_bool(nested: object, depth: int) -> bool:
-    """Whether a regular nested sequence ``depth`` levels deep holds a
-    bool.  ``np.asarray`` turns a bool among numbers into 0/1 without a
-    trace in the dtype, so the loader checks the Python values."""
-    flat: object = [nested]
-    for _ in range(depth):
-        flat = itertools.chain.from_iterable(flat)  # type: ignore[arg-type]
-    return not {bool, np.bool_}.isdisjoint(map(type, flat))  # type: ignore[arg-type]

@@ -87,7 +87,7 @@ class TestKernelMatchesScalar:
         packed, boxes, noisy = random_packed(shape, rng)
         parts = [Partition(b, c) for b, c in zip(boxes, noisy)]
         queries = random_boxes(shape, rng, 60)
-        vec = packed.answer_many(queries)
+        vec = packed.answer_many_arrays(*boxes_to_arrays(queries))
         ref = np.array(
             [sum(p.uniform_answer(q) for p in parts) for q in queries]
         )
@@ -127,7 +127,8 @@ class TestKernelMatchesScalar:
     def test_empty_query_batch(self):
         rng = np.random.default_rng(0)
         packed, _, _ = random_packed((8, 8), rng)
-        assert packed.answer_many([]).size == 0
+        empty = np.zeros((0, 2), dtype=np.int64)
+        assert packed.answer_many_arrays(empty, empty).size == 0
 
 
 class TestValidation:

@@ -1037,10 +1037,15 @@ class TestLifecycle:
             # Every handler ran to its end inside shutdown(): none is
             # left for the loop's teardown.
             assert not server._connections
-            return await task, (idle, busy)  # never closed client-side
+            answer = await task
+            # Closed on this loop: left to GC, their transports would
+            # outlive it and warn against the next test in dev mode.
+            await idle.close()
+            await busy.close()
+            return answer
 
         with caplog.at_level(logging.ERROR):
-            answer, _ = asyncio.run(run())
+            answer = asyncio.run(run())
         assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
         assert (
             float(np.abs(slow.answer(request).answers - answer.answers).max())
