@@ -6,14 +6,19 @@ release validation) so substrate regressions are visible independently
 of the figure-level numbers.
 """
 
+import statistics
+import time
+
 import numpy as np
 import pytest
 
 from repro.core import (
     FrequencyMatrix,
+    LevelPrefixTable,
     PackedPartitioning,
     PrefixSumTable,
     boxes_to_arrays,
+    full_box,
     grid_boxes,
 )
 from repro.datagen import MovementSimulator, get_city, simulate_od_dataset
@@ -21,6 +26,8 @@ from repro.dp import laplace_noise
 from repro.methods._grid import aggregate_uniform_grid
 from repro.queries import random_workload
 from repro.trajectories import ODMatrixBuilder
+
+from .conftest import write_bench_artifact
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +81,78 @@ def test_exact_cover_validation(benchmark):
         lambda: PackedPartitioning(lows, highs, noisy, shape),
         rounds=3, iterations=1,
     )
+
+
+def level_split_tiling(shape, rng):
+    """A DAF-shaped tiling: at depth ``a`` every box is cut along axis
+    ``a`` into 2-5 pieces, so boxes share their bounds on the leading
+    axes as the served release's partitions do."""
+    boxes = [full_box(shape)]
+    for axis, size in enumerate(shape):
+        split = []
+        for box in boxes:
+            cuts = rng.choice(np.arange(1, size), rng.integers(1, 5), False)
+            edges = [0, *sorted(cuts.tolist()), size]
+            split.extend(
+                box[:axis] + ((lo, hi - 1),) + box[axis + 1:]
+                for lo, hi in zip(edges, edges[1:])
+            )
+        boxes = split
+    return boxes
+
+
+def median_us(fn, repeats=15):
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return 1e6 * statistics.median(times)
+
+
+def test_level_table(benchmark):
+    """Level prefix tables on an ``11**6`` DAF-shaped tiling of about
+    1.5k boxes, per level: bytes, build ms and the median us of a
+    256-query batch, against the broadcast kernel.  Recorded in
+    ``bench-out/BENCH_level_table.json``, not gated."""
+    shape = (11,) * 6
+    rng = np.random.default_rng(1)  # 1 431 boxes
+    lows, highs = boxes_to_arrays(level_split_tiling(shape, rng))
+    packed = PackedPartitioning(
+        lows, highs, rng.normal(20.0, 10.0, len(lows)), shape
+    )
+    workload = random_workload(shape, 256, rng=2)
+    qlo, qhi = workload.as_arrays()
+    broadcast = packed.answer_many_arrays(qlo, qhi)
+    levels = {}
+    for level in range(1, len(shape)):
+        build_ms = 1e-3 * median_us(
+            lambda: LevelPrefixTable(packed, level), repeats=3
+        )
+        table = LevelPrefixTable(packed, level)
+        got = table.query_arrays(qlo, qhi)
+        scale = np.maximum(1.0, np.abs(broadcast))
+        assert np.all(np.abs(got - broadcast) <= 1e-9 * scale)
+        levels[str(level)] = {
+            "groups": table.n_groups,
+            "bytes": table.nbytes,
+            "build_ms": build_ms,
+            "batch_us": median_us(lambda: table.query_arrays(qlo, qhi)),
+        }
+    chosen = packed.level_table()
+    benchmark.pedantic(
+        lambda: chosen.query_arrays(qlo, qhi), rounds=5, iterations=1
+    )
+    write_bench_artifact("level_table", {
+        "shape": list(shape),
+        "n_partitions": packed.n_partitions,
+        "batch_queries": len(qlo),
+        "chosen_level": chosen.level,
+        "broadcast_batch_us": median_us(
+            lambda: packed.answer_many_arrays(qlo, qhi)
+        ),
+        "levels": levels,
+    })
 
 
 def test_od_build(benchmark):

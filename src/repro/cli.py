@@ -44,9 +44,10 @@ from typing import List
 from .core.frequency_matrix import FrequencyMatrix
 from .datagen import get_city, gaussian_matrix, zipf_matrix
 from .engine import Engine, EngineConfig, EngineServer
-from .experiments import ALL_ARTIFACTS, get_scale
 from .methods import available_methods, get_sanitizer
-from .queries import WorkloadEvaluator, random_workload
+
+# The experiment runner and the query evaluator are imported by the
+# commands that use them, so ``repro serve`` does not load them.
 
 
 def _build_dataset(args: argparse.Namespace) -> FrequencyMatrix:
@@ -109,6 +110,8 @@ def cmd_methods(_: argparse.Namespace) -> int:
 
 
 def cmd_sanitize(args: argparse.Namespace) -> int:
+    from .queries import WorkloadEvaluator, random_workload
+
     matrix = _build_dataset(args)
     print(f"dataset: shape={matrix.shape}, N={matrix.total:,.0f}",
           file=sys.stderr)
@@ -131,12 +134,21 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_figure(args: argparse.Namespace) -> int:
-    if args.artifact not in ALL_ARTIFACTS:
-        raise SystemExit(
-            f"unknown artifact {args.artifact!r}; "
-            f"available: {sorted(ALL_ARTIFACTS)}"
+def _artifact(name: str) -> str:
+    """``figure``'s artifact argument: a name in ``ALL_ARTIFACTS``."""
+    from .experiments import ALL_ARTIFACTS
+
+    if name not in ALL_ARTIFACTS:
+        raise argparse.ArgumentTypeError(
+            f"unknown artifact {name!r}; available: "
+            f"{', '.join(sorted(ALL_ARTIFACTS))}"
         )
+    return name
+
+
+def cmd_figure(args: argparse.Namespace) -> int:
+    from .experiments import ALL_ARTIFACTS, get_scale
+
     scale = get_scale(args.scale)
     if args.n_jobs is not None:
         scale = scale.with_overrides(n_jobs=args.n_jobs)
@@ -147,6 +159,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .queries import WorkloadEvaluator, random_workload
+
     matrix = _build_dataset(args)
     evaluator = WorkloadEvaluator(matrix)
     workload = random_workload(matrix.shape, args.n_queries, rng=args.seed + 2)
@@ -232,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_san.add_argument("--output", help="write publishable JSON here")
 
     p_fig = sub.add_parser("figure", help="regenerate a paper artifact")
-    p_fig.add_argument("artifact", choices=sorted(ALL_ARTIFACTS))
+    p_fig.add_argument("artifact", type=_artifact,
+                       help="figure4 .. figure8 or table3")
     p_fig.add_argument("--scale", default="tiny",
                        choices=["tiny", "small", "paper"])
     p_fig.add_argument("--seed", type=int, default=2022)

@@ -57,7 +57,7 @@ _ORIGIN, __getattr__, __dir__ = lazy_exports(
             "grid_boxes",
             "split_interval",
         ),
-        ".prefix_sum": ("PrefixSumTable",),
+        ".prefix_sum": ("LevelPrefixTable", "PrefixSumTable"),
         ".private_matrix": ("PrivateFrequencyMatrix",),
         ".sharding": (
             "DEFAULT_N_SHARDS",

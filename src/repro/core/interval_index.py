@@ -280,10 +280,18 @@ def candidate_cost_plan(
         cost = DEFAULT_PLAN_COST
     if k < cost.min_partitions:
         return PLAN_BROADCAST
-    est_pairs = float(counts.sum()) + q * cost.overhead_pairs
-    if cost.safety_factor * est_pairs < float(q) * k:
+    if pruned_pairs(counts, q, cost) < float(q) * k:
         return PLAN_PRUNED
     return PLAN_BROADCAST
+
+
+def pruned_pairs(counts: np.ndarray, q: int, cost: PlanCost) -> float:
+    """The pruned gather's price, in broadcast pairs, for a batch of
+    ``q`` queries with per-query candidate bounds ``counts``: the
+    gathered pairs plus a per-query overhead, times the safety factor.
+    """
+    est_pairs = float(counts.sum()) + q * cost.overhead_pairs
+    return cost.safety_factor * est_pairs
 
 
 def plan_with_slices(

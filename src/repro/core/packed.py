@@ -55,6 +55,7 @@ from .interval_index import IntervalIndex
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .frequency_matrix import Box
     from .partition import Partitioning
+    from .prefix_sum import LevelPrefixTable
     from .sharding import PartitionShard
 
 #: Target number of elements per broadcast tile.  Query batches are
@@ -234,8 +235,6 @@ def validate_box_arrays(
             raise QueryError(
                 f"box bounds must be integers, got dtype {bounds.dtype}"
             )
-    lows = lows.astype(np.int64, copy=False)
-    highs = highs.astype(np.int64, copy=False)
     if lows.ndim != 2 or lows.shape != highs.shape:
         raise QueryError(
             f"box arrays must both have shape (n, ndim), got "
@@ -245,6 +244,18 @@ def validate_box_arrays(
         raise QueryError(
             f"boxes have {lows.shape[1]} dimensions, matrix has {len(shape)}"
         )
+    for bounds in (lows, highs):
+        # A uint64 bound above the int64 maximum would wrap negative in
+        # the cast below and be reported as some other fault.
+        if bounds.dtype == np.uint64:
+            wide = bounds > np.iinfo(np.int64).max
+            if wide.any():
+                row = int(np.argmax(wide.any(axis=1)))
+                raise QueryError(
+                    f"box {row}: bound {int(bounds[wide][0])} is beyond int64"
+                )
+    lows = lows.astype(np.int64, copy=False)
+    highs = highs.astype(np.int64, copy=False)
     error = _range_error(lows, highs, shape)
     if error is not None:
         raise QueryError(f"box {error}")
@@ -273,7 +284,7 @@ class PackedPartitioning:
     """
 
     __slots__ = ("_lo", "_hi", "_noisy", "_true", "_shape", "_n_cells",
-                 "_weights", "_index", "_shards", "_layout")
+                 "_weights", "_index", "_shards", "_layout", "_level")
 
     def __init__(
         self,
@@ -320,6 +331,8 @@ class PackedPartitioning:
         self._index: IntervalIndex | None = None
         self._shards: dict | None = None
         self._layout: OverlapLayout | None = None
+        # None until level_table() runs; False when it found no table.
+        self._level: "LevelPrefixTable | bool | None" = None
         if validate:
             self._validate_bounds()
             self._validate_exact_cover()
@@ -545,7 +558,9 @@ class PackedPartitioning:
 
     def __getstate__(self):
         state = {name: getattr(self, name) for name in self.__slots__}
-        state["_layout"] = None  # derived and cheap: rebuilt lazily
+        # Derived data, rebuilt lazily.
+        state["_layout"] = None
+        state["_level"] = None
         return None, state
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -630,6 +645,20 @@ class PackedPartitioning:
             self._layout = OverlapLayout(self._lo, self._hi, self._shape,
                                          self._n_cells)
         return self._layout
+
+    def level_table(self) -> "LevelPrefixTable | None":
+        """The shallowest :class:`~repro.core.prefix_sum.LevelPrefixTable`
+        within :data:`~repro.core.prefix_sum.LEVEL_TABLE_BYTES` (built
+        once, cached), or ``None`` when the full prefix table fits that
+        budget or no level does.
+
+        Derived data, like :meth:`overlap_layout`: dropped on pickling.
+        """
+        if self._level is None:
+            from .prefix_sum import LevelPrefixTable
+
+            self._level = LevelPrefixTable.for_packed(self) or False
+        return self._level or None
 
     def answer_many_arrays(
         self,

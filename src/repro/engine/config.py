@@ -12,10 +12,11 @@ that travels with an :class:`~repro.engine.Engine`:
 
 The planner's thresholds are not settings: every plan gives the same
 answer, so they choose speed only and are module constants next to the
-code that applies them (``DENSE_SWITCH_*`` in
-:mod:`repro.engine.engine`, ``PRUNE_*`` in
-:mod:`repro.core.interval_index`; ``tools/calibrate.py`` suggests new
-values for them).
+code that applies them (``DENSE_SWITCH_*`` and ``LEVEL_ELEMENT_COST``
+in :mod:`repro.engine.engine`, ``PRUNE_*`` in
+:mod:`repro.core.interval_index`, ``LEVEL_TABLE_BYTES`` in
+:mod:`repro.core.prefix_sum`; ``tools/calibrate.py`` suggests new
+values for ``DENSE_SWITCH_FACTOR`` and ``PRUNE_SAFETY_FACTOR``).
 
 A config is built one of two ways: keyword arguments in code, or a
 ``key=value,...`` string (:meth:`EngineConfig.from_string`, the format

@@ -19,11 +19,21 @@ Routing lives in one place, :meth:`Engine._route`, which both
    layout for partition-backed outputs — dense-backed outputs (which
    have no partition list to shard) fall through to their dense route
    instead of erroring, so one config serves a mixed method set;
-3. otherwise the cost model picks: dense prefix sums once ``q × k``
-   exceeds :data:`DENSE_SWITCH_FACTOR` times the cell count (and the
-   matrix has at most :data:`DENSE_SWITCH_MAX_CELLS` cells), else
-   pruned-vs-broadcast by the interval index's candidate bound and
+3. otherwise the cost model picks.  On a partition-backed matrix with a
+   :class:`~repro.core.prefix_sum.LevelPrefixTable` (its full prefix
+   table exceeds :data:`~repro.core.prefix_sum.LEVEL_TABLE_BYTES`),
+   dense reads that level table, and wins when its per-query price,
+   :data:`LEVEL_ELEMENT_COST` times its elements, beats broadcast's
+   ``k × d``; the interval index's candidate pass runs only when
+   pruned could still beat it.  On any other matrix: dense prefix sums
+   once ``q × k`` exceeds :data:`DENSE_SWITCH_FACTOR` times the cell
+   count (and the matrix has at most :data:`DENSE_SWITCH_MAX_CELLS`
+   cells).  Otherwise pruned-vs-broadcast by the interval index's
+   candidate bound and
    :data:`~repro.core.interval_index.DEFAULT_PLAN_COST`.
+
+A forced ``dense`` plan always reads the full prefix table, so it stays
+an independent reference for the level table auto reads.
 
 The thresholds are module constants, not config fields: every plan
 gives the same answer, so they choose speed only.  So is
@@ -49,11 +59,13 @@ import numpy as np
 
 from ..core.exceptions import QueryError
 from ..core.interval_index import (
+    DEFAULT_PLAN_COST,
     PLAN_BROADCAST,
     PLAN_DENSE,
     PLAN_PRUNED,
     PLAN_SHARDED,
     plan_with_slices,
+    pruned_pairs,
 )
 from ..core.packed import validate_box_arrays
 from ..core.sharding import ShardedAnswer, answer_sharded
@@ -61,6 +73,7 @@ from .api import QueryAnswer, QueryRequest
 from .config import EngineConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.prefix_sum import LevelPrefixTable
     from ..core.private_matrix import PrivateFrequencyMatrix
     from .worker_pool import ShardWorkerPool
 
@@ -74,13 +87,24 @@ DENSE_SWITCH_MAX_CELLS = 50_000_000
 #: exceeds this multiple of the cell count.
 DENSE_SWITCH_FACTOR = 4
 
+#: Cost of one element of the level-table kernel (one group's corner
+#: or leading-axis overlap, :meth:`LevelPrefixTable.price
+#: <repro.core.prefix_sum.LevelPrefixTable.price>`) in broadcast
+#: element ops (one axis of one (query, partition) pair).  Measured on
+#: the served ``11**6`` release (level 3, 42 groups) with 193-query
+#: batches on 2 cores: 3.3 ns per level element against 1.05 ns per
+#: broadcast element op.
+LEVEL_ELEMENT_COST = 3.0
+
 #: Largest ``n_queries * n_partitions`` a tick may have and still run
 #: on the event loop (:meth:`Engine.runs_inline`).  Handing a tick to
 #: a thread costs about 0.5 ms, more than a few-query kernel; this
 #: bound, about 2-3 ms of the broadcast kernel at ~4.6 ns per pair,
 #: caps how long an inline tick may stall the loop.  Auto-dense needs
-#: ``q * k > DENSE_SWITCH_FACTOR * cells``, so an inline tick never
-#: builds a prefix table of more than ``INLINE_MAX_PAIRS / 4`` cells.
+#: ``q * k > DENSE_SWITCH_FACTOR * cells`` on a matrix without a level
+#: table, so an inline tick never builds a full prefix table of more
+#: than ``INLINE_MAX_PAIRS / 4`` cells; a level table is at most
+#: :data:`~repro.core.prefix_sum.LEVEL_TABLE_BYTES`.
 INLINE_MAX_PAIRS = 2**19
 
 
@@ -214,6 +238,48 @@ class Engine:
             > DENSE_SWITCH_FACTOR * n_cells
         )
 
+    def level_table(self) -> "LevelPrefixTable | None":
+        """The level table auto's dense route reads (built on first
+        call, cached on the matrix), or ``None`` when that route reads
+        the full table or cannot run.
+
+        Only an auto-routed, unsharded engine over a partition-backed
+        matrix reads one; :class:`~repro.engine.EngineServer` builds it
+        before it accepts traffic.
+        """
+        private = self._private
+        if (
+            self._config.plan is not None
+            or self._config.wants_sharding
+            or private.is_dense_backed
+        ):
+            return None
+        return private.packed.level_table()
+
+    def _level_route(
+        self, level: "LevelPrefixTable", lows: np.ndarray, highs: np.ndarray
+    ) -> Tuple[str, "Slices | None"]:
+        """Auto's plan on a matrix with a level table, in broadcast
+        pairs per query: dense costs ``LEVEL_ELEMENT_COST * price / d``,
+        broadcast ``k``, pruned at least ``safety * overhead``.  The
+        candidate pass runs only when pruned could beat dense."""
+        packed = self._private.packed
+        k, d = packed.n_partitions, packed.ndim
+        cost = DEFAULT_PLAN_COST
+        dense = LEVEL_ELEMENT_COST * level.price() / d
+        if dense >= k:
+            return plan_with_slices(packed, lows, highs)
+        if (
+            k < cost.min_partitions
+            or cost.safety_factor * cost.overhead_pairs >= dense
+        ):
+            return PLAN_DENSE, None
+        slices = packed.interval_index().candidate_slices(lows, highs)
+        counts = np.clip(slices[1] - slices[0], 0, None).min(axis=1)
+        if pruned_pairs(counts, len(lows), cost) < len(lows) * dense:
+            return PLAN_PRUNED, slices
+        return PLAN_DENSE, None
+
     def runs_inline(self, n_queries: int) -> bool:
         """True when a tick of ``n_queries`` is light enough to answer
         on the serving event loop rather than in an executor thread.
@@ -269,8 +335,13 @@ class Engine:
             return plan or PLAN_BROADCAST, None, lows, highs
         if not validated:
             lows, highs = validate_box_arrays(lows, highs, private.shape)
-        if plan is None and self._dense_wins(len(lows)):
-            plan = PLAN_DENSE
+        if plan is None:
+            level = self.level_table()
+            if level is not None:
+                plan, slices = self._level_route(level, lows, highs)
+                return plan, slices, lows, highs
+            if self._dense_wins(len(lows)):
+                plan = PLAN_DENSE
         if plan == PLAN_DENSE:
             return plan, None, lows, highs
         if private.is_dense_backed:
@@ -339,7 +410,10 @@ class Engine:
         if len(lows) == 0:
             return np.zeros(0, dtype=np.float64), None
         if plan == PLAN_DENSE:
-            return private._prefix_table().query_arrays(lows, highs), None
+            # Auto reads the level table when it has one, else (and when
+            # forced) the full table.
+            table = self.level_table() or private._prefix_table()
+            return table.query_arrays(lows, highs), None
         packed = private.packed
         if plan == PLAN_PRUNED:
             index = packed.interval_index()

@@ -17,7 +17,8 @@ schemas in ``docs/SERVING.md``):
 * ``GET /statz`` — monotone serving counters (including how many
   ticks ran inline and off-loop, and ticks by plan) plus gauges:
   latency percentiles, tick-size distribution, queue depth, the
-  event-loop lag measured by :class:`LoopLagMonitor`, and — when the
+  event-loop lag measured by :class:`LoopLagMonitor`, the level
+  prefix table auto's dense route reads (if any), and — when the
   engine runs a resident :class:`~repro.engine.ShardWorkerPool` —
   worker gauges (alive count, restarts, queue depth, per-worker batch
   counts).
@@ -352,6 +353,9 @@ class EngineServer:
         warm = getattr(self.engine, "warm_shard_pool", None)
         if warm is not None:
             warm()
+        # Build the level prefix table auto's dense route reads (when
+        # the matrix has one), so no tick pays for it.
+        self._level_table()
         self._draining = False
         self._started_at = time.time()
         self.monitor.start()
@@ -697,6 +701,11 @@ class EngineServer:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    def _level_table(self):
+        """The engine's level table, or ``None`` (also for duck-typed
+        engine stand-ins without one)."""
+        return getattr(self.engine, "level_table", lambda: None)()
+
     def statz(self) -> dict:
         """The ``/statz`` payload: monotone counters + gauges."""
         batch_stats = self.batcher.stats
@@ -708,6 +717,7 @@ class EngineServer:
         counters["ticks_inline"] = int(batch_stats["ticks_inline"])
         counters["ticks_off_loop"] = int(batch_stats["ticks_off_loop"])
         counters["dropped_requests"] = int(batch_stats["dropped_requests"])
+        level = self._level_table()
         return {
             "uptime_seconds": time.time() - self._started_at,
             "draining": self._draining,
@@ -746,6 +756,10 @@ class EngineServer:
                 ),
                 "beats": self.monitor.beats,
             },
+            # The level prefix table auto's dense route reads: level,
+            # groups, bytes and build time (null when dense reads the
+            # full table or cannot run).
+            "dense_table": None if level is None else level.stats(),
             # Resident shard-worker gauges (null unless the engine is
             # running a ShardWorkerPool): alive count, restarts, queue
             # depth, per-worker batch counts.

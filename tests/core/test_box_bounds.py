@@ -18,6 +18,7 @@ from repro.core import (
     QueryError,
     grid_boxes,
     validate_box,
+    validate_box_arrays,
 )
 from repro.engine import QueryRequest
 
@@ -95,3 +96,19 @@ def test_numpy_int_bounds_answer_as_python_ints(entry, int_type):
         assert got == expected
     if entry in ("validate_box", "Partition"):
         assert all(type(b) is int for pair in got for b in pair)
+
+
+# uint64 (lo, hi) pairs at or above 2**63, which an int64 cast would wrap
+# negative: the error must name the bound, not "lo > hi" or "negative lo".
+WIDE_UINT64_BOXES = [
+    pytest.param(0, 2**64 - 1, id="hi_uint64_max"),
+    pytest.param(2**63, 2**63, id="lo_hi_2_63"),
+]
+
+
+@pytest.mark.parametrize("lo, hi", WIDE_UINT64_BOXES)
+def test_uint64_bound_beyond_int64_is_named(lo, hi):
+    lows = np.array([[0, 0], [lo, 0]], dtype=np.uint64)
+    highs = np.array([[1, 1], [hi, 3]], dtype=np.uint64)
+    with pytest.raises(QueryError, match=r"box 1: bound \d+ is beyond int64"):
+        validate_box_arrays(lows, highs, SHAPE)

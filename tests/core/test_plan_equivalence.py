@@ -206,6 +206,54 @@ class TestEquivalenceMatrix:
         )
 
 
+class TestOverBudgetRelease:
+    """A served-like release whose full prefix table exceeds the level
+    budget: auto reads the level table, and every other plan (forced
+    dense on the full table, broadcast, pruned, sharded on the
+    executor the CI leg forces) agrees with it."""
+
+    @pytest.fixture(scope="class")
+    def release(self):
+        # DAF over a 6-D matrix (the served release is DAF over 11**6):
+        # 2 782 partitions, a 4.3 MB full table, a 0.45 MiB level-2 one.
+        shape = (8,) * 6
+        rng = np.random.default_rng(0)
+        matrix = FrequencyMatrix(rng.poisson(0.2, shape).astype(float))
+        private = get_sanitizer("daf_entropy").sanitize(matrix, 0.5, 1)
+        boxes = degenerate_and_random_queries(shape, rng, n_random=60)
+        return private, boxes_to_arrays(boxes)
+
+    def test_auto_level_route_agrees_with_every_plan(self, release):
+        private, (lows, highs) = release
+        auto = forced_answer(private, lows, highs)
+        assert auto.plan == PLAN_DENSE
+        assert Engine(private).level_table() is not None
+        broadcast = engine_answers(private, lows, highs, plan=PLAN_BROADCAST)
+        scale = np.maximum(1.0, np.abs(broadcast))
+        for plan in (PLAN_DENSE, PLAN_PRUNED):
+            got = engine_answers(private, lows, highs, plan=plan)
+            assert np.all(np.abs(got - broadcast) <= 1e-9 * scale), plan
+        assert np.all(np.abs(auto.answers - broadcast) <= 1e-9 * scale)
+        for n_shards in SHARD_COUNTS:
+            sharded = engine_answers(
+                private, lows, highs, plan=PLAN_SHARDED, n_shards=n_shards
+            )
+            np.testing.assert_allclose(
+                sharded, broadcast, rtol=0, atol=1e-9,
+                err_msg=f"sharded(K={n_shards}) diverged from broadcast",
+            )
+
+    def test_auto_batched_is_alone(self, release):
+        private, (lows, highs) = release
+        engine = Engine(private)
+        batched = engine.answer(QueryRequest(lows, highs))
+        assert batched.plan == PLAN_DENSE
+        for i in range(len(lows)):
+            alone = engine.answer(QueryRequest(lows[i:i + 1], highs[i:i + 1]))
+            assert alone.plan == PLAN_DENSE
+            assert alone.answers[0] == batched.answers[i]
+
+
 class TestShardEdgeCases:
     def test_empty_batch(self):
         private = grid_private(shape=(16, 16), m=4)  # 16 partitions

@@ -981,6 +981,47 @@ class TestStatzAndHealth:
             assert plans[plan] == sum(a.plan == plan for a in answers)
 
 
+    def test_statz_names_the_level_table_built_at_start(self):
+        # 512 x 512 in 32 x 32 blocks: the full prefix table (2.1 MB)
+        # exceeds the level budget, and the 32 row groups' level-1
+        # table fits it.
+        shape = (512, 512)
+        intervals = [axis_intervals(s, 32) for s in shape]
+        noisy = np.random.default_rng(3).poisson(40.0, 32 * 32).astype(float)
+        level_private = PrivateFrequencyMatrix.from_packed(
+            packed_from_intervals(intervals, noisy, shape), method="grid"
+        )
+        lows, highs = [[0, 0], [10, 300]], [[511, 511], [100, 400]]
+
+        async def run():
+            async with serve(Engine(level_private)) as server:
+                built = level_private.packed._level is not None
+                async with AsyncServingClient(port=server.port) as client:
+                    answers = await client.query(lows, highs)
+                    return built, answers, await client.statz()
+
+        built, answers, stats = asyncio.run(run())
+        assert built  # before the first request
+        table = stats["dense_table"]
+        assert table.pop("build_ms") >= 0.0
+        assert table == {"level": 1, "groups": 32, "bytes": 32 * 513 * 8}
+        assert stats["tick_plans"]["dense"] == 1
+        assert answers.plan == "dense"
+        reference = Engine(level_private, EngineConfig(plan="broadcast"))
+        np.testing.assert_allclose(
+            answers.answers,
+            reference.answer_arrays(np.array(lows), np.array(highs)),
+            rtol=1e-12,
+        )
+
+    def test_statz_dense_table_is_null_without_a_level_table(self, engine):
+        async def run():
+            async with serve(engine) as server:
+                return server.statz()
+
+        assert asyncio.run(run())["dense_table"] is None
+
+
 class TestLifecycle:
     def test_graceful_drain_finishes_inflight_then_refuses(self, private):
         engine = Engine(

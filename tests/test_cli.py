@@ -1,10 +1,16 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestParser:
@@ -60,6 +66,25 @@ class TestParser:
         assert args.engine_config == "plan=dense"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compare"] + flag)
+
+
+def test_import_loads_no_runner_or_evaluator():
+    """``repro serve`` boots through ``repro.cli``: importing it must not
+    load the experiment runner, the query evaluator or
+    ``multiprocessing``, which only the offline commands use."""
+    probe = (
+        "import sys, repro.cli; print(sorted(m for m in sys.modules if m in "
+        "('multiprocessing', 'repro.experiments', 'repro.queries')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestCommands:
