@@ -31,8 +31,10 @@ same gather done in int64/float64.
 
 The slice lengths double as the planner's cost signal: their sum
 estimates how many pairs the pruned gather touches, and
-:func:`plan_with_slices` compares that (plus a per-query gather
-overhead) against the ``q × k`` pairs the broadcast kernel always pays.
+:func:`plan_with_slices`, the engine's one pruned-vs-alternative rule,
+compares that (plus a per-query gather overhead) against what the
+alternative costs: the ``q × k`` pairs the broadcast kernel always
+pays, or a cheaper dense price the engine passes in.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
-
-from .exceptions import QueryError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .packed import PackedPartitioning
@@ -83,12 +83,10 @@ GATHER_TILE_PAIRS = 65_536
 
 @dataclass(frozen=True)
 class PlanCost:
-    """The pruned-vs-broadcast cost rule's tunable constants.
+    """The tunable constants of :func:`plan_with_slices`.
 
-    One value object threads the rule through every planning path —
-    the single-node planner (:func:`plan_with_slices`) and the
-    per-shard planner (:meth:`repro.core.sharding.PartitionShard.partial`).
-    The engine passes none, so every path it runs plans with
+    The engine passes none, so it and every shard
+    (:meth:`repro.core.sharding.PartitionShard.partial`) plan with
     :data:`DEFAULT_PLAN_COST`, built from the module constants above;
     plain frozen data, so it pickles with shard tasks.
     """
@@ -172,8 +170,7 @@ class IntervalIndex:
         highs = np.asarray(highs, dtype=np.int64)
         if lows.shape[0] == 0:
             return np.zeros(0, dtype=np.int64)
-        start, stop = self.candidate_slices(lows, highs)
-        return np.clip(stop - start, 0, None).min(axis=1)
+        return slice_counts(self.candidate_slices(lows, highs))
 
     def candidate_fraction(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """``(q,)`` estimated fraction of the partition list per query."""
@@ -263,35 +260,12 @@ class IntervalIndex:
         return out
 
 
-def candidate_cost_plan(
-    counts: np.ndarray, q: int, k: int, cost: PlanCost | None = None
-) -> str:
-    """The pruned-vs-broadcast pair-cost rule over a candidate bound.
-
-    ``counts`` is the per-query candidate bound (min slice length over
-    dimensions) for a batch of ``q`` queries against ``k`` partitions.
-    The single source of the cost model: :func:`plan_with_slices` and
-    the per-shard planner in :mod:`repro.core.sharding` both route
-    through it, so tuning the constants tunes every path at once.
-    ``cost`` overrides the rule's constants (``None`` uses the module
-    defaults, :data:`DEFAULT_PLAN_COST`).
-    """
-    if cost is None:
-        cost = DEFAULT_PLAN_COST
-    if k < cost.min_partitions:
-        return PLAN_BROADCAST
-    if pruned_pairs(counts, q, cost) < float(q) * k:
-        return PLAN_PRUNED
-    return PLAN_BROADCAST
-
-
-def pruned_pairs(counts: np.ndarray, q: int, cost: PlanCost) -> float:
-    """The pruned gather's price, in broadcast pairs, for a batch of
-    ``q`` queries with per-query candidate bounds ``counts``: the
-    gathered pairs plus a per-query overhead, times the safety factor.
-    """
-    est_pairs = float(counts.sum()) + q * cost.overhead_pairs
-    return cost.safety_factor * est_pairs
+def slice_counts(slices: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """``(q,)`` candidate bound of each query from its
+    :meth:`IntervalIndex.candidate_slices`: the shortest slice over the
+    dimensions, an empty slice counting zero."""
+    start, stop = slices
+    return np.clip(stop - start, 0, None).min(axis=1)
 
 
 def plan_with_slices(
@@ -299,55 +273,45 @@ def plan_with_slices(
     lows: np.ndarray,
     highs: np.ndarray,
     *,
-    force: str | None = None,
+    dense: float | None = None,
+    slices: Tuple[np.ndarray, np.ndarray] | None = None,
     cost: PlanCost | None = None,
 ) -> Tuple[str, Tuple[np.ndarray, np.ndarray] | None]:
-    """Pick :data:`PLAN_PRUNED` or :data:`PLAN_BROADCAST` for a batch.
+    """The one pruned-vs-alternative rule, in broadcast pairs per query.
 
-    The broadcast kernel always scores ``q × k`` pairs.  The pruned
-    gather touches roughly the summed candidate-slice bound plus a
-    per-query gather overhead; it is chosen only when that estimate
-    beats the broadcast cost by :data:`PRUNE_SAFETY_FACTOR` (gathered
-    pairs are slower than contiguous ones).  Batches against few
-    partitions never prune — there is nothing worth skipping.
+    The alternative is :data:`PLAN_DENSE` when its per-query price
+    ``dense`` is given and below ``k``, else :data:`PLAN_BROADCAST` at
+    ``k`` pairs.  The pruned gather costs the summed candidate bound
+    plus :attr:`PlanCost.overhead_pairs` per query, times
+    :attr:`PlanCost.safety_factor` (a gathered pair is slower than a
+    contiguous one); it wins only below ``q`` times the alternative.
+    The candidate pass runs only when ``k`` reaches
+    :attr:`PlanCost.min_partitions` and pruned's floor, ``safety ×
+    overhead`` per query, is below the alternative: otherwise pruned
+    cannot win.  ``slices`` is this batch's
+    :meth:`IntervalIndex.candidate_slices` when the caller already has
+    it (a shard's skip test).  ``cost`` overrides the rule's constants;
+    ``None`` reads :data:`DEFAULT_PLAN_COST` at call time.
 
-    ``force`` pins the outcome to one of :data:`PACKED_PLANS` instead of
-    consulting the cost model.  Forcing :data:`PLAN_PRUNED` on a matrix
-    with fewer than :data:`PRUNE_MIN_PARTITIONS` partitions falls back
-    to :data:`PLAN_BROADCAST` rather than erroring: below the threshold
-    the gather bookkeeping cannot amortize, and the two plans compute
-    identical answers, so the engine silently takes the cheap route.
-    :data:`PLAN_SHARDED` is only ever forced — sharding is an execution
-    *layout* for partition lists that outgrow one node, not a
-    single-node win the cost model could discover.
-
-    Returns ``(plan, slices)``: when the index was consulted, ``slices``
-    is its :meth:`IntervalIndex.candidate_slices` result for the batch,
-    so the pruned path does not recompute it (feed it to
-    :meth:`IntervalIndex.answer_pruned`).  ``cost`` overrides the cost
-    rule's constants (see :class:`PlanCost`).
+    Returns ``(plan, slices)``, ``slices`` being the candidate pass when
+    it ran (feed it to :meth:`IntervalIndex.answer_pruned`).  Forced
+    plans are the engine's job, not this rule's.
     """
     if cost is None:
         cost = DEFAULT_PLAN_COST
-    lows = np.asarray(lows, dtype=np.int64)
-    highs = np.asarray(highs, dtype=np.int64)
-    q = int(lows.shape[0])
-    k = packed.n_partitions
-    if force is not None:
-        if force not in PACKED_PLANS:
-            raise QueryError(
-                f"unknown packed query plan {force!r}; expected one of "
-                f"{', '.join(repr(p) for p in PACKED_PLANS)}"
-            )
-        if force == PLAN_PRUNED:
-            if q == 0 or k < cost.min_partitions:
-                return PLAN_BROADCAST, None
-            return PLAN_PRUNED, packed.interval_index().candidate_slices(
-                lows, highs
-            )
-        return force, None
-    if q == 0 or k < cost.min_partitions:
-        return PLAN_BROADCAST, None
-    slices = packed.interval_index().candidate_slices(lows, highs)
-    counts = np.clip(slices[1] - slices[0], 0, None).min(axis=1)
-    return candidate_cost_plan(counts, q, k, cost), slices
+    q, k = len(lows), packed.n_partitions
+    plan, best = PLAN_BROADCAST, k
+    if dense is not None and dense < k:
+        plan, best = PLAN_DENSE, dense
+    if (
+        q == 0
+        or k < cost.min_partitions
+        or cost.safety_factor * cost.overhead_pairs >= best
+    ):
+        return plan, slices
+    if slices is None:
+        slices = packed.interval_index().candidate_slices(lows, highs)
+    pairs = float(slice_counts(slices).sum()) + q * cost.overhead_pairs
+    if cost.safety_factor * pairs < q * best:
+        return PLAN_PRUNED, slices
+    return plan, slices

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -90,8 +90,9 @@ class OverlapLayout:
     ops are exact, and every partial product is an integer below
     ``2**53``, which float64 represents exactly.  Cast to float64, it
     equals the all-float64 product bit for bit.  :meth:`cells` is the
-    only place this arithmetic is written; the broadcast kernel and the
-    pruned gather both call it.
+    only place this arithmetic is written; the pruned gather calls it,
+    and the broadcast kernel and the level table call it through
+    :meth:`tiles`, the one place its float64 copy is made.
     """
 
     __slots__ = ("lo", "hi", "dtype", "acc_dtype", "_bound")
@@ -157,6 +158,35 @@ class OverlapLayout:
                 np.multiply(out, ov, out=out)
         return out
 
+    def tiles(
+        self, lows: np.ndarray, highs: np.ndarray, tile: int
+    ) -> Iterator[Tuple[int, int, np.ndarray]]:
+        """``(start, stop, cells)`` for each run of ``tile`` queries:
+        the float64 ``(stop - start, k)`` overlap cells of queries
+        ``start:stop`` against every row of this layout.
+
+        The four tile buffers (two in :attr:`dtype`, the product in
+        :attr:`acc_dtype`, its float64 copy) are allocated once and
+        reused, so ``cells`` is overwritten by the next tile.
+        """
+        qlo, qhi = self.queries(lows, highs)
+        q, k = qlo.shape[1], self.lo.shape[1]
+        ov = np.empty((tile, k), dtype=self.dtype)
+        low = np.empty((tile, k), dtype=self.dtype)
+        acc = np.empty((tile, k), dtype=self.acc_dtype)
+        cells = acc if acc.dtype == np.float64 else np.empty((tile, k))
+        plo, phi = self.lo[:, None, :], self.hi[:, None, :]
+        for start in range(0, q, tile):
+            stop = min(start + tile, q)
+            n = stop - start
+            self.cells(
+                qlo[:, start:stop, None], qhi[:, start:stop, None], plo, phi,
+                out=acc[:n], scratch=(ov[:n], low[:n]),
+            )
+            if cells is not acc:
+                cells[:n] = acc[:n]
+            yield start, stop, cells[:n]
+
 
 def _axis_cuts(values: np.ndarray, size: int) -> np.ndarray:
     """The distinct values of ``values`` (ints in ``[0, size]``), sorted,
@@ -194,11 +224,29 @@ def boxes_to_arrays(boxes: Iterable[Box]) -> Tuple[np.ndarray, np.ndarray]:
         raise QueryError(f"boxes must be equal-length boxes: {exc}") from None
     if (bounds.ndim != 3 or bounds.shape[2] != 2
             or bounds.dtype.kind not in "iu" or holds_bool(boxes, 3)):
-        raise QueryError(
+        # NumPy infers float64 or object for Python ints beyond int64:
+        # name the bound rather than its inferred dtype.
+        wide = (bounds.ndim == 3 and bounds.dtype.kind in "fO"
+                and _beyond_int64(boxes))
+        raise QueryError(wide or (
             "boxes must be a non-empty list of equal-length boxes of integer "
             f"(lo, hi) pairs, not bools; got {bounds.dtype} of shape {bounds.shape}"
-        )
+        ))
     return bounds[..., 0], bounds[..., 1]
+
+
+def _beyond_int64(boxes: List[Box]) -> str | None:
+    """When every bound of the regular ``boxes`` is a Python int, the
+    error naming the first one beyond int64; else ``None``."""
+    rows = [[b for pair in box for b in pair] for box in boxes]
+    if any(type(b) is not int for row in rows for b in row):
+        return None
+    info = np.iinfo(np.int64)
+    for i, row in enumerate(rows):
+        for b in row:
+            if not info.min <= b <= info.max:
+                return f"box {i}: bound {b} is beyond int64"
+    return None
 
 
 def _range_error(
@@ -682,28 +730,10 @@ class PackedPartitioning:
         q = len(lows)
         if q == 0:
             return np.zeros(0, dtype=np.float64)
-        layout = self.overlap_layout()
-        qlo, qhi = layout.queries(lows, highs)
-        plo, phi = layout.lo, layout.hi
-        k = self.n_partitions
         weights = self.weights
         out = np.empty(q, dtype=np.float64)
-        tile = min(q, max(1, int(tile_elements) // k))
-        ov = np.empty((tile, k), dtype=layout.dtype)
-        low = np.empty((tile, k), dtype=layout.dtype)
-        acc = np.empty((tile, k), dtype=layout.acc_dtype)
-        cells = acc if acc.dtype == np.float64 else np.empty((tile, k))
-        for start in range(0, q, tile):
-            stop = min(start + tile, q)
-            n = stop - start
-            acc_t, cells_t = acc[:n], cells[:n]
-            layout.cells(
-                qlo[:, start:stop, None], qhi[:, start:stop, None],
-                plo[:, None, :], phi[:, None, :],
-                out=acc_t, scratch=(ov[:n], low[:n]),
-            )
-            if cells_t is not acc_t:
-                cells_t[...] = acc_t
+        tile = min(q, max(1, int(tile_elements) // self.n_partitions))
+        for start, stop, cells in self.overlap_layout().tiles(lows, highs, tile):
             # Contract against the weights with einsum rather than a
             # BLAS matvec: BLAS picks its reduction tree from the
             # *matrix* shape, so one query's sum could change with the
@@ -711,7 +741,7 @@ class PackedPartitioning:
             # depends only on k — every query's answer is bit-identical
             # across batch compositions and tile sizes, which the async
             # micro-batching endpoint's determinism guarantee rests on.
-            np.einsum("qk,k->q", cells_t, weights, out=out[start:stop])
+            np.einsum("qk,k->q", cells, weights, out=out[start:stop])
         return out
 
     # ------------------------------------------------------------------
@@ -726,7 +756,7 @@ class PackedPartitioning:
         its prior contents do not matter."""
         if out is None:
             out = np.empty(self._shape, dtype=np.float64)
-        values = self._noisy / self._n_cells
+        values = self.weights
         lo, hi = self._lo, self._hi
         for i in range(self.n_partitions):
             idx = tuple(

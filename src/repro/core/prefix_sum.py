@@ -245,8 +245,6 @@ class LevelPrefixTable:
         if q == 0:
             return out
         j, n = self.level, self.n_groups
-        layout = self._layout
-        qlo, qhi = layout.queries(lows[:, :j], highs[:, :j])
         # Flat row of each (query, corner) in the padded trailing grid:
         # corner c takes the exclusive hi on trailing axis a when bit
         # (m - 1 - a) of c is set, its lo otherwise.
@@ -256,21 +254,9 @@ class LevelPrefixTable:
         bits = (np.arange(self.n_corners)[:, None] >> np.arange(m)[::-1]) & 1
         rows = base[:, None] + extent @ bits.T
         tile = min(q, max(1, int(tile_elements) // (n * self.n_corners)))
-        ov = np.empty((tile, n), dtype=layout.dtype)
-        low = np.empty((tile, n), dtype=layout.dtype)
-        acc = np.empty((tile, n), dtype=layout.acc_dtype)
-        lead = acc if acc.dtype == np.float64 else np.empty((tile, n))
-        for start in range(0, q, tile):
-            stop = min(start + tile, q)
-            t = stop - start
-            acc_t, lead_t = acc[:t], lead[:t]
-            layout.cells(
-                qlo[:, start:stop, None], qhi[:, start:stop, None],
-                layout.lo[:, None, :], layout.hi[:, None, :],
-                out=acc_t, scratch=(ov[:t], low[:t]),
-            )
-            if lead_t is not acc_t:
-                lead_t[...] = acc_t
+        for start, stop, lead in self._layout.tiles(
+            lows[:, :j], highs[:, :j], tile
+        ):
             # (t, corners, groups); each halving signs one trailing
             # axis: its hi corners minus its lo corners.
             corners = np.take(self._table, rows[start:stop], axis=0)
@@ -278,8 +264,7 @@ class LevelPrefixTable:
             while half > 1:
                 half //= 2
                 corners = corners[:, half:] - corners[:, :half]
-            np.einsum("qn,qn->q", lead_t, corners[:, 0],
-                      out=out[start:stop])
+            np.einsum("qn,qn->q", lead, corners[:, 0], out=out[start:stop])
         return out
 
 

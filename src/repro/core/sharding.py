@@ -44,12 +44,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .exceptions import QueryError
-from .interval_index import (
-    PLAN_BROADCAST,
-    PLAN_PRUNED,
-    PlanCost,
-    candidate_cost_plan,
-)
+from .interval_index import PLAN_PRUNED, PlanCost, plan_with_slices, slice_counts
 from .packed import PackedPartitioning
 
 #: Default shard count when ``plan="sharded"`` is forced without an
@@ -141,29 +136,22 @@ class PartitionShard:
         under-counts, so a zero bound proves no query box intersects any
         partition in this shard and the partial would be exactly zero.
         Otherwise the shard picks the pruned gather or the broadcast
-        kernel with the same cost rule as the single-node planner
-        (``cost`` overrides its constants — see
-        :class:`~repro.core.interval_index.PlanCost`), reusing the
+        kernel by the engine's one rule,
+        :func:`~repro.core.interval_index.plan_with_slices` (``cost``
+        overrides its constants — see
+        :class:`~repro.core.interval_index.PlanCost`), handing it the
         slices the skip test already computed.
         """
         index = self.packed.interval_index()
-        slice_start, slice_stop = index.candidate_slices(lows, highs)
-        counts = np.clip(slice_stop - slice_start, 0, None).min(axis=1)
-        if not counts.any():
+        slices = index.candidate_slices(lows, highs)
+        if not slice_counts(slices).any():
             return None, SHARD_SKIPPED
-        q = int(lows.shape[0])
-        plan = candidate_cost_plan(counts, q, self.n_partitions, cost)
-        if plan == PLAN_PRUNED:
-            return (
-                index.answer_pruned(
-                    lows, highs, slices=(slice_start, slice_stop)
-                ),
-                PLAN_PRUNED,
-            )
-        return (
-            self.packed.answer_many_arrays(lows, highs),
-            PLAN_BROADCAST,
+        plan, _ = plan_with_slices(
+            self.packed, lows, highs, slices=slices, cost=cost
         )
+        if plan == PLAN_PRUNED:
+            return index.answer_pruned(lows, highs, slices=slices), plan
+        return self.packed.answer_many_arrays(lows, highs), plan
 
 
 @dataclass(frozen=True)

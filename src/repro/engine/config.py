@@ -16,7 +16,10 @@ code that applies them (``DENSE_SWITCH_*`` and ``LEVEL_ELEMENT_COST``
 in :mod:`repro.engine.engine`, ``PRUNE_*`` in
 :mod:`repro.core.interval_index`, ``LEVEL_TABLE_BYTES`` in
 :mod:`repro.core.prefix_sum`; ``tools/calibrate.py`` suggests new
-values for ``DENSE_SWITCH_FACTOR`` and ``PRUNE_SAFETY_FACTOR``).
+values for ``DENSE_SWITCH_FACTOR``, ``PRUNE_SAFETY_FACTOR`` and
+``LEVEL_ELEMENT_COST``).  The pruned-vs-alternative choice is one rule,
+:func:`~repro.core.interval_index.plan_with_slices`, which the engine
+and every shard call; a forced ``plan`` skips it.
 
 A config is built one of two ways: keyword arguments in code, or a
 ``key=value,...`` string (:meth:`EngineConfig.from_string`, the format
@@ -28,9 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict
 
+from ..core import interval_index
 from ..core.exceptions import QueryError, ValidationError
 from ..core.interval_index import (
-    DEFAULT_PLAN_COST,
     PACKED_PLANS,
     PLAN_DENSE,
     PLAN_SHARDED,
@@ -94,7 +97,6 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         if self.plan is not None and self.plan not in ENGINE_PLANS:
-            # Same wording as the planner's own unknown-plan error.
             raise QueryError(
                 f"unknown packed query plan {self.plan!r}; expected one of "
                 f"{', '.join(repr(p) for p in ENGINE_PLANS)}"
@@ -128,8 +130,10 @@ class EngineConfig:
         return self.n_shards is not None or self.shard_executor is not None
 
     def plan_cost(self) -> PlanCost:
-        """The pruned-vs-broadcast cost rule every path plans with."""
-        return DEFAULT_PLAN_COST
+        """The constants of the one plan rule every path plans with,
+        :data:`~repro.core.interval_index.DEFAULT_PLAN_COST` as it is
+        when called."""
+        return interval_index.DEFAULT_PLAN_COST
 
     def with_overrides(self, **kwargs) -> "EngineConfig":
         """A copy with ``kwargs`` replaced (re-validated)."""

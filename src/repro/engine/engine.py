@@ -13,24 +13,25 @@ one :meth:`Engine.answer` invocation.
 Routing lives in one place, :meth:`Engine._route`, which both
 :meth:`Engine.plan_queries` and :meth:`Engine.answer` call:
 
-1. a forced ``config.plan`` wins, with the documented graceful fallback
-   for ``pruned`` below the pruning threshold;
+1. a forced ``config.plan`` wins as it is, except that a forced
+   ``pruned`` falls back to ``broadcast`` on a matrix with fewer
+   partitions than the cost rule's ``min_partitions``;
 2. ``config.n_shards`` / ``config.shard_executor`` select the sharded
    layout for partition-backed outputs — dense-backed outputs (which
    have no partition list to shard) fall through to their dense route
    instead of erroring, so one config serves a mixed method set;
-3. otherwise the cost model picks.  On a partition-backed matrix with a
-   :class:`~repro.core.prefix_sum.LevelPrefixTable` (its full prefix
-   table exceeds :data:`~repro.core.prefix_sum.LEVEL_TABLE_BYTES`),
-   dense reads that level table, and wins when its per-query price,
-   :data:`LEVEL_ELEMENT_COST` times its elements, beats broadcast's
-   ``k × d``; the interval index's candidate pass runs only when
-   pruned could still beat it.  On any other matrix: dense prefix sums
-   once ``q × k`` exceeds :data:`DENSE_SWITCH_FACTOR` times the cell
-   count (and the matrix has at most :data:`DENSE_SWITCH_MAX_CELLS`
-   cells).  Otherwise pruned-vs-broadcast by the interval index's
-   candidate bound and
-   :data:`~repro.core.interval_index.DEFAULT_PLAN_COST`.
+3. otherwise auto.  On a matrix without a
+   :class:`~repro.core.prefix_sum.LevelPrefixTable`, dense prefix sums
+   win once ``q × k`` exceeds :data:`DENSE_SWITCH_FACTOR` times the
+   cell count (and the matrix has at most
+   :data:`DENSE_SWITCH_MAX_CELLS` cells).  Every other batch goes to
+   the one pruned-vs-alternative rule,
+   :func:`~repro.core.interval_index.plan_with_slices`, which prices
+   plans in broadcast pairs per query: broadcast costs ``k``, and on a
+   matrix with a level table (its full prefix table exceeds
+   :data:`~repro.core.prefix_sum.LEVEL_TABLE_BYTES`) dense costs
+   :data:`LEVEL_ELEMENT_COST` times the table's price over ``d``.
+   Every shard of a sharded batch plans by the same rule.
 
 A forced ``dense`` plan always reads the full prefix table, so it stays
 an independent reference for the level table auto reads.
@@ -57,15 +58,14 @@ from typing import TYPE_CHECKING, Dict, Tuple
 
 import numpy as np
 
+from ..core import interval_index
 from ..core.exceptions import QueryError
 from ..core.interval_index import (
-    DEFAULT_PLAN_COST,
     PLAN_BROADCAST,
     PLAN_DENSE,
     PLAN_PRUNED,
     PLAN_SHARDED,
     plan_with_slices,
-    pruned_pairs,
 )
 from ..core.packed import validate_box_arrays
 from ..core.sharding import ShardedAnswer, answer_sharded
@@ -256,30 +256,6 @@ class Engine:
             return None
         return private.packed.level_table()
 
-    def _level_route(
-        self, level: "LevelPrefixTable", lows: np.ndarray, highs: np.ndarray
-    ) -> Tuple[str, "Slices | None"]:
-        """Auto's plan on a matrix with a level table, in broadcast
-        pairs per query: dense costs ``LEVEL_ELEMENT_COST * price / d``,
-        broadcast ``k``, pruned at least ``safety * overhead``.  The
-        candidate pass runs only when pruned could beat dense."""
-        packed = self._private.packed
-        k, d = packed.n_partitions, packed.ndim
-        cost = DEFAULT_PLAN_COST
-        dense = LEVEL_ELEMENT_COST * level.price() / d
-        if dense >= k:
-            return plan_with_slices(packed, lows, highs)
-        if (
-            k < cost.min_partitions
-            or cost.safety_factor * cost.overhead_pairs >= dense
-        ):
-            return PLAN_DENSE, None
-        slices = packed.interval_index().candidate_slices(lows, highs)
-        counts = np.clip(slices[1] - slices[0], 0, None).min(axis=1)
-        if pruned_pairs(counts, len(lows), cost) < len(lows) * dense:
-            return PLAN_PRUNED, slices
-        return PLAN_DENSE, None
-
     def runs_inline(self, n_queries: int) -> bool:
         """True when a tick of ``n_queries`` is light enough to answer
         on the serving event loop rather than in an executor thread.
@@ -316,8 +292,8 @@ class Engine:
         ``validated`` bounds (a :class:`ValidatedTick`) are trusted.
 
         ``slices`` is the interval index's candidate-slice pass when
-        the cost model (or a forced ``pruned``) consulted it, so the
-        pruned gather reuses it instead of recomputing it.  An empty
+        :func:`~repro.core.interval_index.plan_with_slices` ran it, so
+        the pruned gather reuses it instead of recomputing it.  An empty
         batch is not validated: it reports the forced plan, or
         ``broadcast``, except that an empty *partition-backed* sharded
         batch still routes to ``sharded`` so callers get the per-shard
@@ -335,13 +311,9 @@ class Engine:
             return plan or PLAN_BROADCAST, None, lows, highs
         if not validated:
             lows, highs = validate_box_arrays(lows, highs, private.shape)
-        if plan is None:
-            level = self.level_table()
-            if level is not None:
-                plan, slices = self._level_route(level, lows, highs)
-                return plan, slices, lows, highs
-            if self._dense_wins(len(lows)):
-                plan = PLAN_DENSE
+        level = self.level_table()
+        if plan is None and level is None and self._dense_wins(len(lows)):
+            plan = PLAN_DENSE
         if plan == PLAN_DENSE:
             return plan, None, lows, highs
         if private.is_dense_backed:
@@ -349,11 +321,19 @@ class Engine:
                 f"plan {plan!r} needs a partition list; this private matrix "
                 f"is dense-backed"
             )
-        if plan == PLAN_SHARDED:
+        packed = private.packed
+        # Below the rule's threshold the gather cannot amortize, and the
+        # two plans answer alike, so a forced pruned runs broadcast.
+        if plan == PLAN_PRUNED and packed.n_partitions < (
+            interval_index.DEFAULT_PLAN_COST.min_partitions
+        ):
+            plan = PLAN_BROADCAST
+        if plan is not None:
             return plan, None, lows, highs
-        # The cost model, or a forced broadcast/pruned (a forced pruned
-        # degrades to broadcast below the threshold).
-        plan, slices = plan_with_slices(private.packed, lows, highs, force=plan)
+        dense = None
+        if level is not None:
+            dense = LEVEL_ELEMENT_COST * level.price() / packed.ndim
+        plan, slices = plan_with_slices(packed, lows, highs, dense=dense)
         return plan, slices, lows, highs
 
     # ------------------------------------------------------------------

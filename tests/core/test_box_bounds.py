@@ -112,3 +112,22 @@ def test_uint64_bound_beyond_int64_is_named(lo, hi):
     highs = np.array([[1, 1], [hi, 3]], dtype=np.uint64)
     with pytest.raises(QueryError, match=r"box 1: bound \d+ is beyond int64"):
         validate_box_arrays(lows, highs, SHAPE)
+
+
+# Python-int bounds beyond int64, for which NumPy infers float64 or
+# object: the error must name the bound, not the inferred dtype.
+WIDE_PYTHON_INT_BOXES = [
+    pytest.param(((0, 2**64 - 1),), 2**64 - 1, id="uint64_max"),
+    pytest.param(((0, 2**70),), 2**70, id="2_70"),
+    pytest.param(((-1, 2**63),), 2**63, id="negative_and_2_63"),
+]
+
+
+@pytest.mark.parametrize("box, bound", WIDE_PYTHON_INT_BOXES)
+def test_python_int_bound_beyond_int64_is_named(box, bound):
+    with pytest.raises(QueryError, match="beyond int64") as info:
+        PrefixSumTable(np.ones(4)).query_many([box])
+    assert str(info.value) == f"box 0: bound {bound} is beyond int64"
+    in_range = ((0, 3),)
+    with pytest.raises(QueryError, match=f"box 1: bound {bound} is beyond int64"):
+        PrefixSumTable(np.ones(4)).query_many([in_range, box])

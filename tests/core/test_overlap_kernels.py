@@ -20,7 +20,12 @@ from repro.core import (
     boxes_to_arrays,
     full_box,
 )
-from repro.core.interval_index import GATHER_TILE_PAIRS, plan_with_slices
+from repro.core.interval_index import (
+    GATHER_TILE_PAIRS,
+    PLAN_PRUNED,
+    PlanCost,
+    plan_with_slices,
+)
 from repro.core.packed import DEFAULT_TILE_ELEMENTS
 from repro.core.sharding import split_shards
 
@@ -198,7 +203,11 @@ class TestPrunedGather:
         index = packed.interval_index()
         slices = None
         if planner_slices:
-            _, slices = plan_with_slices(packed, lows, highs, force="pruned")
+            # A rule under which pruned always wins hands back the
+            # slices it planned with.
+            always = PlanCost(min_partitions=0, safety_factor=0.0)
+            plan, slices = plan_with_slices(packed, lows, highs, cost=always)
+            assert plan == PLAN_PRUNED
         got = index.answer_pruned(
             lows, highs, tile_pairs=tile_pairs, slices=slices
         )

@@ -29,9 +29,13 @@ The suite also carries the skip-counter acceptance criterion (a shard
 whose candidate bound is empty must provably skip the gather, observable
 via :attr:`~repro.core.sharding.ShardedAnswer.skipped_shards`) and the
 regression test for the forced-``pruned`` graceful fallback on matrices
-below :data:`~repro.core.interval_index.PRUNE_MIN_PARTITIONS`.
+below :data:`~repro.core.interval_index.PRUNE_MIN_PARTITIONS`, and the
+routing oracle (:class:`TestRoutingOracle`): every plan the engine and
+its shards choose agrees with copies of the three rules that
+:func:`~repro.core.interval_index.plan_with_slices` replaced.
 """
 
+import functools
 import os
 import sys
 
@@ -56,8 +60,14 @@ from repro.core import (
     shard_bounds,
     split_shards,
 )
-from repro.core.interval_index import PRUNE_MIN_PARTITIONS, plan_with_slices
+from repro.core import interval_index
+from repro.core.interval_index import (
+    PRUNE_MIN_PARTITIONS,
+    PlanCost,
+    plan_with_slices,
+)
 from repro.engine import Engine, EngineConfig, QueryRequest
+from repro.engine import engine as engine_module
 from repro.methods import get_sanitizer
 from repro.methods._grid import axis_intervals
 from repro.queries import WorkloadEvaluator, random_workload
@@ -138,10 +148,11 @@ def degenerate_and_random_queries(shape, rng, n_random=25):
 
 
 def grid_private(shape=(256, 256), m=64):
-    """The microbenchmark substrate: an m x m grid partitioning."""
+    """The microbenchmark substrate: an m x m grid partitioning (m per
+    axis of any ``shape``)."""
     rng = np.random.default_rng(0)
     intervals = [axis_intervals(s, m) for s in shape]
-    noisy = rng.poisson(40.0, size=m * m).astype(float)
+    noisy = rng.poisson(40.0, size=m ** len(shape)).astype(float)
     packed = packed_from_intervals(intervals, noisy, shape)
     return PrivateFrequencyMatrix.from_packed(packed, method="grid")
 
@@ -206,6 +217,19 @@ class TestEquivalenceMatrix:
         )
 
 
+@functools.lru_cache(maxsize=None)
+def over_budget_release():
+    """DAF over a 6-D matrix (the served release is DAF over 11**6):
+    2 782 partitions, a 4.3 MB full table, a 0.45 MiB level-2 one; and
+    a batch of degenerate and random boxes."""
+    shape = (8,) * 6
+    rng = np.random.default_rng(0)
+    matrix = FrequencyMatrix(rng.poisson(0.2, shape).astype(float))
+    private = get_sanitizer("daf_entropy").sanitize(matrix, 0.5, 1)
+    boxes = degenerate_and_random_queries(shape, rng, n_random=60)
+    return private, boxes_to_arrays(boxes)
+
+
 class TestOverBudgetRelease:
     """A served-like release whose full prefix table exceeds the level
     budget: auto reads the level table, and every other plan (forced
@@ -214,14 +238,7 @@ class TestOverBudgetRelease:
 
     @pytest.fixture(scope="class")
     def release(self):
-        # DAF over a 6-D matrix (the served release is DAF over 11**6):
-        # 2 782 partitions, a 4.3 MB full table, a 0.45 MiB level-2 one.
-        shape = (8,) * 6
-        rng = np.random.default_rng(0)
-        matrix = FrequencyMatrix(rng.poisson(0.2, shape).astype(float))
-        private = get_sanitizer("daf_entropy").sanitize(matrix, 0.5, 1)
-        boxes = degenerate_and_random_queries(shape, rng, n_random=60)
-        return private, boxes_to_arrays(boxes)
+        return over_budget_release()
 
     def test_auto_level_route_agrees_with_every_plan(self, release):
         private, (lows, highs) = release
@@ -492,10 +509,12 @@ class TestForcedPrunedFallback:
                 (16, 16), np.random.default_rng(0), n_random=5
             )
         )
-        plan, slices = plan_with_slices(
-            private.packed, lows, highs, force=PLAN_PRUNED
-        )
+        # The rule runs no candidate pass below the threshold, and a
+        # forced pruned falls back the same way.
+        plan, slices = plan_with_slices(private.packed, lows, highs)
         assert plan == PLAN_BROADCAST and slices is None
+        forced = Engine(private, EngineConfig(plan=PLAN_PRUNED))
+        assert forced.plan_queries(lows, highs) == PLAN_BROADCAST
 
     def test_engine_reports_the_fallback(self):
         private = grid_private(shape=(16, 16), m=4)
@@ -522,22 +541,210 @@ class TestForcedPrunedFallback:
                 (256, 256), np.random.default_rng(2), n_random=5
             )
         )
-        plan, _ = plan_with_slices(
-            private.packed, lows, highs, force=PLAN_PRUNED
-        )
-        assert plan == PLAN_PRUNED
-        answer = Engine(private, EngineConfig(plan=PLAN_PRUNED)).answer(
-            QueryRequest(lows, highs)
-        )
+        forced = Engine(private, EngineConfig(plan=PLAN_PRUNED))
+        assert forced.plan_queries(lows, highs) == PLAN_PRUNED
+        answer = forced.answer(QueryRequest(lows, highs))
         assert answer.plan == PLAN_PRUNED
 
     def test_unknown_force_rejected(self):
-        private = grid_private(shape=(16, 16), m=4)
-        one = np.zeros((1, 2), dtype=np.int64)
-        with pytest.raises(QueryError, match="unknown packed query plan"):
-            plan_with_slices(private.packed, one, one, force="sideways")
         with pytest.raises(QueryError, match="unknown packed query plan"):
             EngineConfig(plan="sideways")
+
+
+# ----------------------------------------------------------------------
+# Routing oracle: the one plan rule against the rules it replaced.
+#
+# Before ``plan_with_slices`` took the dense price, the pruned-vs-
+# alternative choice was written three times: the engine's level route,
+# the packed planner (which also applied forced plans) and the per-shard
+# rule.  These are verbatim copies of those three, plus the engine's
+# route around them, except that they read the constants from their
+# modules when called.
+# ----------------------------------------------------------------------
+def reference_pruned_pairs(counts, q, cost):
+    est_pairs = float(counts.sum()) + q * cost.overhead_pairs
+    return cost.safety_factor * est_pairs
+
+
+def reference_candidate_cost_plan(counts, q, k, cost=None):
+    if cost is None:
+        cost = interval_index.DEFAULT_PLAN_COST
+    if k < cost.min_partitions:
+        return PLAN_BROADCAST
+    if reference_pruned_pairs(counts, q, cost) < float(q) * k:
+        return PLAN_PRUNED
+    return PLAN_BROADCAST
+
+
+def reference_plan_with_slices(packed, lows, highs, *, force=None):
+    cost = interval_index.DEFAULT_PLAN_COST
+    q = int(lows.shape[0])
+    k = packed.n_partitions
+    if force is not None:
+        if force == PLAN_PRUNED:
+            if q == 0 or k < cost.min_partitions:
+                return PLAN_BROADCAST
+            return PLAN_PRUNED
+        return force
+    if q == 0 or k < cost.min_partitions:
+        return PLAN_BROADCAST
+    slices = packed.interval_index().candidate_slices(lows, highs)
+    counts = np.clip(slices[1] - slices[0], 0, None).min(axis=1)
+    return reference_candidate_cost_plan(counts, q, k, cost)
+
+
+def reference_level_route(packed, level, lows, highs):
+    k, d = packed.n_partitions, packed.ndim
+    cost = interval_index.DEFAULT_PLAN_COST
+    dense = engine_module.LEVEL_ELEMENT_COST * level.price() / d
+    if dense >= k:
+        return reference_plan_with_slices(packed, lows, highs)
+    if (
+        k < cost.min_partitions
+        or cost.safety_factor * cost.overhead_pairs >= dense
+    ):
+        return PLAN_DENSE
+    slices = packed.interval_index().candidate_slices(lows, highs)
+    counts = np.clip(slices[1] - slices[0], 0, None).min(axis=1)
+    if reference_pruned_pairs(counts, len(lows), cost) < len(lows) * dense:
+        return PLAN_PRUNED
+    return PLAN_DENSE
+
+
+def reference_route(engine, lows, highs):
+    """The plan the earlier route chose for a validated, non-empty
+    batch."""
+    private, plan = engine.private, engine.config.plan
+    if plan is None and engine.config.wants_sharding:
+        return PLAN_SHARDED
+    if plan is None:
+        level = engine.level_table()
+        if level is not None:
+            return reference_level_route(private.packed, level, lows, highs)
+        if engine._dense_wins(len(lows)):
+            return PLAN_DENSE
+    if plan in (PLAN_DENSE, PLAN_SHARDED):
+        return plan
+    return reference_plan_with_slices(private.packed, lows, highs, force=plan)
+
+
+def reference_shard_plans(packed, lows, highs, n_shards):
+    plans = []
+    for shard in packed.split_shards(n_shards):
+        start, stop = shard.packed.interval_index().candidate_slices(lows, highs)
+        counts = np.clip(stop - start, 0, None).min(axis=1)
+        if not counts.any():
+            plans.append(SHARD_SKIPPED)
+        else:
+            plans.append(reference_candidate_cost_plan(
+                counts, len(lows), shard.n_partitions
+            ))
+    return tuple(plans)
+
+
+#: Releases of the oracle grid: 512² grids of k = 16 to 4096 blocks
+#: (each with a level-1 table), a 4-D k = 256 grid (a level-2 table)
+#: and the over-budget DAF 8⁶ release (level 2, k = 2 782).
+ORACLE_RELEASES = {
+    "grid_k16": lambda: grid_private((512, 512), 4),
+    "grid_k256": lambda: grid_private((512, 512), 16),
+    "grid_k400": lambda: grid_private((512, 512), 20),
+    "grid_k1024": lambda: grid_private((512, 512), 32),
+    "grid_k4096": lambda: grid_private((512, 512), 64),
+    "grid4d_k256": lambda: grid_private((32,) * 4, 4),
+    "daf_8x6": lambda: over_budget_release()[0],
+}
+
+#: Level-table prices, as fractions of k: ``None`` hides the table, and
+#: ``"shipped"`` keeps :data:`~repro.engine.engine.LEVEL_ELEMENT_COST`.
+ORACLE_PRICES = [None, "shipped", 0.5, 0.9, 2.0, 30.0]
+
+ORACLE_BATCH_SIZES = [1, 3, 16, 256]
+
+
+def oracle_batches(shape):
+    """Boxes of extent at most 3 (where pruned can win), at most an
+    eighth of each axis (where pruned's price falls between dense's and
+    broadcast's) and random boxes, at each of
+    :data:`ORACLE_BATCH_SIZES`."""
+    rng = np.random.default_rng(len(shape) * 100 + shape[0])
+    sizes = np.asarray(shape)
+    for q in ORACLE_BATCH_SIZES:
+        for name, extent in (("small", 4), ("eighth", sizes // 8 + 1)):
+            lows = rng.integers(0, sizes, size=(q, len(shape)))
+            highs = lows + rng.integers(0, extent, size=lows.shape)
+            yield f"{name}_q{q}", lows, np.minimum(highs, sizes - 1)
+        a = rng.integers(0, sizes, size=(q, len(shape)))
+        b = rng.integers(0, sizes, size=(q, len(shape)))
+        yield f"random_q{q}", np.minimum(a, b), np.maximum(a, b)
+
+
+class TestRoutingOracle:
+    """Every plan choice agrees with the rules the one rule replaced."""
+
+    @pytest.mark.parametrize("release", sorted(ORACLE_RELEASES))
+    def test_engine_plans_match_the_reference(self, release, monkeypatch):
+        private = ORACLE_RELEASES[release]()
+        table = Engine(private).level_table()
+        assert table is not None  # every oracle release is over budget
+        mismatches = []
+        for price in ORACLE_PRICES:
+            if price is None:
+                monkeypatch.setattr(Engine, "level_table", lambda self: None)
+            elif price != "shipped":
+                monkeypatch.setattr(
+                    engine_module, "LEVEL_ELEMENT_COST",
+                    price * private.n_partitions * private.ndim / table.price(),
+                )
+            for config in (
+                EngineConfig(),
+                EngineConfig(plan=PLAN_PRUNED),
+                EngineConfig(plan=PLAN_BROADCAST),
+            ):
+                engine = Engine(private, config)
+                for name, lows, highs in oracle_batches(private.shape):
+                    got = engine.plan_queries(lows, highs)
+                    want = reference_route(engine, lows, highs)
+                    if got != want:
+                        mismatches.append((price, config.plan, name, got, want))
+            monkeypatch.undo()
+        assert mismatches == []
+
+    @pytest.mark.parametrize("release", sorted(ORACLE_RELEASES))
+    def test_shard_plans_match_the_reference(self, release):
+        private = ORACLE_RELEASES[release]()
+        packed = private.packed
+        mismatches = []
+        for n_shards in SHARD_COUNTS:
+            with Engine(private, forced_config(n_shards=n_shards)) as engine:
+                for name, lows, highs in oracle_batches(private.shape):
+                    want = reference_shard_plans(packed, lows, highs, n_shards)
+                    serial = answer_sharded(
+                        packed, lows, highs, n_shards=n_shards
+                    ).plans
+                    executed = engine.answer(QueryRequest(lows, highs))
+                    for got in (serial, executed.shard_plans):
+                        if got != want:
+                            mismatches.append((n_shards, name, got, want))
+        assert mismatches == []
+
+    def test_patched_plan_cost_reaches_the_level_route(self, monkeypatch):
+        # 512 x 512 in 32 x 32 blocks (k = 1024), a level price of
+        # 0.9 k: single cells prune under the shipped rule.
+        private = grid_private((512, 512), 32)
+        table = Engine(private).level_table()
+        monkeypatch.setattr(
+            engine_module, "LEVEL_ELEMENT_COST",
+            0.9 * private.n_partitions * private.ndim / table.price(),
+        )
+        cells = np.random.default_rng(5).integers(0, 512, size=(20, 2))
+        assert Engine(private).plan_queries(cells, cells) == PLAN_PRUNED
+        # A rule that never prunes this k reaches the level route too.
+        monkeypatch.setattr(
+            interval_index, "DEFAULT_PLAN_COST", PlanCost(min_partitions=10_000)
+        )
+        assert Engine(private).plan_queries(cells, cells) == PLAN_DENSE
+        assert Engine(private).config.plan_cost().min_partitions == 10_000
 
 
 class TestEvaluatorAndRunnerPlumbing:

@@ -31,6 +31,22 @@ FULL_ARTIFACT = {
     "small_query_candidate_fraction": 0.01,
 }
 
+#: A synthetic level-table artifact: q=100, k=1000, d=3; a broadcast
+#: element op costs 300 us / (100 * 1000 * 3) = 1 ns.  Level 1 (10
+#: groups, 2**2 + 1 elements each) costs 30 us / 5000 = 6 ns per
+#: element, level 2 (40 groups, 2 + 2 each) 32 us / 16000 = 2 ns.
+LEVEL_ARTIFACT = {
+    "shape": [10, 10, 10],
+    "n_partitions": 1000,
+    "batch_queries": 100,
+    "chosen_level": 1,
+    "broadcast_batch_us": 300.0,
+    "levels": {
+        "1": {"groups": 10, "batch_us": 30.0},
+        "2": {"groups": 40, "batch_us": 32.0},
+    },
+}
+
 
 class TestSuggest:
     def test_dense_factor_from_breakeven(self):
@@ -73,6 +89,21 @@ class TestSuggest:
         out = calibrate.suggest(dict(FULL_ARTIFACT, auto_plan="broadcast"))
         assert "DENSE_SWITCH_FACTOR" not in out
 
+    def test_level_element_cost_at_the_chosen_level(self):
+        out = calibrate.suggest(FULL_ARTIFACT, LEVEL_ARTIFACT)
+        assert out["evidence"]["level_1_element_cost"] == pytest.approx(6.0)
+        assert out["evidence"]["level_2_element_cost"] == pytest.approx(2.0)
+        assert out["LEVEL_ELEMENT_COST"] == pytest.approx(6.0)
+        chosen_2 = dict(LEVEL_ARTIFACT, chosen_level=2)
+        assert calibrate.suggest({}, chosen_2)["LEVEL_ELEMENT_COST"] == (
+            pytest.approx(2.0)
+        )
+        # Without the level artifact, or with one lacking a series,
+        # nothing is suggested for it.
+        assert "LEVEL_ELEMENT_COST" not in calibrate.suggest(FULL_ARTIFACT)
+        partial = {k: v for k, v in LEVEL_ARTIFACT.items() if k != "levels"}
+        assert "LEVEL_ELEMENT_COST" not in calibrate.suggest({}, partial)
+
     def test_empty_artifact_renders_no_suggestions(self):
         out = calibrate.suggest({})
         assert "no suggestions" in calibrate.render(out)
@@ -80,7 +111,7 @@ class TestSuggest:
     def test_suggested_overrides_are_valid_engine_config(self):
         # Each suggestion names a real constant of the file it points
         # the reader to edit.
-        out = calibrate.suggest(FULL_ARTIFACT)
+        out = calibrate.suggest(FULL_ARTIFACT, LEVEL_ARTIFACT)
         names = sorted(k for k in out if k != "evidence")
         assert names == sorted(calibrate.CONSTANT_FILES)
         for name in names:
@@ -111,6 +142,25 @@ class TestCommandLine:
         assert "suggested PRUNE_SAFETY_FACTOR = " in proc.stdout
         assert "REPRO_ENGINE_" not in proc.stdout
         assert "nothing was applied" in proc.stdout
+
+    def test_reads_the_level_artifact_beside_the_artifact(self, tmp_path):
+        artifact = tmp_path / "BENCH_query_engine.json"
+        artifact.write_text(json.dumps(FULL_ARTIFACT))
+        proc = self.run_tool("--artifact", str(artifact))
+        assert "LEVEL_ELEMENT_COST" not in proc.stdout
+        level = tmp_path / calibrate.LEVEL_ARTIFACT
+        level.write_text(json.dumps(LEVEL_ARTIFACT))
+        proc = self.run_tool("--artifact", str(artifact))
+        assert proc.returncode == 0
+        assert "measured  level_2_element_cost = 2" in proc.stdout
+        assert (
+            "suggested LEVEL_ELEMENT_COST = 6 (src/repro/engine/engine.py)"
+            in proc.stdout
+        )
+        level.write_text("[1, 2]")
+        proc = self.run_tool("--artifact", str(artifact))
+        assert proc.returncode == 1
+        assert "unreadable" in proc.stderr
 
     def test_artifact_without_suggestions_fails(self, tmp_path):
         artifact = tmp_path / "BENCH_query_engine.json"

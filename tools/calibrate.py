@@ -1,12 +1,13 @@
 #!/usr/bin/env python
 """Dense-switch / pruning calibration from measured benchmark artifacts.
 
-``DENSE_SWITCH_FACTOR`` and the ``PRUNE_*`` constants were chosen on one
-development machine; the right crossovers depend on the host's BLAS,
-memory bandwidth, and core count.  This tool reads the measurements the
-query-engine micro-benchmark already records
-(``bench-out/BENCH_query_engine.json``) and prints a *suggested* value
-for each constant it can fit, with the file that defines it, e.g.
+``DENSE_SWITCH_FACTOR``, ``LEVEL_ELEMENT_COST`` and the ``PRUNE_*``
+constants were chosen on one development machine; the right crossovers
+depend on the host's BLAS, memory bandwidth, and core count.  This tool
+reads the measurements the micro-benchmarks already record
+(``bench-out/BENCH_query_engine.json``, and ``BENCH_level_table.json``
+from the same directory when it is there) and prints a *suggested*
+value for each constant it can fit, with the file that defines it, e.g.
 ``suggested DENSE_SWITCH_FACTOR = 13.06 (src/repro/engine/engine.py)``.
 It never applies anything: calibration output is a suggestion to a
 human, who edits the constant.  It exits 1 when the artifact is
@@ -30,6 +31,14 @@ Model
   per-pair costs (gathered vs contiguous) is exactly what
   ``PRUNE_SAFETY_FACTOR`` models, so the suggestion is that ratio with
   head-room.
+* **Level element cost.**  ``BENCH_level_table.json`` times a batch of
+  ``q`` queries on the level table of each level ``j``
+  (``levels[j].batch_us``) and on the broadcast kernel
+  (``broadcast_batch_us``).  A level query touches ``groups ·
+  (2^(d−j) + j)`` elements, a broadcast one ``k · d``; the ratio of the
+  per-element times is what ``LEVEL_ELEMENT_COST`` models.  It is
+  recorded for every level, and suggested at the level the release
+  chose (``chosen_level``).
 
 Usage::
 
@@ -73,21 +82,29 @@ REQUIRED_PRUNE_KEYS = (
     "broadcast_seconds_small", "pruned_seconds_small",
     "small_query_candidate_fraction", "n_queries", "n_partitions",
 )
+REQUIRED_LEVEL_KEYS = (
+    "shape", "n_partitions", "batch_queries", "chosen_level",
+    "broadcast_batch_us", "levels",
+)
+
+#: The level-table artifact, read from the ``--artifact`` directory.
+LEVEL_ARTIFACT = "BENCH_level_table.json"
 
 #: Each constant calibration can suggest, and the file that defines it.
 CONSTANT_FILES = {
     "DENSE_SWITCH_FACTOR": "src/repro/engine/engine.py",
+    "LEVEL_ELEMENT_COST": "src/repro/engine/engine.py",
     "PRUNE_SAFETY_FACTOR": "src/repro/core/interval_index.py",
 }
 
 
-def suggest(artifact: dict) -> dict:
-    """Suggested constant values from one artifact's measurements.
+def suggest(artifact: dict, level: dict | None = None) -> dict:
+    """Suggested constant values from the query-engine ``artifact`` and
+    the optional level-table artifact ``level``.
 
-    Returns a dict with any of the :data:`CONSTANT_FILES` names
-    (``DENSE_SWITCH_FACTOR`` / ``PRUNE_SAFETY_FACTOR``) plus the
-    intermediate evidence under ``evidence``.  Series whose inputs are missing are skipped (the
-    artifact may predate them).
+    Returns a dict with any of the :data:`CONSTANT_FILES` names plus
+    the intermediate evidence under ``evidence``.  Series whose inputs
+    are missing are skipped (the artifact may predate them).
     """
     out: dict = {"evidence": {}}
     if all(k in artifact for k in REQUIRED_DENSE_KEYS):
@@ -125,6 +142,27 @@ def suggest(artifact: dict) -> dict:
             out["evidence"]["gathered_vs_contiguous_pair_ratio"] = round(
                 ratio, 2
             )
+    if level is not None and all(k in level for k in REQUIRED_LEVEL_KEYS):
+        d = len(level["shape"])
+        q = float(level["batch_queries"])
+        # us per broadcast element op: one axis of one (query, partition)
+        # pair.
+        element = float(level["broadcast_batch_us"]) / (
+            q * float(level["n_partitions"]) * d
+        )
+        ratios = {}
+        for j, row in level["levels"].items():
+            j = int(j)
+            batch_us = float(row["batch_us"])
+            if element > 0 and batch_us > 0:
+                elements = q * float(row["groups"]) * (2 ** (d - j) + j)
+                ratios[j] = batch_us / elements / element
+                out["evidence"][f"level_{j}_element_cost"] = round(
+                    ratios[j], 2
+                )
+        chosen = int(level["chosen_level"])
+        if chosen in ratios:
+            out["LEVEL_ELEMENT_COST"] = round(ratios[chosen], 2)
     return out
 
 
@@ -146,9 +184,26 @@ def render(suggestions: dict) -> str:
         )
     lines.append(
         "suggestions only — nothing was applied; re-measure with "
-        "benchmarks/test_micro_query_engine.py before trusting them"
+        "benchmarks/test_micro_query_engine.py and "
+        "benchmarks/test_micro_primitives.py::test_level_table before "
+        "trusting them"
     )
     return "\n".join(lines)
+
+
+def read_artifact(path: Path) -> dict | None:
+    """The JSON object at ``path``, or ``None`` (reported on stderr)
+    when it is not one."""
+    try:
+        artifact = json.loads(path.read_text())
+    except ValueError as exc:
+        print(f"unreadable artifact {path}: {exc}", file=sys.stderr)
+        return None
+    if not isinstance(artifact, dict):
+        print(f"unreadable artifact {path}: expected a JSON object",
+              file=sys.stderr)
+        return None
+    return artifact
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -166,16 +221,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"no artifact at {args.artifact}; run the query-engine "
               f"micro-benchmark first", file=sys.stderr)
         return 1
-    try:
-        artifact = json.loads(args.artifact.read_text())
-    except ValueError as exc:
-        print(f"unreadable artifact {args.artifact}: {exc}", file=sys.stderr)
+    artifact = read_artifact(args.artifact)
+    if artifact is None:
         return 1
-    if not isinstance(artifact, dict):
-        print(f"unreadable artifact {args.artifact}: expected a JSON object",
-              file=sys.stderr)
-        return 1
-    suggestions = suggest(artifact)
+    level = None
+    level_path = args.artifact.parent / LEVEL_ARTIFACT
+    if level_path.is_file():
+        level = read_artifact(level_path)
+        if level is None:
+            return 1
+    suggestions = suggest(artifact, level)
     print(render(suggestions))
     return 0 if set(suggestions) - {"evidence"} else 1
 
