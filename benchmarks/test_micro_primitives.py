@@ -101,19 +101,25 @@ def level_split_tiling(shape, rng):
     return boxes
 
 
-def median_us(fn, repeats=15):
+def spread_us(fn, repeats=15):
+    """``(median, min, max)`` microseconds over ``repeats`` runs of ``fn``."""
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
-    return 1e6 * statistics.median(times)
+    return tuple(1e6 * f(times) for f in (statistics.median, min, max))
+
+
+def median_us(fn, repeats=15):
+    return spread_us(fn, repeats)[0]
 
 
 def test_level_table(benchmark):
     """Level prefix tables on an ``11**6`` DAF-shaped tiling of about
     1.5k boxes, per level: bytes, build ms and the median us of a
-    256-query batch, against the broadcast kernel.  Recorded in
+    256-query batch over 15 runs, with their min and max, against the
+    broadcast kernel.  Recorded in
     ``bench-out/BENCH_level_table.json``, not gated."""
     shape = (11,) * 6
     rng = np.random.default_rng(1)  # 1 431 boxes
@@ -133,11 +139,16 @@ def test_level_table(benchmark):
         got = table.query_arrays(qlo, qhi)
         scale = np.maximum(1.0, np.abs(broadcast))
         assert np.all(np.abs(got - broadcast) <= 1e-9 * scale)
+        batch_us, batch_min, batch_max = spread_us(
+            lambda: table.query_arrays(qlo, qhi)
+        )
         levels[str(level)] = {
             "groups": table.n_groups,
             "bytes": table.nbytes,
             "build_ms": build_ms,
-            "batch_us": median_us(lambda: table.query_arrays(qlo, qhi)),
+            "batch_us": batch_us,
+            "batch_us_min": batch_min,
+            "batch_us_max": batch_max,
         }
     chosen = packed.level_table()
     benchmark.pedantic(

@@ -72,6 +72,11 @@ COVER_SLAB_BYTES = 1 << 20
 _NARROW_INTS = (np.int8, np.int16, np.int32, np.int64)
 
 
+def narrow_int(bound: int) -> type:
+    """The narrowest signed int of :data:`_NARROW_INTS` holding ``bound``."""
+    return next(t for t in _NARROW_INTS if np.iinfo(t).max >= bound)
+
+
 class OverlapLayout:
     """The overlap kernels' view of a partitioning's bounds.
 
@@ -91,8 +96,8 @@ class OverlapLayout:
     ``2**53``, which float64 represents exactly.  Cast to float64, it
     equals the all-float64 product bit for bit.  :meth:`cells` is the
     only place this arithmetic is written; the pruned gather calls it,
-    and the broadcast kernel and the level table call it through
-    :meth:`tiles`, the one place its float64 copy is made.
+    and the broadcast kernel calls it through :meth:`tiles`, the one
+    place its float64 copy is made.
     """
 
     __slots__ = ("lo", "hi", "dtype", "acc_dtype", "_bound")
@@ -100,9 +105,7 @@ class OverlapLayout:
     def __init__(self, lo: np.ndarray, hi: np.ndarray, shape: Sequence[int],
                  n_cells: np.ndarray):
         self._bound = max(shape)
-        self.dtype = next(
-            t for t in _NARROW_INTS if np.iinfo(t).max >= self._bound
-        )
+        self.dtype = narrow_int(self._bound)
         self.lo = np.ascontiguousarray(lo.T, dtype=self.dtype)
         self.hi = np.ascontiguousarray((hi + 1).T, dtype=self.dtype)
         fits = int(n_cells.max()) <= np.iinfo(np.int32).max

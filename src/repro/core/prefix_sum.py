@@ -25,6 +25,7 @@ from .packed import (
     DEFAULT_TILE_ELEMENTS,
     OverlapLayout,
     boxes_to_arrays,
+    narrow_int,
     validate_box_arrays,
 )
 
@@ -109,14 +110,17 @@ class PrefixSumTable:
 #: matrix whose full prefix table is larger gets the shallowest level
 #: table that fits; one whose full table fits gets none.  On the served
 #: ``11**6`` DAF release (1 522 partitions, a 22.8 MiB full table) that
-#: is level 3: 42 groups, 0.55 MiB.
+#: is level 3: 42 groups, 0.55 MiB (1.5 KB of it prefix rows).
 LEVEL_TABLE_BYTES = 1 << 20
 
 
 def _stacked_bytes(shape: Sequence[int], level: int, n_groups: int) -> int:
     """Bytes of ``n_groups`` padded float64 prefix tables over the axes
-    ``level..d-1`` of ``shape`` (level 0: the full table)."""
-    return 8 * n_groups * math.prod(s + 1 for s in shape[level:])
+    ``level..d-1`` of ``shape`` and their prefix rows (level 0: none)."""
+    lead = shape[:level]
+    item = np.dtype(narrow_int(max(lead, default=0))).itemsize
+    return n_groups * (8 * math.prod(s + 1 for s in shape[level:])
+                       + item * (sum(lead) + level))
 
 
 class LevelPrefixTable:
@@ -125,28 +129,29 @@ class LevelPrefixTable:
     At level ``j`` the partitions are grouped by their ``(lo, hi)`` on
     axes ``0..j-1``.  Inside a group every partition spans the group's
     leading box, so a query's answer from the group is the product of
-    its overlaps with that box on the leading axes (integers, computed
-    by :class:`~repro.core.packed.OverlapLayout` on the group bounds)
-    times the sum of the group's cell weights over the query's box on
-    the trailing axes ``j..d-1``.  That sum is an inclusion-exclusion
-    over ``2**(d-j)`` corners of the group's padded prefix table.  The
-    partitions of a DAF release, split one axis per tree level, share
-    few leading prefixes, so the groups' tables together are far
-    smaller than the full table.  They are filled by writing each box's
-    weight into its cells and one ``cumsum`` per axis, the same
-    arithmetic as :class:`PrefixSumTable`'s build.
+    its overlaps with that box on the leading axes times the sum of the
+    group's cell weights over the query's box on the trailing axes
+    ``j..d-1``.  The overlap of ``[l, h]`` on axis ``a`` is ``P_a[h + 1]
+    - P_a[l]`` of the prefix row ``P_a[x] = clip(x, glo, ghi + 1)``, in
+    the narrow ints of :class:`~repro.core.packed.OverlapLayout` on the
+    group bounds; the product is exact in its ``acc_dtype``.  The sum
+    is an inclusion-exclusion over ``2**(d-j)`` corners of the group's
+    padded prefix table.  The partitions of a DAF release, split one
+    axis per tree level, share few leading prefixes, so the groups'
+    tables together are far smaller than the full table.
 
     The group tables are stacked in one float64 array with the group
-    axis last, so each corner of a query is one gather of a contiguous
-    row of all the groups' values.  A query's answer is
+    axis last, and a query's corners are gathered corner-major, as
+    contiguous rows of all the groups' values, so each halving
+    subtracts two contiguous blocks.  A query's answer is
     ``einsum("qn,qn->q")`` of its leading overlaps and its corner sums
     over that group axis: the order of the reduction depends only on
     the number of groups, so an answer has the same bits in any batch
     and any tile.
     """
 
-    __slots__ = ("level", "n_groups", "build_ms", "_layout", "_strides",
-                 "_table")
+    __slots__ = ("level", "n_groups", "build_ms", "_rows", "_acc", "_index",
+                 "_offset", "_table")
 
     def __init__(self, packed: "PackedPartitioning", level: int):
         start = time.perf_counter()
@@ -164,14 +169,28 @@ class LevelPrefixTable:
         self.level = level
         self.n_groups = len(first)
         glo, ghi = lo[first, :level], hi[first, :level]
-        self._layout = OverlapLayout(
+        layout = OverlapLayout(
             glo, ghi, shape[:level], np.prod(ghi - glo + 1, axis=1)
         )
+        # _rows[starts[a] + x] = P_a[x], each axis's row in place.
+        starts = np.cumsum([0] + [s + 1 for s in shape[:level - 1]])
+        self._rows = np.empty((sum(shape[:level]) + level, self.n_groups),
+                              layout.dtype)
+        for a, (x, lo_a, hi_a) in enumerate(zip(starts, layout.lo, layout.hi)):
+            np.clip(np.arange(shape[a] + 1, dtype=layout.dtype)[:, None],
+                    lo_a, hi_a, out=self._rows[x:x + shape[a] + 1])
+        self._acc = layout.acc_dtype
         trailing = tuple(s + 1 for s in shape[level:])
-        self._strides = np.array(
-            [math.prod(trailing[a + 1:]) for a in range(len(trailing))],
-            dtype=np.int64,
-        )
+        strides = [math.prod(trailing[a + 1:]) for a in range(len(trailing))]
+        bits = np.indices((2,) * len(trailing)).reshape(len(trailing), -1).T
+        # A query's gather rows are one affine map of its bounds (h, l):
+        # its prefix rows, h + 1 then l on each leading axis, then the
+        # flat rows of its corners (bit a set: h + 1 on trailing axis a).
+        hi_w = np.pad(bits * strides, ((0, 0), (level, 0)))
+        pick = np.eye(level, len(shape), dtype=np.int64)
+        self._index = np.block([[pick, 0 * pick], [0 * pick, pick],
+                                [hi_w, np.pad(strides, (level, 0)) - hi_w]])
+        self._offset = np.concatenate((starts + 1, starts, hi_w.sum(1)))
         # table[i..., g] = sum of group g's weights over cells [:i] of
         # the trailing axes: each box's weight written into its cells
         # (shifted by the zero padding), then one cumsum per axis.
@@ -206,11 +225,11 @@ class LevelPrefixTable:
 
     @property
     def nbytes(self) -> int:
-        return int(self._table.nbytes)
+        return int(self._table.nbytes + self._rows.nbytes)
 
     @property
     def n_corners(self) -> int:
-        return 1 << len(self._strides)
+        return len(self._index) - 2 * self.level
 
     def price(self) -> int:
         """Elements a query touches: per group, its corners and its
@@ -235,7 +254,7 @@ class LevelPrefixTable:
     ) -> np.ndarray:
         """Answers for validated ``(q, d)`` inclusive bound arrays.
 
-        The query axis is tiled so each tile's ``(tile, corners,
+        The query axis is tiled so each tile's ``(corners, tile,
         groups)`` gather stays under ``tile_elements`` elements.
         """
         lows = np.asarray(lows, dtype=np.int64)
@@ -245,26 +264,23 @@ class LevelPrefixTable:
         if q == 0:
             return out
         j, n = self.level, self.n_groups
-        # Flat row of each (query, corner) in the padded trailing grid:
-        # corner c takes the exclusive hi on trailing axis a when bit
-        # (m - 1 - a) of c is set, its lo otherwise.
-        m = len(self._strides)
-        base = lows[:, j:] @ self._strides
-        extent = (highs[:, j:] + 1 - lows[:, j:]) * self._strides
-        bits = (np.arange(self.n_corners)[:, None] >> np.arange(m)[::-1]) & 1
-        rows = base[:, None] + extent @ bits.T
+        rows = self._index @ np.concatenate((highs, lows), axis=1).T
+        ends, rows = np.split(rows + self._offset[:, None], [2 * j])
         tile = min(q, max(1, int(tile_elements) // (n * self.n_corners)))
-        for start, stop, lead in self._layout.tiles(
-            lows[:, :j], highs[:, :j], tile
-        ):
-            # (t, corners, groups); each halving signs one trailing
-            # axis: its hi corners minus its lo corners.
-            corners = np.take(self._table, rows[start:stop], axis=0)
+        for start in range(0, q, tile):
+            stop = min(start + tile, q)
+            spans = np.take(self._rows, ends[:, start:stop], axis=0)
+            lead = np.prod(spans[:j] - spans[j:], axis=0,
+                           dtype=self._acc).astype(np.float64)
+            # Each halving signs one trailing axis: its hi corners
+            # minus its lo corners.
+            corners = np.take(self._table, rows[:, start:stop], axis=0)
             half = self.n_corners
             while half > 1:
                 half //= 2
-                corners = corners[:, half:] - corners[:, :half]
-            np.einsum("qn,qn->q", lead, corners[:, 0], out=out[start:stop])
+                np.subtract(corners[half:2 * half], corners[:half],
+                            out=corners[:half])
+            np.einsum("qn,qn->q", lead, corners[0], out=out[start:stop])
         return out
 
 

@@ -304,6 +304,13 @@ class Engine:
         plan = cfg.plan
         if plan is None and cfg.wants_sharding and not private.is_dense_backed:
             plan = PLAN_SHARDED
+        # Below the rule's threshold the gather cannot amortize, and the
+        # two plans answer alike, so a forced pruned runs broadcast.
+        if plan == PLAN_PRUNED and not private.is_dense_backed and (
+            private.packed.n_partitions
+            < interval_index.DEFAULT_PLAN_COST.min_partitions
+        ):
+            plan = PLAN_BROADCAST
         # A 0-d bound is no batch at all: validation rejects it below.
         if np.ndim(lows) and len(lows) == 0 and (
             plan != PLAN_SHARDED or private.is_dense_backed
@@ -321,15 +328,9 @@ class Engine:
                 f"plan {plan!r} needs a partition list; this private matrix "
                 f"is dense-backed"
             )
-        packed = private.packed
-        # Below the rule's threshold the gather cannot amortize, and the
-        # two plans answer alike, so a forced pruned runs broadcast.
-        if plan == PLAN_PRUNED and packed.n_partitions < (
-            interval_index.DEFAULT_PLAN_COST.min_partitions
-        ):
-            plan = PLAN_BROADCAST
         if plan is not None:
             return plan, None, lows, highs
+        packed = private.packed
         dense = None
         if level is not None:
             dense = LEVEL_ELEMENT_COST * level.price() / packed.ndim

@@ -5,13 +5,17 @@ one prefix table per group of partitions that share their bounds on the
 leading axes.  Its answers must agree with the broadcast kernel's
 int64/float64 arithmetic within the served answers' rule (1e-9 relative
 to the answer, with a floor of 1), and one query's answer must have the
-same bits in any batch and any tile.  Auto routing reads it on a
+same bits in any batch and any tile, and the same bits as the
+:class:`~repro.core.packed.OverlapLayout` kernel it replaced
+(:func:`reference_query_arrays`).  Auto routing reads it on a
 partition-backed matrix whose full table exceeds
 :data:`~repro.core.prefix_sum.LEVEL_TABLE_BYTES`; a forced ``dense``
 plan still reads the full table.
 """
 
+import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +36,7 @@ from repro.core import (
 )
 from repro.core import prefix_sum
 from repro.core.interval_index import IntervalIndex
-from repro.core.packed import DEFAULT_TILE_ELEMENTS
+from repro.core.packed import DEFAULT_TILE_ELEMENTS, OverlapLayout
 from repro.engine import Engine, EngineConfig
 from repro.engine import engine as engine_module
 from repro.methods import get_sanitizer
@@ -75,7 +79,68 @@ def grid_private(shape, m):
 
 
 def stacked_bytes(shape, level, groups):
-    return 8 * groups * int(np.prod([s + 1 for s in shape[level:]]))
+    """A level table's bytes: per group, its float64 prefix table over
+    the trailing axes and its prefix rows over the leading axes, in the
+    narrowest signed int holding the longest leading axis."""
+    lead = shape[:level]
+    itemsize = min(
+        np.dtype(t).itemsize for t in (np.int8, np.int16, np.int32, np.int64)
+        if np.iinfo(t).max >= max(lead, default=0)
+    )
+    table = 8 * math.prod(s + 1 for s in shape[level:])
+    return groups * (table + itemsize * sum(s + 1 for s in lead))
+
+
+def reference_query_arrays(
+    table, packed, lows, highs, *, tile_elements=DEFAULT_TILE_ELEMENTS
+):
+    """The level kernel before prefix rows: leading overlaps from
+    :meth:`OverlapLayout.tiles` on the group bounds, corners gathered
+    query-major and halved by strided views."""
+    j, n = table.level, table.n_groups
+    order, change = prefix_sum._prefix_changes(packed.lo, packed.hi)
+    first = order[np.concatenate(([True], change[:, 2 * j - 1]))]
+    glo, ghi = packed.lo[first, :j], packed.hi[first, :j]
+    layout = OverlapLayout(
+        glo, ghi, packed.shape[:j], np.prod(ghi - glo + 1, axis=1)
+    )
+    trailing = [s + 1 for s in packed.shape[j:]]
+    m = len(trailing)
+    strides = np.array(
+        [math.prod(trailing[a + 1:]) for a in range(m)], dtype=np.int64
+    )
+    n_corners = 1 << m
+    lows = np.asarray(lows, dtype=np.int64)
+    highs = np.asarray(highs, dtype=np.int64)
+    q = len(lows)
+    out = np.empty(q, dtype=np.float64)
+    if q == 0:
+        return out
+    base = lows[:, j:] @ strides
+    extent = (highs[:, j:] + 1 - lows[:, j:]) * strides
+    bits = (np.arange(n_corners)[:, None] >> np.arange(m)[::-1]) & 1
+    rows = base[:, None] + extent @ bits.T
+    tile = min(q, max(1, int(tile_elements) // (n * n_corners)))
+    for start, stop, lead in layout.tiles(lows[:, :j], highs[:, :j], tile):
+        corners = np.take(table._table, rows[start:stop], axis=0)
+        half = n_corners
+        while half > 1:
+            half //= 2
+            corners = corners[:, half:] - corners[:, :half]
+        np.einsum("qn,qn->q", lead, corners[:, 0], out=out[start:stop])
+    return out
+
+
+def assert_matches_reference(table, packed, lows, highs):
+    """Bit for bit, at one query per tile, 64 per tile and the default."""
+    per_query = table.n_groups * table.n_corners
+    for tile_elements in (1, 64 * per_query, DEFAULT_TILE_ELEMENTS):
+        np.testing.assert_array_equal(
+            table.query_arrays(lows, highs, tile_elements=tile_elements),
+            reference_query_arrays(
+                table, packed, lows, highs, tile_elements=tile_elements
+            ),
+        )
 
 
 class TestAnswers:
@@ -99,6 +164,7 @@ class TestAnswers:
         for level in range(1, len(shape)):
             table = LevelPrefixTable(packed, level)
             assert_close(table.query_arrays(lows, highs), expected)
+            assert_matches_reference(table, packed, lows, highs)
 
     def test_served_like_release_matches_broadcast(self, daf):
         rng = np.random.default_rng(1)
@@ -107,6 +173,24 @@ class TestAnswers:
         for level in range(1, daf.ndim):
             table = LevelPrefixTable(daf.packed, level)
             assert_close(table.query_arrays(lows, highs), expected)
+            assert_matches_reference(table, daf.packed, lows, highs)
+
+    def test_wide_rows_and_float_products(self):
+        # Leading axes past int16 give int32 rows; a group box of 35 000
+        # x 70 000 cells is past int32, so its products run in float64.
+        shape = (70_000, 70_000, 4)
+        intervals = [[(0, 34_999), (35_000, 69_999)], [(0, 69_999)],
+                     [(0, 1), (2, 3)]]
+        noisy = np.random.default_rng(8).normal(1e6, 1e3, 4)
+        packed = packed_from_intervals(intervals, noisy, shape)
+        table = LevelPrefixTable(packed, 2)
+        assert table._rows.dtype == np.int32 and table._acc == np.float64
+        lows, highs = random_queries(shape, np.random.default_rng(9), 60)
+        assert_matches_reference(table, packed, lows, highs)
+        assert_close(
+            table.query_arrays(lows, highs),
+            reference_broadcast(packed, lows, highs),
+        )
 
     @pytest.mark.parametrize("level", [1, 2, 3, 5])
     def test_batched_is_alone_bit_for_bit(self, daf, level):
@@ -188,6 +272,39 @@ class TestLevelChoice:
         full = stacked_bytes(daf.shape, 0, 1)
         monkeypatch.setattr(prefix_sum, "LEVEL_TABLE_BYTES", full)
         assert LevelPrefixTable.for_packed(daf.packed) is None
+
+    @pytest.mark.parametrize("shape, level", [
+        ((252_000, 2_000, 2), 2),  # level 1's rows tip it over
+        ((300_000, 4), None),  # and no deeper level is left
+    ])
+    def test_prefix_rows_count_toward_the_budget(self, shape, level):
+        # One group per level: only the last axis is split.
+        intervals = [[(0, s - 1)] for s in shape[:-1]]
+        intervals.append([(0, 0), (1, shape[-1] - 1)])
+        packed = packed_from_intervals(intervals, np.array([3.0, 5.0]), shape)
+        budget = prefix_sum.LEVEL_TABLE_BYTES
+        # Level 1's float64 tables fit the budget; with its rows, not.
+        trailing = 8 * math.prod(s + 1 for s in shape[1:])
+        assert trailing <= budget < stacked_bytes(shape, 1, 1)
+        tracemalloc.start()
+        try:
+            table = LevelPrefixTable.for_packed(packed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if level is None:
+            assert table is None
+            assert peak < budget // 16
+            return
+        assert table.level == level
+        assert table.nbytes == stacked_bytes(shape, level, 1) <= budget
+        # The table and one leading axis's row of indices, nothing more.
+        assert peak <= 2 * budget + (1 << 16)
+        lows, highs = random_queries(shape, np.random.default_rng(10), 30)
+        assert_close(
+            table.query_arrays(lows, highs),
+            reference_broadcast(packed, lows, highs),
+        )
 
     def test_one_dimensional_matrix_has_none(self):
         rng = np.random.default_rng(0)

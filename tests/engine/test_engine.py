@@ -279,6 +279,24 @@ class TestConfigThresholds:
         )
         assert answer.plan == PLAN_BROADCAST
 
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_forced_pruned_below_min_partitions_names_broadcast(self, q):
+        # 16 partitions, under the rule's threshold: a forced pruned
+        # runs broadcast, and an empty batch names that plan too.
+        private = grid_private(m=4)
+        assert private.n_partitions < (
+            interval_index.DEFAULT_PLAN_COST.min_partitions
+        )
+        engine = Engine(private, EngineConfig(plan=PLAN_PRUNED))
+        lows = np.zeros((q, 2), dtype=np.int64)
+        highs = lows + 5
+        assert engine.plan_queries(lows, highs) == PLAN_BROADCAST
+        answer = engine.answer(QueryRequest(lows, highs))
+        assert answer.plan == PLAN_BROADCAST
+        np.testing.assert_array_equal(
+            answer.answers, Engine(private).answer_arrays(lows, highs)
+        )
+
     def test_prune_thresholds_reach_shards(self, monkeypatch):
         private = grid_private(shape=(256, 256), m=64)
         lows, highs = random_bounds(

@@ -1004,7 +1004,9 @@ class TestStatzAndHealth:
         assert built  # before the first request
         table = stats["dense_table"]
         assert table.pop("build_ms") >= 0.0
-        assert table == {"level": 1, "groups": 32, "bytes": 32 * 513 * 8}
+        # Per group: a float64 table over axis 1 and an int16 prefix row
+        # over axis 0, 513 entries each.
+        assert table == {"level": 1, "groups": 32, "bytes": 32 * 513 * 10}
         assert stats["tick_plans"]["dense"] == 1
         assert answers.plan == "dense"
         reference = Engine(level_private, EngineConfig(plan="broadcast"))

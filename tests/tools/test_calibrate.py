@@ -43,7 +43,8 @@ LEVEL_ARTIFACT = {
     "broadcast_batch_us": 300.0,
     "levels": {
         "1": {"groups": 10, "batch_us": 30.0},
-        "2": {"groups": 40, "batch_us": 32.0},
+        "2": {"groups": 40, "batch_us": 32.0, "batch_us_min": 16.0,
+              "batch_us_max": 48.0},
     },
 }
 
@@ -94,6 +95,10 @@ class TestSuggest:
         assert out["evidence"]["level_1_element_cost"] == pytest.approx(6.0)
         assert out["evidence"]["level_2_element_cost"] == pytest.approx(2.0)
         assert out["LEVEL_ELEMENT_COST"] == pytest.approx(6.0)
+        # The spread over repeated runs, where the artifact records it.
+        assert out["evidence"]["level_2_element_cost_min"] == pytest.approx(1.0)
+        assert out["evidence"]["level_2_element_cost_max"] == pytest.approx(3.0)
+        assert "level_1_element_cost_min" not in out["evidence"]
         chosen_2 = dict(LEVEL_ARTIFACT, chosen_level=2)
         assert calibrate.suggest({}, chosen_2)["LEVEL_ELEMENT_COST"] == (
             pytest.approx(2.0)
@@ -152,7 +157,12 @@ class TestCommandLine:
         level.write_text(json.dumps(LEVEL_ARTIFACT))
         proc = self.run_tool("--artifact", str(artifact))
         assert proc.returncode == 0
-        assert "measured  level_2_element_cost = 2" in proc.stdout
+        assert "measured  level_2_element_cost = 2\n" in proc.stdout
+        assert (
+            "measured  level_2_element_cost = 2\n"
+            "measured  level_2_element_cost_max = 3\n"
+            "measured  level_2_element_cost_min = 1\n"
+        ) in proc.stdout
         assert (
             "suggested LEVEL_ELEMENT_COST = 6 (src/repro/engine/engine.py)"
             in proc.stdout

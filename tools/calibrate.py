@@ -38,7 +38,9 @@ Model
   (2^(d−j) + j)`` elements, a broadcast one ``k · d``; the ratio of the
   per-element times is what ``LEVEL_ELEMENT_COST`` models.  It is
   recorded for every level, and suggested at the level the release
-  chose (``chosen_level``).
+  chose (``chosen_level``).  The ratio's spread, from the fastest and
+  slowest of the repeated batch runs (``batch_us_min`` /
+  ``batch_us_max``), prints beside it when the artifact has them.
 
 Usage::
 
@@ -160,6 +162,12 @@ def suggest(artifact: dict, level: dict | None = None) -> dict:
                 out["evidence"][f"level_{j}_element_cost"] = round(
                     ratios[j], 2
                 )
+                for end in ("min", "max"):
+                    if f"batch_us_{end}" in row:
+                        out["evidence"][f"level_{j}_element_cost_{end}"] = (
+                            round(float(row[f"batch_us_{end}"])
+                                  / elements / element, 2)
+                        )
         chosen = int(level["chosen_level"])
         if chosen in ratios:
             out["LEVEL_ELEMENT_COST"] = round(ratios[chosen], 2)
