@@ -6,6 +6,7 @@ release validation) so substrate regressions are visible independently
 of the figure-level numbers.
 """
 
+import json
 import statistics
 import time
 
@@ -23,6 +24,7 @@ from repro.core import (
 )
 from repro.datagen import MovementSimulator, get_city, simulate_od_dataset
 from repro.dp import laplace_noise
+from repro.engine.server import _canonical_arrays, _json_arrays
 from repro.methods._grid import aggregate_uniform_grid
 from repro.queries import random_workload
 from repro.trajectories import ODMatrixBuilder
@@ -164,6 +166,43 @@ def test_level_table(benchmark):
         ),
         "levels": levels,
     })
+
+
+def test_wire_decode(benchmark):
+    """Decode + int64 coercion of one query body on the server's two
+    paths, the strict canonical pass and ``json.loads``, for 4, 192 and
+    256 queries on the served ``11**6`` shape: median, min and max us
+    over 201 interleaved runs, both paths' arrays asserted equal.
+    Recorded in ``bench-out/BENCH_wire_decode.json``, not gated."""
+    shape = (11,) * 6
+    rng = np.random.default_rng(3)
+    paths = {"strict": _canonical_arrays, "json": _json_arrays}
+    sizes = {}
+    for q in (4, 192, 256):
+        lows, highs = random_workload(shape, q, rng=rng).as_arrays()
+        body = json.dumps(
+            {"lows": lows.tolist(), "highs": highs.tolist()}
+        ).encode("utf-8")
+        strict, fallback = (decode(body) for decode in paths.values())
+        for got, want in zip(strict[:2], fallback[:2]):
+            assert np.array_equal(got, want) and got.dtype == want.dtype
+        times = {name: [] for name in paths}
+        for _ in range(201):
+            for name, decode in paths.items():
+                start = time.perf_counter()
+                decode(body)
+                times[name].append(1e6 * (time.perf_counter() - start))
+        sizes[str(q)] = {"body_bytes": len(body)}
+        for name, samples in times.items():
+            sizes[str(q)].update({
+                f"{name}_us": statistics.median(samples),
+                f"{name}_us_min": min(samples),
+                f"{name}_us_max": max(samples),
+            })
+    benchmark.pedantic(
+        lambda: _canonical_arrays(body), rounds=5, iterations=1
+    )
+    write_bench_artifact("wire_decode", {"shape": list(shape), "queries": sizes})
 
 
 def test_od_build(benchmark):

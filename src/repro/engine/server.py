@@ -61,6 +61,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import re
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -168,6 +169,10 @@ def _body_length(headers: Dict[str, str]) -> int:
         raise _Unframed(400, "bad Content-Length") from None
 
 
+class _BadQuery(Exception):
+    """A query body answered 400; the message is the error sent."""
+
+
 def _reject_literal(text: str):
     raise _NonIntegerLiteral(text)
 
@@ -180,6 +185,144 @@ def _non_integers(value):
             yield from _non_integers(item)
     elif type(value) is not int:
         yield value
+
+
+#: The frame of a canonical body around its two lists of rows.
+_LOWS_HEAD = b'{"lows": ['
+_HIGHS_HEAD = b'], "highs": ['
+
+#: What follows the ``highs`` rows: the list's closing bracket, an
+#: optional ``workload`` of printable ASCII without quotes or
+#: backslashes, and the closing brace.
+_CANONICAL_TAIL = re.compile(rb'\](?:, "workload": "([ !#-\[\]-~]*)")?\}')
+
+#: Maps ``[`` to a space, ``]`` to a comma and the digits 1-9 to ``1``.
+#: In rows with whole separators every bound then sits between a space
+#: and a comma, and starts with ``0`` or ``1``.
+_BOUND_FOLD = bytes.maketrans(b"[]123456789", b" ,111111111")
+
+#: The largest bound the canonical form spells (18 digits).
+_MAX_CANONICAL_BOUND = 10**18 - 1
+
+
+def _canonical_row_count(text: bytes, d: int) -> int:
+    """How many ``d``-bound rows ``text`` holds if it is a list of them
+    as ``json.dumps`` writes it, outer brackets removed; else 0."""
+    row = b"[" + b", " * (d - 1) + b"]"
+    skeleton = text.translate(None, b"0123456789")
+    q = (len(skeleton) + 2) // (len(row) + 2)
+    # The bytes other than digits are json.dumps's, in its order, ...
+    if q == 0 or skeleton != b", ".join([row] * q):
+        return 0
+    # ... no digit splits a separator or stands outside the rows, ...
+    if (
+        text[:1] != b"["
+        or text[-1:] != b"]"
+        or text.count(b", ") != q * d - 1
+        or text.count(b"], [") != q - 1
+    ):
+        return 0
+    # ... and no bound is empty or has a leading zero.
+    folded = text.translate(_BOUND_FOLD)
+    if b" ," in folded or b" 00" in folded or b" 01" in folded:
+        return 0
+    return q
+
+
+def _canonical_arrays(
+    body: bytes,
+) -> "Tuple[np.ndarray, np.ndarray, str] | None":
+    """``(lows, highs, workload)`` of a body spelled as ``json.dumps``
+    writes a query batch, or ``None`` for any other body, which
+    :func:`_json_arrays` then decodes.
+
+    The canonical body is ``{"lows": [rows], "highs": [rows]}`` with an
+    optional trailing ``"workload"`` string: ``", "`` and ``": "``
+    separators, nothing around the object, equal non-empty lists of
+    ``d``-bound rows, every bound ``0|[1-9][0-9]{0,17}``.  The checks
+    are byte-level (``bytes.translate``, counts and substring tests),
+    so they hold no Python int per bound and no per-bound matching
+    state, and both arrays come from one ``np.fromstring``.  That call
+    stops at text it cannot read (older NumPy only warns, and returns
+    what it read) and saturates a long number, so it is only handed
+    text the checks have shown it reads in full.
+    """
+    if not body.startswith(_LOWS_HEAD):
+        return None
+    lows_end = body.find(_HIGHS_HEAD)
+    highs_start = lows_end + len(_HIGHS_HEAD)
+    # The rows hold no quote and no "]]", so these finds land on the
+    # frame of a canonical body; any other body fails a check below.
+    highs_end = body.find(b"]]", highs_start) + 1
+    if lows_end < 0 or highs_end == 0:
+        return None
+    tail = _CANONICAL_TAIL.fullmatch(body, highs_end)
+    if tail is None:
+        return None
+    lows_text = body[len(_LOWS_HEAD):lows_end]
+    highs_text = body[highs_start:highs_end]
+    d = lows_text.count(b",", 0, lows_text.find(b"]")) + 1
+    q = _canonical_row_count(lows_text, d)
+    if q == 0 or _canonical_row_count(highs_text, d) != q:
+        return None
+    values = np.fromstring(
+        (lows_text + b", " + highs_text).translate(None, b"[]"),
+        dtype=np.int64,
+        sep=",",
+    )
+    # A bound of 19 or more digits parses (exactly, or saturated at the
+    # int64 maximum) above the largest 18-digit one.
+    if values.size != 2 * q * d or values.max() > _MAX_CANONICAL_BOUND:
+        return None
+    lows, highs = values.reshape(2, q, d)
+    return lows, highs, (tail[1] or b"").decode("ascii")
+
+
+def _json_arrays(body: bytes) -> Tuple[np.ndarray, np.ndarray, str]:
+    """``(lows, highs, workload)`` of any query body, through
+    ``json.loads`` and an int64 coercion.
+
+    Raises :class:`_BadQuery` for a body that is not a JSON object with
+    a string ``workload``, and ``TypeError`` / ``ValueError`` /
+    ``OverflowError`` for bounds that are not integer arrays.
+    """
+    try:
+        # Float and NaN/Infinity literals would be truncated to int64
+        # below; the hooks fire only on such tokens, so integer-only
+        # bodies decode at full speed.
+        payload = json.loads(
+            body, parse_float=_reject_literal, parse_constant=_reject_literal
+        )
+    except _NonIntegerLiteral as exc:
+        raise _BadQuery(
+            f"lows/highs must be (q, d) integer arrays "
+            f"(got the non-integer literal {exc})"
+        ) from None
+    except ValueError as exc:
+        raise _BadQuery(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise _BadQuery("invalid JSON: nested too deeply") from None
+    if not isinstance(payload, dict):
+        raise _BadQuery("request body must be a JSON object")
+    workload = payload.get("workload", "")
+    if not isinstance(workload, str):
+        raise _BadQuery("workload must be a string")
+    # int64 coercion also takes "1" and true as 1, so this path walks
+    # the bounds for them (the canonical form admits neither).
+    # Integer-only bodies skip the walk: a bool needs a true/false token
+    # (both spell "e"), a string needs more quote characters than the
+    # keys and the workload account for.  The walk runs after the
+    # coercion, which caps the nesting it can meet at NumPy's ndim.
+    suspect = (
+        b"e" in body and (b"true" in body or b"false" in body)
+    ) or body.count(b'"') > 2 * (len(payload) + ("workload" in payload))
+    lows = np.asarray(payload.get("lows"), dtype=np.int64)
+    highs = np.asarray(payload.get("highs"), dtype=np.int64)
+    if suspect:
+        for name in ("lows", "highs"):
+            for bad in _non_integers(payload[name]):
+                raise ValueError(f"got the non-integer {json.dumps(bad)}")
+    return lows, highs, workload
 
 
 def percentile(sorted_values: Sequence[float], q: float) -> float:
@@ -570,50 +713,13 @@ class EngineServer:
                 self._retry_header(),
             )
         try:
-            # Float and NaN/Infinity literals would be truncated to int64
-            # below; the hooks fire only on such tokens, so integer-only
-            # bodies decode at full speed.
-            payload = json.loads(
-                body, parse_float=_reject_literal, parse_constant=_reject_literal
+            lows, highs, workload = (
+                _canonical_arrays(body) or _json_arrays(body)
             )
-        except _NonIntegerLiteral as exc:
-            self._counters["bad_requests"] += 1
-            return (
-                400,
-                {
-                    "error": f"lows/highs must be (q, d) integer arrays "
-                    f"(got the non-integer literal {exc})"
-                },
-                None,
-            )
-        except ValueError as exc:
-            self._counters["bad_requests"] += 1
-            return 400, {"error": f"invalid JSON: {exc}"}, None
-        if not isinstance(payload, dict):
-            self._counters["bad_requests"] += 1
-            return 400, {"error": "request body must be a JSON object"}, None
-        workload = payload.get("workload", "")
-        if not isinstance(workload, str):
-            self._counters["bad_requests"] += 1
-            return 400, {"error": "workload must be a string"}, None
-        # int64 coercion also takes "1" and true as 1.  Integer-only
-        # bodies skip the element walk: a bool needs a true/false token
-        # (both spell "e"), a string needs more quote characters than the
-        # keys and the workload account for.  The walk runs after the
-        # coercion, which caps the nesting it can meet at NumPy's ndim.
-        suspect = (
-            b"e" in body and (b"true" in body or b"false" in body)
-        ) or body.count(b'"') > 2 * (len(payload) + ("workload" in payload))
-        try:
-            lows = np.asarray(payload.get("lows"), dtype=np.int64)
-            highs = np.asarray(payload.get("highs"), dtype=np.int64)
-            if suspect:
-                for name in ("lows", "highs"):
-                    for bad in _non_integers(payload[name]):
-                        raise ValueError(
-                            f"got the non-integer {json.dumps(bad)}"
-                        )
             request = QueryRequest(lows, highs, workload=workload)
+        except _BadQuery as exc:
+            self._counters["bad_requests"] += 1
+            return 400, {"error": str(exc)}, None
         except (TypeError, ValueError, OverflowError, QueryError) as exc:
             self._counters["bad_requests"] += 1
             return (
