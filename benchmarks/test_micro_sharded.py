@@ -119,7 +119,7 @@ def test_sharded_skip_exactness_and_resident_speedup():
     # The spawn is *outside* the round timing (that is the amortized
     # claim) but recorded in the artifact so its cost stays visible.
     start = time.perf_counter()
-    resident_engine.warm_shard_pool()
+    resident_engine.warm()
     spawn_seconds = time.perf_counter() - start
     try:
         start = time.perf_counter()

@@ -195,10 +195,6 @@ class FrequencyMatrix:
         box = validate_box(box, self.shape)
         return self._data[box_slices(box)]
 
-    def box_total(self, box: Box) -> float:
-        """Alias of :meth:`range_count` used by partitioning code."""
-        return self.range_count(box)
-
     def marginal(self, axes: Sequence[int]) -> "FrequencyMatrix":
         """Sum out all axes *not* in ``axes``, preserving their order.
 

@@ -134,7 +134,8 @@ class ServingError(Exception):
         The decoded JSON error body (``{}`` if undecodable).
     retry_after:
         Seconds the server suggested waiting before retrying, or
-        ``None`` when the response carried no ``Retry-After`` header.
+        ``None`` when the response carried no finite, non-negative
+        ``Retry-After`` delay.
     """
 
     def __init__(

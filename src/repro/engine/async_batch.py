@@ -58,7 +58,6 @@ inline: one the engine's :meth:`~repro.engine.Engine.runs_inline`
 accepts (unsharded, partition-backed, ``n_queries * n_partitions`` at
 most :data:`~repro.engine.engine.INLINE_MAX_PAIRS`, a few milliseconds
 of kernel), because a thread round trip costs more than such a kernel.
-Engine stand-ins without ``runs_inline`` always go to the executor.
 Threads — not processes — are the right executor because numpy
 releases the GIL inside the kernels, so the overlap is real and nothing
 is pickled.  Answers are identical either way (same
@@ -112,9 +111,6 @@ class AsyncBatchEngine:
     def __init__(self, engine: Engine, *, executor: Executor | None = None):
         self._engine = engine
         self._executor = executor
-        # Looked up once, with getattr, so duck-typed engine stand-ins
-        # without it keep every tick on the executor.
-        self._runs_inline = getattr(engine, "runs_inline", None)
         self._pending: List[_Pending] = []
         self._flush_scheduled = False
         self._inflight: Set["asyncio.Task[None]"] = set()
@@ -223,9 +219,7 @@ class AsyncBatchEngine:
 
     def _inline(self, n_queries: int) -> bool:
         """Whether a tick of ``n_queries`` runs on the loop."""
-        return self._executor is None or (
-            self._runs_inline is not None and self._runs_inline(n_queries)
-        )
+        return self._executor is None or self._engine.runs_inline(n_queries)
 
     def _flush(self) -> None:
         """Answer every live pending request with one engine invocation.

@@ -27,6 +27,7 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import math
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -60,12 +61,13 @@ def _query_payload(request: QueryRequest) -> bytes:
 
 
 def _parse_retry_after(value: "str | None") -> "float | None":
-    if value is None:
-        return None
+    """A finite, non-negative ``Retry-After`` delay in seconds, else
+    ``None`` (a client may pass it straight to ``time.sleep``)."""
     try:
-        return float(value)
-    except ValueError:
+        delay = float(value)
+    except (TypeError, ValueError):
         return None
+    return delay if 0.0 <= delay < math.inf else None
 
 
 class ServingClient:

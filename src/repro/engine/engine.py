@@ -13,14 +13,15 @@ one :meth:`Engine.answer` invocation.
 Routing lives in one place, :meth:`Engine._route`, which both
 :meth:`Engine.plan_queries` and :meth:`Engine.answer` call:
 
-1. a forced ``config.plan`` wins as it is, except that a forced
+1. a dense-backed output has no partition list, so every batch runs
+   ``dense``: a sharding config falls through to it, so one config
+   serves a mixed method set, and a forced partition plan is refused;
+2. a forced ``config.plan`` wins as it is, except that a forced
    ``pruned`` falls back to ``broadcast`` on a matrix with fewer
    partitions than the cost rule's ``min_partitions``;
-2. ``config.n_shards`` / ``config.shard_executor`` select the sharded
-   layout for partition-backed outputs — dense-backed outputs (which
-   have no partition list to shard) fall through to their dense route
-   instead of erroring, so one config serves a mixed method set;
-3. otherwise auto.  On a matrix without a
+3. ``config.n_shards`` / ``config.shard_executor`` select the sharded
+   layout;
+4. otherwise auto.  On a matrix without a
    :class:`~repro.core.prefix_sum.LevelPrefixTable`, dense prefix sums
    win once ``q × k`` exceeds :data:`DENSE_SWITCH_FACTOR` times the
    cell count (and the matrix has at most
@@ -189,17 +190,18 @@ class Engine:
                 )
             return self._pool
 
-    def warm_shard_pool(self) -> bool:
-        """Spawn the resident pool now (if configured); True if warm.
+    def warm(self) -> None:
+        """Build every cache this engine's routes read, now.
 
-        Servers call this once at startup from the main thread, so
-        worker processes are never forked from a serving thread and the
-        first request pays no spawn latency.
+        That is the level table auto's dense route reads and, when
+        configured, the resident pool; a forced-plan or dense-backed
+        engine builds nothing here.  Servers call this once at startup
+        from the main thread, so worker processes are never forked from
+        a serving thread and no request pays for a build.
         """
-        if not self.uses_resident_pool:
-            return False
-        self.shard_pool()
-        return True
+        self.level_table()
+        if self.uses_resident_pool:
+            self.shard_pool()
 
     def pool_stats(self) -> "Dict[str, object] | None":
         """Worker gauges for ``/statz``; ``None`` without a live pool."""
@@ -232,7 +234,7 @@ class Engine:
         """The dense prefix-sum switch."""
         private = self._private
         n_cells = int(np.prod(private.shape, dtype=np.int64))
-        return private.is_dense_backed or (
+        return (
             n_cells <= DENSE_SWITCH_MAX_CELLS
             and n_queries * private.n_partitions
             > DENSE_SWITCH_FACTOR * n_cells
@@ -244,8 +246,7 @@ class Engine:
         the full table or cannot run.
 
         Only an auto-routed, unsharded engine over a partition-backed
-        matrix reads one; :class:`~repro.engine.EngineServer` builds it
-        before it accepts traffic.
+        matrix reads one; :meth:`warm` builds it.
         """
         private = self._private
         if (
@@ -294,40 +295,37 @@ class Engine:
         ``slices`` is the interval index's candidate-slice pass when
         :func:`~repro.core.interval_index.plan_with_slices` ran it, so
         the pruned gather reuses it instead of recomputing it.  An empty
-        batch is not validated: it reports the forced plan, or
-        ``broadcast``, except that an empty *partition-backed* sharded
-        batch still routes to ``sharded`` so callers get the per-shard
-        skip evidence.
+        batch is not validated: it reports the plan it would run, or
+        ``broadcast`` under auto; an empty sharded batch still routes to
+        ``sharded`` so callers get the per-shard skip evidence.
         """
         private = self._private
         cfg = self._config
         plan = cfg.plan
-        if plan is None and cfg.wants_sharding and not private.is_dense_backed:
+        if private.is_dense_backed:
+            if plan not in (None, PLAN_DENSE):
+                raise QueryError(
+                    f"plan {plan!r} needs a partition list; this private "
+                    f"matrix is dense-backed"
+                )
+            plan = PLAN_DENSE
+        elif plan is None and cfg.wants_sharding:
             plan = PLAN_SHARDED
-        # Below the rule's threshold the gather cannot amortize, and the
-        # two plans answer alike, so a forced pruned runs broadcast.
-        if plan == PLAN_PRUNED and not private.is_dense_backed and (
+        elif plan == PLAN_PRUNED and (
             private.packed.n_partitions
             < interval_index.DEFAULT_PLAN_COST.min_partitions
         ):
+            # Below the rule's threshold the gather cannot amortize, and
+            # the two plans answer alike, so a forced pruned runs broadcast.
             plan = PLAN_BROADCAST
         # A 0-d bound is no batch at all: validation rejects it below.
-        if np.ndim(lows) and len(lows) == 0 and (
-            plan != PLAN_SHARDED or private.is_dense_backed
-        ):
+        if np.ndim(lows) and len(lows) == 0 and plan != PLAN_SHARDED:
             return plan or PLAN_BROADCAST, None, lows, highs
         if not validated:
             lows, highs = validate_box_arrays(lows, highs, private.shape)
         level = self.level_table()
         if plan is None and level is None and self._dense_wins(len(lows)):
             plan = PLAN_DENSE
-        if plan == PLAN_DENSE:
-            return plan, None, lows, highs
-        if private.is_dense_backed:
-            raise QueryError(
-                f"plan {plan!r} needs a partition list; this private matrix "
-                f"is dense-backed"
-            )
         if plan is not None:
             return plan, None, lows, highs
         packed = private.packed
@@ -376,7 +374,7 @@ class Engine:
     ) -> Tuple[np.ndarray, "ShardedAnswer | None"]:
         """Execute a routed batch: ``(answers, shard_evidence)``."""
         private = self._private
-        if plan == PLAN_SHARDED and not private.is_dense_backed:
+        if plan == PLAN_SHARDED:
             # Even an empty batch runs the sharded route, so callers
             # get the per-shard evidence (every shard trivially skips).
             # Both executors merge partials in fixed shard order, so

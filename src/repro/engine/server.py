@@ -488,17 +488,11 @@ class EngineServer:
                 max_workers=1, thread_name_prefix="repro-tick"
             )
         self._batcher = AsyncBatchEngine(self.engine, executor=self._executor)
-        # Spawn the resident shard-worker pool (when configured) before
-        # accepting traffic: workers fork from this thread, not from a
-        # tick thread mid-request, and the first query pays no spawn
-        # latency.  No-op for other executors; guarded with getattr so
-        # duck-typed engine stand-ins keep working.
-        warm = getattr(self.engine, "warm_shard_pool", None)
-        if warm is not None:
-            warm()
-        # Build the level prefix table auto's dense route reads (when
-        # the matrix has one), so no tick pays for it.
-        self._level_table()
+        # Build what the engine's routes read (the level table, the
+        # resident pool) before accepting traffic: workers fork from
+        # this thread, not from a tick thread mid-request, and no tick
+        # pays for a build.
+        self.engine.warm()
         self._draining = False
         self._started_at = time.time()
         self.monitor.start()
@@ -527,9 +521,7 @@ class EngineServer:
         # After the tick executor is gone no kernel can touch the pool;
         # stop and reap its workers (idempotent, and a no-op for
         # non-resident executors).
-        close = getattr(self.engine, "close", None)
-        if close is not None:
-            close()
+        self.engine.close()
         # Closing a keep-alive connection ends its handler at the next
         # read; awaiting the handlers leaves no task for the loop's
         # teardown to cancel (and log) mid-close.  A peer that stops
@@ -807,11 +799,6 @@ class EngineServer:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def _level_table(self):
-        """The engine's level table, or ``None`` (also for duck-typed
-        engine stand-ins without one)."""
-        return getattr(self.engine, "level_table", lambda: None)()
-
     def statz(self) -> dict:
         """The ``/statz`` payload: monotone counters + gauges."""
         batch_stats = self.batcher.stats
@@ -823,7 +810,7 @@ class EngineServer:
         counters["ticks_inline"] = int(batch_stats["ticks_inline"])
         counters["ticks_off_loop"] = int(batch_stats["ticks_off_loop"])
         counters["dropped_requests"] = int(batch_stats["dropped_requests"])
-        level = self._level_table()
+        level = self.engine.level_table()
         return {
             "uptime_seconds": time.time() - self._started_at,
             "draining": self._draining,
@@ -869,5 +856,5 @@ class EngineServer:
             # Resident shard-worker gauges (null unless the engine is
             # running a ShardWorkerPool): alive count, restarts, queue
             # depth, per-worker batch counts.
-            "workers": getattr(self.engine, "pool_stats", lambda: None)(),
+            "workers": self.engine.pool_stats(),
         }

@@ -72,8 +72,8 @@ def assert_exact(engine, requests, answers):
         assert float(np.abs(serial.answers - answer.answers).max()) == 0.0
 
 
-class GatedEngine:
-    """Engine stand-in whose ``answer`` blocks until ``gate`` is set.
+class GatedEngine(Engine):
+    """An engine whose ``answer`` blocks until ``gate`` is set.
 
     Behind a one-thread executor it holds a tick in flight for as long
     as a test needs, so the flush policy is pinned by structure (what
@@ -81,18 +81,19 @@ class GatedEngine:
     """
 
     def __init__(self, engine):
-        self._engine = engine
-        self.config = engine.config
-        self.private = engine.private
+        super().__init__(engine.private, engine.config)
         self.gate = threading.Event()
         self.entered = threading.Event()
         self.tick_queries = []
+
+    def runs_inline(self, n_queries):
+        return False
 
     def answer(self, request):
         self.entered.set()
         assert self.gate.wait(timeout=10.0), "gate never opened"
         self.tick_queries.append(request.n_queries)
-        return self._engine.answer(request)
+        return super().answer(request)
 
     async def held(self):
         """Wait until a tick is blocked inside :meth:`answer`."""
@@ -432,17 +433,16 @@ class TestCancellationAndErrors:
         class Boom(RuntimeError):
             pass
 
-        class ExplodingEngine:
-            config = engine.config
-            private = engine.private
-
+        class ExplodingEngine(Engine):
             def answer(self, request):
                 raise Boom("kernel exploded")
 
         requests = client_requests(2, np.random.default_rng(8))
 
         async def run():
-            batcher = AsyncBatchEngine(ExplodingEngine())
+            batcher = AsyncBatchEngine(
+                ExplodingEngine(engine.private, engine.config)
+            )
             results = await asyncio.gather(
                 *(batcher.answer(r) for r in requests),
                 return_exceptions=True,
@@ -532,13 +532,13 @@ class TestOffLoopExecutor:
             private, EngineConfig(plan=PLAN_BROADCAST, max_batch_size=1)
         )
 
-        class SlowEngine:
-            config = engine.config
-            private = engine.private
+        class SlowEngine(Engine):
+            def runs_inline(self, n_queries):
+                return False
 
             def answer(self, request):
                 time.sleep(0.15)
-                return engine.answer(request)
+                return super().answer(request)
 
         [request] = client_requests(1, np.random.default_rng(11))
 
@@ -553,7 +553,9 @@ class TestOffLoopExecutor:
                     beats += 1
 
             with ThreadPoolExecutor(max_workers=1) as pool:
-                batcher = AsyncBatchEngine(SlowEngine(), executor=pool)
+                batcher = AsyncBatchEngine(
+                    SlowEngine(engine.private, engine.config), executor=pool
+                )
                 ticker = asyncio.ensure_future(heartbeat())
                 answer = await batcher.answer(request)
                 done.set()
@@ -607,9 +609,9 @@ class TestOffLoopExecutor:
         class Boom(RuntimeError):
             pass
 
-        class ExplodingEngine:
-            config = engine.config
-            private = engine.private
+        class ExplodingEngine(Engine):
+            def runs_inline(self, n_queries):
+                return False
 
             def answer(self, request):
                 raise Boom("kernel exploded off-loop")
@@ -618,7 +620,10 @@ class TestOffLoopExecutor:
 
         async def run():
             with ThreadPoolExecutor(max_workers=1) as pool:
-                batcher = AsyncBatchEngine(ExplodingEngine(), executor=pool)
+                batcher = AsyncBatchEngine(
+                    ExplodingEngine(engine.private, engine.config),
+                    executor=pool,
+                )
                 return await asyncio.gather(
                     *(batcher.answer(r) for r in requests),
                     return_exceptions=True,
@@ -632,19 +637,21 @@ class TestOffLoopExecutor:
             private, EngineConfig(plan=PLAN_BROADCAST, max_batch_size=2)
         )
 
-        class SlowEngine:
-            config = engine.config
-            private = engine.private
+        class SlowEngine(Engine):
+            def runs_inline(self, n_queries):
+                return False
 
             def answer(self, request):
                 time.sleep(0.1)
-                return engine.answer(request)
+                return super().answer(request)
 
         requests = client_requests(2, np.random.default_rng(14))
 
         async def run():
             with ThreadPoolExecutor(max_workers=1) as pool:
-                batcher = AsyncBatchEngine(SlowEngine(), executor=pool)
+                batcher = AsyncBatchEngine(
+                    SlowEngine(engine.private, engine.config), executor=pool
+                )
                 keeper = asyncio.ensure_future(batcher.answer(requests[0]))
                 quitter = asyncio.ensure_future(batcher.answer(requests[1]))
                 await asyncio.sleep(0.02)  # tick is now off-loop

@@ -214,33 +214,97 @@ class TestDenseBacked:
         answer = Engine(dense).answer(QueryRequest(one, one))
         assert answer.plan == PLAN_DENSE and answer.answers[0] == 1.0
 
-    def test_sharding_config_falls_through_to_dense(self):
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_every_batch_size_routes_dense_or_is_refused(self, q):
         # One config can serve a mixed method set: dense-backed outputs
-        # have no partition list, so the sharding knobs are ignored for
-        # them instead of erroring (forcing plan="sharded" still errors).
+        # have no partition list, so a sharding config runs dense for
+        # them instead of erroring, and a forced partition plan is
+        # refused.  plan_queries agrees with answer(), and an empty
+        # batch names the plan a non-empty one runs.
         dense = PrivateFrequencyMatrix.from_dense_noisy(np.ones((8, 8)))
-        one = np.zeros((1, 2), dtype=np.int64)
-        answer = Engine(dense, EngineConfig(n_shards=4)).answer(
-            QueryRequest(one, one)
-        )
-        assert answer.plan == PLAN_DENSE
+        bounds = np.zeros((q, 2), dtype=np.int64)
+        request = QueryRequest(bounds, bounds)
+        for config in (EngineConfig(), EngineConfig(n_shards=4)):
+            engine = Engine(dense, config)
+            assert engine.plan_queries(bounds, bounds) == PLAN_DENSE
+            assert engine.answer(request).plan == PLAN_DENSE
+        for plan in (PLAN_SHARDED, PLAN_BROADCAST, PLAN_PRUNED):
+            engine = Engine(dense, EngineConfig(plan=plan))
+            with pytest.raises(QueryError, match="dense-backed"):
+                engine.plan_queries(bounds, bounds)
+            with pytest.raises(QueryError, match="dense-backed"):
+                engine.answer(request)
+
+    def test_plan_refusal_comes_before_bound_validation(self):
+        dense = PrivateFrequencyMatrix.from_dense_noisy(np.ones((8, 8)))
+        outside = np.array([[70, 0]], dtype=np.int64)
         with pytest.raises(QueryError, match="dense-backed"):
             Engine(dense, EngineConfig(plan=PLAN_BROADCAST)).answer(
-                QueryRequest(one, one)
+                QueryRequest(outside, outside)
             )
 
-    def test_plan_queries_previews_answer_for_dense_backed(self):
-        # plan_queries must agree with answer(): a forced partition
-        # plan on a dense-backed matrix raises in both, the n_shards
-        # fallback reports dense in both.
+
+def level_private():
+    """512 x 512 in 32 x 32 blocks: the full prefix table exceeds the
+    level budget, and a level table fits it."""
+    shape = (512, 512)
+    intervals = [axis_intervals(s, 32) for s in shape]
+    noisy = np.random.default_rng(3).poisson(40.0, 32 * 32).astype(float)
+    return PrivateFrequencyMatrix.from_packed(
+        packed_from_intervals(intervals, noisy, shape), method="grid"
+    )
+
+
+class TestWarm:
+    """``Engine.warm`` builds every cache the engine's routes read."""
+
+    def test_builds_the_level_table_auto_reads(self):
+        private = level_private()
+        engine = Engine(private)
+        assert private.packed._level is None
+        engine.warm()
+        table = private.packed._level
+        assert table
+        assert engine.level_table() is table
+
+    def test_spawns_the_resident_pool(self, private):
+        config = EngineConfig(n_shards=2, shard_executor="resident")
+        with Engine(private, config) as engine:
+            assert engine.pool_stats() is None
+            engine.warm()
+            assert engine.pool_stats() is not None
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            EngineConfig(plan=PLAN_BROADCAST),
+            EngineConfig(plan=PLAN_DENSE),
+            EngineConfig(plan=PLAN_SHARDED),
+        ],
+        ids=["broadcast", "dense", "sharded"],
+    )
+    def test_forced_plan_builds_nothing(self, config):
+        private = level_private()
+        engine = Engine(private, config)
+        engine.warm()
+        assert private.packed._level is None
+        assert private._prefix_cache is None
+        assert engine.pool_stats() is None
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            EngineConfig(),
+            EngineConfig(n_shards=2, shard_executor="resident"),
+        ],
+        ids=["auto", "resident"],
+    )
+    def test_dense_backed_builds_nothing(self, config):
         dense = PrivateFrequencyMatrix.from_dense_noisy(np.ones((8, 8)))
-        one = np.zeros((1, 2), dtype=np.int64)
-        for plan in (PLAN_SHARDED, PLAN_BROADCAST, PLAN_PRUNED):
-            with pytest.raises(QueryError, match="dense-backed"):
-                Engine(dense, EngineConfig(plan=plan)).plan_queries(one, one)
-        assert Engine(dense, EngineConfig(n_shards=4)).plan_queries(
-            one, one
-        ) == PLAN_DENSE
+        engine = Engine(dense, config)
+        engine.warm()
+        assert dense._prefix_cache is None
+        assert engine.pool_stats() is None
 
 
 class TestConfigThresholds:

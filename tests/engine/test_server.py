@@ -22,6 +22,7 @@ import pytest
 from repro.core import PrivateFrequencyMatrix, packed_from_intervals
 from repro.core.exceptions import ValidationError
 from repro.core.sharding import PartitionShard, answer_sharded
+from repro.engine import client as client_module
 from repro.engine import engine as engine_module
 from repro.engine import server as server_module
 from repro.engine import (
@@ -62,18 +63,19 @@ def client_requests(n_clients, rng, q_low=1, q_high=6):
     return requests
 
 
-class SlowEngine:
-    """Wraps a real engine, holding each tick for ``delay`` seconds."""
+class SlowEngine(Engine):
+    """An engine that holds each tick for ``delay`` seconds, off the loop."""
 
     def __init__(self, engine, delay=0.3):
-        self._engine = engine
+        super().__init__(engine.private, engine.config)
         self.delay = delay
-        self.config = engine.config
-        self.private = engine.private
+
+    def runs_inline(self, n_queries):
+        return False
 
     def answer(self, request):
         time.sleep(self.delay)
-        return self._engine.answer(request)
+        return super().answer(request)
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +183,18 @@ class TestExactness:
         answer = asyncio.run(run())
         assert answer.n_queries == 0
         assert answer.answers.shape == (0,)
+
+    def test_empty_batch_names_dense_on_a_dense_backed_release(self):
+        dense = PrivateFrequencyMatrix.from_dense_noisy(np.ones(SHAPE))
+
+        async def run():
+            async with serve(Engine(dense)) as server:
+                async with AsyncServingClient(port=server.port) as client:
+                    return await client.query([], [])
+
+        answer = asyncio.run(run())
+        assert answer.n_queries == 0
+        assert answer.plan == "dense"
 
 
 class TestBadRequests:
@@ -613,6 +627,26 @@ class TestFlowControl:
             float(np.abs(engine.answer(request).answers - answer.answers).max())
             == 0.0
         )
+
+    @pytest.mark.parametrize(
+        "header, delay",
+        [
+            ("1", 1.0),
+            (" 2.5 ", 2.5),
+            ("0", 0.0),
+            (None, None),
+            ("", None),
+            ("soon", None),
+            ("nan", None),
+            ("inf", None),
+            ("1e400", None),
+            ("-1", None),
+        ],
+    )
+    def test_retry_after_is_a_finite_non_negative_delay(self, header, delay):
+        # Clients back off for ServingError.retry_after, and time.sleep
+        # raises on a negative, nan or infinite delay.
+        assert client_module._parse_retry_after(header) == delay
 
     def test_slow_tick_times_out_as_504(self, private):
         engine = Engine(
